@@ -13,7 +13,6 @@ from .cardinals import (
     aleph,
     at_most,
     below,
-    card_leq,
     card_mul,
     card_sum,
     fin,
@@ -31,11 +30,8 @@ from .core import (
     KappaMonoid,
     absorb_big,
     flatten,
-    in_add as in_add_monoid,
     is_reduced_witness,
-    ksum,
     order_unit_check,
-    scalar,
     size_of,
 )
 from .laws import LawReport, check_axioms
@@ -48,7 +44,6 @@ from .diophantine import (
     decompose,
     enumerate_solutions,
     is_saturated,
-    member,
     recombine,
     universal_extend,
 )
@@ -61,7 +56,6 @@ from .braiding import (
     compose,
     flip,
     flip_any,
-    telescope,
     verify,
 )
 from .presentations import (
@@ -81,10 +75,7 @@ from .gallery import (
     QPoint,
     RationalLineMonoid,
     TrivialExtensionMonoid,
-    dedekind_sum,
     hnp_member,
-    line_sum,
-    trivial_sum,
 )
 from .dsl import parse_dsl, render_dsl
 from .tribool import TriBool, no, unknown, yes

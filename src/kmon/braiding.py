@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .cardinals import ALEPH0, ExtCard, FIN1, card_sum, fin
+from .cardinals import ALEPH0, ExtCard, FIN1, card_mul, card_sum, fin
 from .core import Family, KappaMonoid, sort_key
 from .free_vectors import CardVec
 from .tribool import TriBool, no, unknown, yes
@@ -81,63 +80,54 @@ Certificate = Any  # OmegaCertificate | LayeredCertificate | CollapsedCertificat
 # -- verification ---------------------------------------------------------------
 
 
-def _block_counts(blocks, side: str) -> dict:
-    counts: dict[Any, int] = {}
+def _oversized(blocks, lam: ExtCard) -> Optional[ExtCard]:
+    """Index cardinality of the first block chunk not below lambda, if any."""
     for b in blocks:
-        fam = b.iblock if side == "i" else b.jblock
-        for e, mult in fam:
-            if mult.is_infinite:
-                return None  # omega blocks must be finite
-            counts[e] = counts.get(e, 0) + mult.n
-    return counts
+        for fam in (b.iblock, b.jblock):
+            if not fam.index_card() < lam:
+                return fam.index_card()
+    return None
 
 
 def _chain_check(m: KappaMonoid, cert: OmegaCertificate) -> TriBool:
-    """Block equations and the cycle seam, threading v through the chain."""
+    """Block equations, threading v through the chain; a finite chain must end
+    at zero and a cycle must return to the carry it was entered with."""
+    blocks = cert.prefix + cert.cycle
     memfn = getattr(m, "member", None)
     if memfn is not None:
-        for b in cert.prefix + cert.cycle:
+        for b in blocks:
             if not memfn(b.u) or not memfn(b.v_next):
                 return no(note="carry element outside the monoid", witness=b)
-    v = m.zero
-    for b in cert.prefix:
-        r1 = m.eq(m.ksum(b.iblock), m.add(v, b.u))
-        if not r1.is_yes:
-            return r1 if r1.is_unknown else no(note="prefix block equation fails", witness=b)
-        r2 = m.eq(m.ksum(b.jblock), m.add(b.v_next, b.u))
-        if not r2.is_yes:
-            return r2 if r2.is_unknown else no(note="prefix block equation fails", witness=b)
-        v = b.v_next
-    if not cert.cycle:
-        r = m.eq(v, m.zero)
-        if not r.is_yes:
-            return r if r.is_unknown else no(note="prefix ends with nonzero carry")
-        return yes()
-    entry = v
-    for b in cert.cycle:
-        r1 = m.eq(m.ksum(b.iblock), m.add(v, b.u))
-        if not r1.is_yes:
-            return r1 if r1.is_unknown else no(note="cycle block equation fails", witness=b)
-        r2 = m.eq(m.ksum(b.jblock), m.add(b.v_next, b.u))
-        if not r2.is_yes:
-            return r2 if r2.is_unknown else no(note="cycle block equation fails", witness=b)
+    v = entry = m.zero
+    for k, b in enumerate(blocks):
+        if k == len(cert.prefix):
+            entry = v
+        part = "prefix" if k < len(cert.prefix) else "cycle"
+        for fam, carry in ((b.iblock, v), (b.jblock, b.v_next)):
+            r = m.eq(m.ksum(fam), m.add(carry, b.u))
+            if not r.is_yes:
+                return r if r.is_unknown else no(note=f"{part} block equation fails", witness=b)
         v = b.v_next
     r = m.eq(v, entry)
     if not r.is_yes:
-        return r if r.is_unknown else no(note="cycle seam mismatch")
+        seam = "cycle seam mismatch" if cert.cycle else "prefix ends with nonzero carry"
+        return r if r.is_unknown else no(note=seam)
     return yes()
 
 
-def _omega_consumption(cert: OmegaCertificate, side: str) -> Optional[dict]:
-    """Element -> consumed cardinal over the whole omega chain."""
-    pc = _block_counts(cert.prefix, side)
-    cc = _block_counts(cert.cycle, side)
-    if pc is None or cc is None:
-        return None
-    out: dict[Any, ExtCard] = {}
-    for e in set(pc) | set(cc):
-        out[e] = ALEPH0 if cc.get(e, 0) > 0 else fin(pc.get(e, 0))
-    return out
+def _omega_uses(cert: OmegaCertificate, weight: ExtCard) -> Optional[list]:
+    """Consumption of an omega chain repeated ``weight`` times, as
+    (side, element, count, weight) tuples: prefix blocks run once per copy,
+    cycle blocks aleph0 times.  None when a block is infinite."""
+    uses = []
+    for blocks, w in ((cert.prefix, weight), (cert.cycle, card_mul(ALEPH0, weight))):
+        for b in blocks:
+            for side, fam in enumerate((b.iblock, b.jblock)):
+                for e, mult in fam:
+                    if mult.is_infinite:
+                        return None
+                    uses.append((side, e, mult, w))
+    return uses
 
 
 def _counts_match(m: KappaMonoid, fam: Family, got: dict) -> TriBool:
@@ -152,54 +142,51 @@ def _counts_match(m: KappaMonoid, fam: Family, got: dict) -> TriBool:
     return yes()
 
 
-def _verify_omega(
-    m: KappaMonoid, xfam: Family, yfam: Family, cert: OmegaCertificate, lam: ExtCard
-) -> TriBool:
-    for b in cert.prefix + cert.cycle:
-        for fam in (b.iblock, b.jblock):
-            if not fam.index_card() < lam:
-                return no(note=f"block size {fam.index_card()} not below {lam}")
-    r = _chain_check(m, cert)
-    if not r.is_yes:
-        return r
-    for side, fam in (("i", xfam), ("j", yfam)):
-        cons = _omega_consumption(cert, side)
-        if cons is None:
-            return no(note="omega blocks must have finite multiplicities")
-        cons = {_canon(m, e): v for e, v in cons.items()}
-        r = _counts_match(m, fam, cons)
+def _tally(m: KappaMonoid, xfam: Family, yfam: Family, uses) -> TriBool:
+    """Total the (side, element, count, weight) uses, side 0 drawing on xfam
+    and side 1 on yfam, and match each side against its family."""
+    totals: tuple[dict, dict] = ({}, {})
+    for side, e, count, weight in uses:
+        totals[side].setdefault(_canon(m, e), []).append((count, weight))
+    for fam, tot in zip((xfam, yfam), totals):
+        r = _counts_match(m, fam, {e: card_sum(cw) for e, cw in tot.items()})
         if not r.is_yes:
             return r
     return yes()
 
 
+def _verify_omega(
+    m: KappaMonoid, xfam: Family, yfam: Family, cert: OmegaCertificate, lam: ExtCard
+) -> TriBool:
+    big = _oversized(cert.prefix + cert.cycle, lam)
+    if big is not None:
+        return no(note=f"block size {big} not below {lam}")
+    r = _chain_check(m, cert)
+    if not r.is_yes:
+        return r
+    uses = _omega_uses(cert, FIN1)
+    if uses is None:
+        return no(note="omega blocks must have finite multiplicities")
+    return _tally(m, xfam, yfam, uses)
+
+
 def _verify_layered(
     m: KappaMonoid, xfam: Family, yfam: Family, cert: LayeredCertificate, lam: ExtCard
 ) -> TriBool:
-    totals_i: dict[Any, list] = {}
-    totals_j: dict[Any, list] = {}
+    uses: list = []
     for weight, layer in cert.layers:
         if weight.is_zero:
             return no(note="layer weights must be >= 1")
         r = _chain_check(m, layer)
         if not r.is_yes:
             return r
-        for b in layer.prefix + layer.cycle:
-            for fam in (b.iblock, b.jblock):
-                if not fam.index_card() < lam:
-                    return no(note="layer block too large")
-        for side, totals in (("i", totals_i), ("j", totals_j)):
-            cons = _omega_consumption(layer, side)
-            if cons is None:
-                return no(note="omega blocks must have finite multiplicities")
-            for e, c in cons.items():
-                totals.setdefault(_canon(m, e), []).append((c, weight))
-    got_i = {e: card_sum((c, w) for c, w in lst) for e, lst in totals_i.items()}
-    got_j = {e: card_sum((c, w) for c, w in lst) for e, lst in totals_j.items()}
-    r = _counts_match(m, xfam, got_i)
-    if not r.is_yes:
-        return r
-    return _counts_match(m, yfam, got_j)
+        if _oversized(layer.prefix + layer.cycle, lam) is not None:
+            return no(note="layer block too large")
+        layer_uses = _omega_uses(layer, weight)
+        if layer_uses is None:
+            return no(note="omega blocks must have finite multiplicities")
+        uses += layer_uses
+    return _tally(m, xfam, yfam, uses)
 
 
 def _verify_collapsed(
@@ -207,8 +194,7 @@ def _verify_collapsed(
 ) -> TriBool:
     if lam <= ALEPH0:
         return no(note="collapsed certificates require lambda above aleph0")
-    totals_i: dict[Any, list] = {}
-    totals_j: dict[Any, list] = {}
+    uses: list = []
     for ib, jb, weight in cert.blocks:
         if weight.is_zero:
             return no(note="block weights must be >= 1")
@@ -217,15 +203,8 @@ def _verify_collapsed(
         r = m.eq(m.ksum(ib), m.ksum(jb))
         if not r.is_yes:
             return r if r.is_unknown else no(note="collapsed block sums differ")
-        for fam, totals in ((ib, totals_i), (jb, totals_j)):
-            for e, mult in fam:
-                totals.setdefault(_canon(m, e), []).append((mult, weight))
-    got_i = {e: card_sum((c, w) for c, w in lst) for e, lst in totals_i.items()}
-    got_j = {e: card_sum((c, w) for c, w in lst) for e, lst in totals_j.items()}
-    r = _counts_match(m, xfam, got_i)
-    if not r.is_yes:
-        return r
-    return _counts_match(m, yfam, got_j)
+        uses += [(side, e, mult, weight) for side, fam in enumerate((ib, jb)) for e, mult in fam]
+    return _tally(m, xfam, yfam, uses)
 
 
 def verify(
@@ -244,11 +223,6 @@ def verify(
     if isinstance(cert, CollapsedCertificate):
         return _verify_collapsed(m, xfam, yfam, cert, lam)
     return no(note=f"unknown certificate kind {type(cert).__name__}")
-
-
-def telescope(m: KappaMonoid, cert: Certificate, xfam: Family, yfam: Family):
-    """The two family sums; equal whenever the certificate verifies."""
-    return m.ksum(xfam), m.ksum(yfam)
 
 
 # -- symmetry -------------------------------------------------------------------
@@ -327,10 +301,6 @@ def flip_any(m: KappaMonoid, cert: Certificate) -> Certificate:
 
 
 # -- composition ----------------------------------------------------------------
-
-
-def _fam_counts(fam: Family) -> dict:
-    return {e: mult.n for e, mult in fam if mult.is_finite}
 
 
 @dataclass
@@ -606,13 +576,32 @@ class _Stream:
         return len(self.head) if not self.cycle else None
 
 
+def _units(m: KappaMonoid, elems: list) -> tuple[Family, Any]:
+    """A chunk of single copies of ``elems`` and its sum."""
+    if not elems:
+        return Family.empty(), m.zero
+    chunk = Family.of([(e, FIN1) for e in elems])
+    return chunk, m.raw_ksum(chunk)
+
+
+def _take(m: KappaMonoid, stream: _Stream, pos: int, carry: Any, cap: int):
+    """The shortest non-empty chunk of ``stream`` from ``pos``, at most ``cap``
+    long, whose sum covers ``carry``: (length, chunk, remainder), or None."""
+    for k in range(1, cap + 1):
+        chunk, total = _units(m, [stream.at(pos + t) for t in range(k)])
+        rest = m.sub(total, carry)
+        if rest is not None:
+            return k, chunk, rest
+    return None
+
+
 def _cycle_counts(m: KappaMonoid, sx: "_Stream", sy: "_Stream", cap: int):
     """Positive per-value counts making one x-block sum equal one y-block
     sum.  Uniform whole-cycle scaling first; for finite vector values the
     balance condition is itself a homogeneous linear system over the counts,
     solved exactly by small enumeration."""
-    xtot = m.raw_ksum(Family.of([(e, FIN1) for e in sx.cycle]))
-    ytot = m.raw_ksum(Family.of([(e, FIN1) for e in sy.cycle]))
+    _, xtot = _units(m, sx.cycle)
+    _, ytot = _units(m, sy.cycle)
     for a in range(1, cap + 1):
         asum = m.scalar(fin(a), xtot)
         for b in range(1, cap + 1):
@@ -662,8 +651,8 @@ def _uniform_omega(
     cycle_block = BraidBlock(iblk, jblk, block_sum, m.zero)
     if not sx.head and not sy.head:
         return OmegaCertificate((), (cycle_block,))
-    hx = m.raw_ksum(Family.of([(e, FIN1) for e in sx.head]))
-    hy = m.raw_ksum(Family.of([(e, FIN1) for e in sy.head]))
+    _, hx = _units(m, sx.head)
+    _, hy = _units(m, sy.head)
     for kx in range(scale_cap + 1):
         left = m.add(hx, m.scalar(fin(kx), block_sum))
         for ky in range(scale_cap + 1):
@@ -708,47 +697,16 @@ def _greedy_omega(
                     return OmegaCertificate(tuple(blocks[:k]), tuple(blocks[k:]))
                 return None  # repeated without a full wrap: walk is stuck
             seen[state] = (len(blocks), i, j)
-        ichunk = []
-        u = m.sub(m.zero, v)
-        k = 0
-        while u is None and k < block_cap:
-            ichunk.append(sx.at(i + k))
-            k += 1
-            u = m.sub(m.raw_ksum(Family.of([(e, FIN1) for e in ichunk])), v)
-        if u is None:
+        took = _take(m, sx, i, v, block_cap)
+        if took is None:
             return None
-        if k == 0:  # always make progress on the x stream
-            ichunk.append(sx.at(i))
-            k = 1
-            u = m.sub(m.raw_ksum(Family.of([(e, FIN1) for e in ichunk])), v)
-            if u is None:
-                return None
-        i += k
-        jchunk = []
-        vn = m.sub(m.zero, u)
-        k = 0
-        while vn is None and k < block_cap:
-            jchunk.append(sy.at(j + k))
-            k += 1
-            vn = m.sub(m.raw_ksum(Family.of([(e, FIN1) for e in jchunk])), u)
-        if vn is None:
+        k, ichunk, u = took
+        took = _take(m, sy, j, u, block_cap)
+        if took is None:
             return None
-        if k == 0:
-            jchunk.append(sy.at(j))
-            k = 1
-            vn = m.sub(m.raw_ksum(Family.of([(e, FIN1) for e in jchunk])), u)
-            if vn is None:
-                return None
-        j += k
-        blocks.append(
-            BraidBlock(
-                Family.of((e, FIN1) for e in ichunk),
-                Family.of((e, FIN1) for e in jchunk),
-                u,
-                vn,
-            )
-        )
-        v = vn
+        l, jchunk, vn = took
+        blocks.append(BraidBlock(ichunk, jchunk, u, vn))
+        i, j, v = i + k, j + l, vn
     return None
 
 
@@ -760,93 +718,67 @@ def _search_omega(
     block_cap: int = BLOCK_CAP,
 ) -> Optional[OmegaCertificate]:
     """Depth-first search over consecutive block splits of canonical streams;
-    deterministic order, smallest blocks first."""
+    deterministic order, smallest blocks first, one budget unit per state
+    entered."""
     sx, sy = _Stream(xfam), _Stream(yfam)
     fx, fy = sx.finite_len(), sy.finite_len()
     infinite = fx is None  # class agreement checked by the caller
+    hx, hy, lx, ly = len(sx.head), len(sy.head), len(sx.cycle), len(sy.cycle)
 
-    def key(state):
-        i, j, v = state
+    def key(i: int, j: int, v) -> tuple:
         if infinite:
-            pi = i if i < len(sx.head) else len(sx.head) + (i - len(sx.head)) % len(sx.cycle)
-            pj = j if j < len(sy.head) else len(sy.head) + (j - len(sy.head)) % len(sy.cycle)
-            return (pi, pj, sort_key(v))
+            i = i if i < hx else hx + (i - hx) % lx
+            j = j if j < hy else hy + (j - hy) % ly
         return (i, j, sort_key(v))
 
-    budget_left = [budget]
-    path: list[tuple] = []  # (state_key, block, i, j)
-
-    def dfs(i: int, j: int, v) -> Optional[tuple[int, ...]]:
-        # returns (cycle_start_index,) when a certificate closes, else None
-        if budget_left[0] <= 0:
-            return None
-        budget_left[0] -= 1
-        if not infinite and i == fx and j == fy and m.eq(v, m.zero).is_yes:
-            return (len(path),)
-        if infinite and i >= len(sx.head) and j >= len(sy.head):
-            k = key((i, j, v))
-            for idx, (pk, _b, pi, pj) in enumerate(path):
-                if (
-                    pk == k
-                    and i - pi >= len(sx.cycle)
-                    and j - pj >= len(sy.cycle)
-                    and (i - pi) % len(sx.cycle) == 0
-                    and (j - pj) % len(sy.cycle) == 0
-                ):
-                    return (idx,)
-        for kx in range(0, block_cap + 1):
+    def children(i: int, j: int, v):
+        """The blocks leaving state (i, j, v), generated lazily in (kx, ky)
+        order; each y chunk is summed once, when first reached."""
+        jchunks: list = []
+        for kx in range(block_cap + 1):
             if fx is not None and i + kx > fx:
-                break
-            ichunk = [sx.at(i + t) for t in range(kx)]
-            isum = (
-                m.raw_ksum(Family.of([(e, FIN1) for e in ichunk]))
-                if ichunk
-                else m.zero
-            )
-            # need u with isum = v + u
-            u = m.sub(isum, v)
+                return
+            ichunk, isum = _units(m, [sx.at(i + t) for t in range(kx)])
+            u = m.sub(isum, v)  # need u with isum = v + u
             if u is None:
                 continue
-            for ky in range(0, block_cap + 1):
-                if kx == 0 and ky == 0:
-                    continue
+            for ky in range(kx == 0, block_cap + 1):
                 if fy is not None and j + ky > fy:
                     break
-                jchunk = [sy.at(j + t) for t in range(ky)]
-                jsum = (
-                    m.raw_ksum(Family.of([(e, FIN1) for e in jchunk]))
-                    if jchunk
-                    else m.zero
-                )
+                while len(jchunks) <= ky:
+                    jchunks.append(_units(m, [sy.at(j + t) for t in range(len(jchunks))]))
+                jchunk, jsum = jchunks[ky]
                 vn = m.sub(jsum, u)
-                if vn is None:
-                    continue
-                blk = BraidBlock(
-                    Family.of((e, FIN1) for e in ichunk),
-                    Family.of((e, FIN1) for e in jchunk),
-                    u,
-                    vn,
-                )
-                path.append((key((i, j, v)), blk, i, j))
-                hit = dfs(i + kx, j + ky, vn)
-                if hit is not None:
-                    return hit
-                path.pop()
-        return None
+                if vn is not None:
+                    yield BraidBlock(ichunk, jchunk, u, vn), i + kx, j + ky, vn
 
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(10000)
-    try:
-        hit = dfs(0, 0, m.zero)
-    finally:
-        sys.setrecursionlimit(old)
-    if hit is None:
-        return None
-    cut = hit[0]
-    blocks = [b for _k, b, _i, _j in path]
-    if not infinite:
-        return OmegaCertificate(tuple(blocks), ())
-    return OmegaCertificate(tuple(blocks[:cut]), tuple(blocks[cut:]))
+    # one [state key, i, j, children, block taken] per state on the branch
+    stack: list[list] = []
+    i, j, v = 0, 0, m.zero
+    while budget > 0:
+        budget -= 1
+        k = key(i, j, v)
+        if not infinite:
+            if i == fx and j == fy and m.eq(v, m.zero).is_yes:
+                return OmegaCertificate(tuple(f[4] for f in stack), ())
+        elif i >= hx and j >= hy:
+            for cut, (pk, pi, pj, _, _) in enumerate(stack):
+                if (
+                    pk == k
+                    and i - pi >= lx
+                    and j - pj >= ly
+                    and (i - pi) % lx == 0
+                    and (j - pj) % ly == 0
+                ):
+                    blocks = tuple(f[4] for f in stack)
+                    return OmegaCertificate(blocks[:cut], blocks[cut:])
+        stack.append([k, i, j, children(i, j, v), None])
+        while (step := next(stack[-1][3], None)) is None:
+            stack.pop()
+            if not stack:
+                return None
+        stack[-1][4], i, j, v = step
+    return None
 
 
 def braid_find(

@@ -138,19 +138,6 @@ def infinite_levels(upto: ExtCard) -> list[ExtCard]:
     return [aleph(k) for k in range(upto.aleph_level + 1)]
 
 
-def card_leq(a: ExtCard, b: ExtCard) -> bool:
-    """Total order: all finite values < aleph0 < aleph1 < ..."""
-    return a <= b
-
-
-def card_max(items: Iterable[ExtCard]) -> ExtCard:
-    out = ZERO
-    for c in items:
-        if out < c:
-            out = c
-    return out
-
-
 def card_sum(items: Iterable[tuple[ExtCard, ExtCard]]) -> ExtCard:
     """Sum of a finite multiset of (value, count) pairs.
 

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .braiding import braid_find, telescope, verify
+from .braiding import braid_find, verify
 from .cardinals import ALEPH0, at_most, below, parse_card, render_card
 from .diophantine import DioMonoid, aleph0_extend_finite, decompose, recombine, universal_extend
 from .dsl import (
@@ -203,7 +203,7 @@ def _cmd_braid_check(args, rep: Report) -> int:
     cert = parse_certificate(text, m)
     r = verify(m, x, y, cert, parse_card(args.lam))
     if r.is_yes:
-        a, b = telescope(m, cert, x, y)
+        a, b = m.ksum(x), m.ksum(y)
         rep.say(f"telescope: {render_elem(a)} = {render_elem(b)}", telescope=render_elem(a))
     return _verdict(rep, r)
 

@@ -206,14 +206,6 @@ class KappaMonoid:
 # -- derived operations -------------------------------------------------------
 
 
-def ksum(m: KappaMonoid, fam: Family) -> Any:
-    return m.ksum(fam)
-
-
-def scalar(m: KappaMonoid, a: ExtCard, x: Any) -> Any:
-    return m.scalar(a, x)
-
-
 def is_reduced_witness(m: KappaMonoid, a: Any, b: Any) -> bool:
     """Precondition a + b = 0; returns whether a = 0 = b (always true in a
     lawful monoid -- the swindle)."""
@@ -273,19 +265,6 @@ def absorb_big(m: KappaMonoid, u: Any, t: Any, l: Any) -> bool:
     if not m.eq(t, m.add(top, l)).is_yes:
         raise PreconditionError("t = kappa*u + l does not hold")
     return m.eq(t, top).is_yes
-
-
-def in_add(
-    m: KappaMonoid, y: Any, x: Any, n_bound: int = DEFAULT_SEARCH_BOUND
-) -> TriBool:
-    """Is y a summand of a finite multiple of x (divisor-closed submonoid
-    membership)?"""
-    acc = m.zero
-    for n in range(n_bound + 1):
-        if m.leq(y, acc).is_yes:
-            return yes(witness=n)
-        acc = m.add(acc, x)
-    return unknown(note=f"not found with multiples up to {n_bound}")
 
 
 # -- cyclic monoids ------------------------------------------------------------

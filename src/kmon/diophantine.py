@@ -185,10 +185,6 @@ class DioMonoid(VecMonoid):
         return self.raw_ksum(Family.of((g, FIN1) for g in gens))
 
 
-def member(m: DioMonoid, x: CardVec) -> bool:
-    return m.member(x)
-
-
 def universal_extend(m: DioMonoid, to: ExtCard) -> DioMonoid:
     """Enlarge the bound; the defining system is unchanged."""
     if m.bound != at_most(ALEPH0):

@@ -105,10 +105,6 @@ class TrivialExtensionMonoid(KappaMonoid):
         return f(e) if f is not None else e
 
 
-def trivial_sum(t: TrivialExtensionMonoid, fam: Family):
-    return t.ksum(fam)
-
-
 def plain_n0() -> CyclicExtensionMonoid:
     return CyclicExtensionMonoid(CyclicMonoid(), below(ALEPH0))
 
@@ -235,10 +231,6 @@ class RationalLineMonoid(KappaMonoid):
         return QPoint.plain(1)
 
 
-def line_sum(fam: Family, bound: Optional[CardBoundMode] = None) -> QPoint:
-    return RationalLineMonoid(bound).ksum(fam)
-
-
 # -- rank-and-class monoids over a finite abelian group --------------------------
 
 
@@ -359,10 +351,6 @@ class DedekindVMonoid(KappaMonoid):
         if rank.is_zero or rank.is_infinite:
             return all(c % f == 0 for c, f in zip(cls, self.factors))
         return True
-
-
-def dedekind_sum(d: DedekindVMonoid, fam: Family) -> RankClass:
-    return d.ksum(fam)
 
 
 # -- hereditary noetherian prime rings: the infinite part ------------------------

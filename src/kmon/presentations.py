@@ -93,10 +93,6 @@ class TwoGenPresentation:
         return TwoGenPresentation(tuple(rels))
 
     @property
-    def effective(self) -> tuple[tuple[Form, Form], ...]:
-        return self.relations
-
-    @property
     def finite_forms_rigid(self) -> bool:
         """No relation side is a finite form, so no rewrite applies to a
         finite form and their classes are singletons."""

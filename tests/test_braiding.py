@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,13 +14,14 @@ from kmon.braiding import (
     compose,
     flip,
     flip_any,
-    telescope,
     verify,
 )
 from kmon.cardinals import ALEPH0, ZERO, aleph, at_most, fin
 from kmon.core import CyclicExtensionMonoid, CyclicMonoid, Family
 from kmon.diophantine import ConstraintSystem, DioMonoid
+from kmon.dsl import render_certificate
 from kmon.free_vectors import CardVec, VecMonoid
+from kmon.gallery import QPoint, RationalLineMonoid
 
 W = ALEPH0
 N0 = CyclicExtensionMonoid(CyclicMonoid())
@@ -66,6 +68,16 @@ def test_verify_rejects_bad_chains():
     ).is_no
 
 
+def test_verify_totals_uses_of_one_class_named_twice():
+    # in cmn(1,2) the literals 1 and 3 name one element: a block holding
+    # one of each consumes it twice
+    m = CyclicExtensionMonoid(CyclicMonoid(1, 2))
+    x, y = fam((1, 2)), fam((2, 1))
+    cert = OmegaCertificate((BraidBlock(fam((1, 1), (3, 1)), y, fin(2), ZERO),), ())
+    assert verify(m, x, y, cert).is_yes
+    assert verify(m, fam((1, 1)), y, cert).is_no
+
+
 def test_verify_block_size_respects_lambda():
     big_block = BraidBlock(fam((1, W)), fam((1, W)), ZERO, ZERO)
     cert = OmegaCertificate((big_block,), ())
@@ -76,7 +88,7 @@ def test_telescope_equal_on_valid_certs():
     ones, twos = fam((1, W)), fam((2, W))
     cert = OmegaCertificate((), (blk([1, 1], [2], 2, 0),))
     assert verify(N0, ones, twos, cert).is_yes
-    a, b = telescope(N0, cert, ones, twos)
+    a, b = N0.ksum(ones), N0.ksum(twos)
     assert N0.eq(a, b).is_yes
 
 
@@ -173,6 +185,50 @@ def test_braid_find_unrepresentable_pair_is_unknown():
     y = Family.of([(CardVec.fins(1, 2), W)])
     r = braid_find(F2, x, y, budget=1500)
     assert r.is_unknown
+
+
+def test_braid_find_depth_first_search_success():
+    # uniform scaling and the greedy walk both miss this pair; only the
+    # depth-first search over block splits finds the certificate
+    half, third = QPoint.plain(Fraction(1, 2)), QPoint.plain(Fraction(1, 3))
+    m = RationalLineMonoid()
+    x = Family.of([(half, W), (QPoint.tilde(Fraction(1, 2)), fin(1))])
+    y = Family.of([(half, W), (third, W), (QPoint.tilde(Fraction(2, 3)), fin(3))])
+    r = braid_find(m, x, y, budget=2500)
+    assert r.is_yes
+    assert verify(m, x, y, r.witness).is_yes
+    assert render_certificate(r.witness) == "\n".join(
+        [
+            "PREFIX",
+            "B i={} j={~2/3*3} u=0 v'=~2",
+            "B i={1/2*3, ~1/2*1} j={} u=0 v'=0",
+            "CYCLE",
+            "B i={} j={1/2*1} u=0 v'=1/2",
+            "B i={1/2*1} j={} u=0 v'=0",
+            "B i={} j={1/3*1} u=0 v'=1/3",
+            "B i={1/2*1} j={1/2*1} u=1/6 v'=1/3",
+            "B i={1/2*1} j={1/3*1} u=1/6 v'=1/6",
+            "B i={1/2*1} j={1/2*1} u=1/3 v'=1/6",
+            "B i={1/2*1} j={1/3*1} u=1/3 v'=0",
+        ]
+    )
+
+
+def test_braid_find_greedy_walk_success():
+    # twenty ones per twenty: beyond uniform scaling's cap of 12 and the
+    # search's block cap of 8, so only the greedy walk finds it
+    r = braid_find(N0, fam((1, W)), fam((20, W)))
+    assert r.is_yes
+    assert verify(N0, fam((1, W)), fam((20, W)), r.witness).is_yes
+    assert render_certificate(r.witness) == "\n".join(
+        [
+            "PREFIX",
+            "B i={1*1} j={20*1} u=1 v'=19",
+            "B i={1*19} j={20*1} u=0 v'=20",
+            "CYCLE",
+            "B i={1*20} j={20*1} u=0 v'=20",
+        ]
+    )
 
 
 def test_compose_chain_worked_example():
@@ -432,7 +488,7 @@ def test_braid_find_soundness_property(x, y):
     r = braid_find(F2, x, y, budget=700)
     if r.is_yes:
         assert verify(F2, x, y, r.witness).is_yes
-        a, b = telescope(F2, r.witness, x, y)
+        a, b = F2.ksum(x), F2.ksum(y)
         assert F2.eq(a, b).is_yes
         assert verify(F2, y, x, flip_any(F2, r.witness)).is_yes
     elif r.is_no:

@@ -7,11 +7,10 @@ from kmon.core import (
     CyclicExtensionMonoid,
     CyclicMonoid,
     Family,
+    KappaMonoid,
     absorb_big,
-    in_add,
     is_reduced_witness,
     order_unit_check,
-    scalar,
     size_of,
     flatten,
 )
@@ -109,11 +108,11 @@ def test_in_add_monotone():
     x = CardVec.fins(2, 1)
     ys = [CardVec.fins(a, b) for a in range(4) for b in range(3)]
     for y in ys:
-        r = in_add(F2, y, x, n_bound=8)
+        r = KappaMonoid.finite_multiple_leq(F2, x, y, 8)
         if r.is_yes:
             for yp in ys:
                 if F2.leq(yp, y).is_yes:
-                    assert in_add(F2, yp, x, n_bound=8).is_yes
+                    assert KappaMonoid.finite_multiple_leq(F2, x, yp, 8).is_yes
 
 
 def test_check_axioms_pass_on_lawful_monoids():
