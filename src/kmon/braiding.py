@@ -572,8 +572,11 @@ class _Stream:
             return self.head[i]
         return self.cycle[(i - len(self.head)) % len(self.cycle)]
 
-    def finite_len(self) -> Optional[int]:
-        return len(self.head) if not self.cycle else None
+    def fold(self, i: int) -> int:
+        """Position i itself in the head; past it, the position in the first
+        period at which the same suffix starts."""
+        h = len(self.head)
+        return i if i < h else h + (i - h) % len(self.cycle)
 
 
 def _units(m: KappaMonoid, elems: list) -> tuple[Family, Any]:
@@ -584,12 +587,33 @@ def _units(m: KappaMonoid, elems: list) -> tuple[Family, Any]:
     return chunk, m.raw_ksum(chunk)
 
 
-def _take(m: KappaMonoid, stream: _Stream, pos: int, carry: Any, cap: int):
-    """The shortest non-empty chunk of ``stream`` from ``pos``, at most ``cap``
-    long, whose sum covers ``carry``: (length, chunk, remainder), or None."""
+class _Chunks:
+    """The two streams of one braid_find call and the chunks its greedy and
+    DFS tiers cut from them, each built and summed once.  Both streams have a
+    cycle, so a chunk is fixed by its side, its folded start and its length."""
+
+    def __init__(self, m: KappaMonoid, xfam: Family, yfam: Family):
+        self.m = m
+        self.streams = (_Stream(xfam), _Stream(yfam))
+        self.table: dict = {}  # (side, folded start, length) -> (chunk, sum)
+
+    def chunk(self, side: int, pos: int, k: int) -> tuple[Family, Any]:
+        """The ``k`` elements of stream ``side`` from ``pos`` and their sum."""
+        s = self.streams[side]
+        key = (side, s.fold(pos), k)
+        got = self.table.get(key)
+        if got is None:
+            got = self.table[key] = _units(self.m, [s.at(key[1] + t) for t in range(k)])
+        return got
+
+
+def _take(chunks: _Chunks, side: int, pos: int, carry: Any, cap: int):
+    """The shortest non-empty chunk of stream ``side`` from ``pos``, at most
+    ``cap`` long, whose sum covers ``carry``: (length, chunk, remainder), or
+    None."""
     for k in range(1, cap + 1):
-        chunk, total = _units(m, [stream.at(pos + t) for t in range(k)])
-        rest = m.sub(total, carry)
+        chunk, total = chunks.chunk(side, pos, k)
+        rest = chunks.m.sub(total, carry)
         if rest is not None:
             return k, chunk, rest
     return None
@@ -633,14 +657,11 @@ def _cycle_counts(m: KappaMonoid, sx: "_Stream", sy: "_Stream", cap: int):
 
 
 def _uniform_omega(
-    m: KappaMonoid, xfam: Family, yfam: Family, scale_cap: int = 12
+    m: KappaMonoid, sx: _Stream, sy: _Stream, scale_cap: int = 12
 ) -> Optional[OmegaCertificate]:
     """Periodic certificate from balanced whole blocks: one cycle block with
     per-value counts chosen so its two sums agree, plus one prefix block
     padding the finite heads with extra cycle copies until they balance."""
-    sx, sy = _Stream(xfam), _Stream(yfam)
-    if not sx.cycle or not sy.cycle:
-        return None
     counts = _cycle_counts(m, sx, sy, scale_cap)
     if counts is None:
         return None
@@ -674,15 +695,14 @@ def _uniform_omega(
 
 
 def _greedy_omega(
-    m: KappaMonoid, xfam: Family, yfam: Family, budget: int, block_cap: int = 64
+    chunks: _Chunks, budget: int, block_cap: int = 64
 ) -> Optional[OmegaCertificate]:
     """Deterministic minimal-consumption walk for infinite-support pairs:
     take just enough of each stream to cover the carry, and close the cycle
     at the first repeated state.  Complete for positive scalars, where the
     carry stays below the largest stream value."""
-    sx, sy = _Stream(xfam), _Stream(yfam)
-    if not sx.cycle or not sy.cycle:
-        return None
+    m = chunks.m
+    sx, sy = chunks.streams
     i = j = 0
     v = m.zero
     blocks: list[BraidBlock] = []
@@ -690,18 +710,18 @@ def _greedy_omega(
     px, py = len(sx.head), len(sy.head)
     for _ in range(budget):
         if i >= px and j >= py:
-            state = ((i - px) % len(sx.cycle), (j - py) % len(sy.cycle), sort_key(v))
+            state = (sx.fold(i), sy.fold(j), sort_key(v))
             if state in seen:
                 k, i0, j0 = seen[state]
                 if (i - i0) >= len(sx.cycle) and (j - j0) >= len(sy.cycle):
                     return OmegaCertificate(tuple(blocks[:k]), tuple(blocks[k:]))
                 return None  # repeated without a full wrap: walk is stuck
             seen[state] = (len(blocks), i, j)
-        took = _take(m, sx, i, v, block_cap)
+        took = _take(chunks, 0, i, v, block_cap)
         if took is None:
             return None
         k, ichunk, u = took
-        took = _take(m, sy, j, u, block_cap)
+        took = _take(chunks, 1, j, u, block_cap)
         if took is None:
             return None
         l, jchunk, vn = took
@@ -711,43 +731,25 @@ def _greedy_omega(
 
 
 def _search_omega(
-    m: KappaMonoid,
-    xfam: Family,
-    yfam: Family,
-    budget: int,
-    block_cap: int = BLOCK_CAP,
+    chunks: _Chunks, budget: int, block_cap: int = BLOCK_CAP
 ) -> Optional[OmegaCertificate]:
     """Depth-first search over consecutive block splits of canonical streams;
     deterministic order, smallest blocks first, one budget unit per state
     entered."""
-    sx, sy = _Stream(xfam), _Stream(yfam)
-    fx, fy = sx.finite_len(), sy.finite_len()
-    infinite = fx is None  # class agreement checked by the caller
+    m = chunks.m
+    sx, sy = chunks.streams
     hx, hy, lx, ly = len(sx.head), len(sy.head), len(sx.cycle), len(sy.cycle)
-
-    def key(i: int, j: int, v) -> tuple:
-        if infinite:
-            i = i if i < hx else hx + (i - hx) % lx
-            j = j if j < hy else hy + (j - hy) % ly
-        return (i, j, sort_key(v))
 
     def children(i: int, j: int, v):
         """The blocks leaving state (i, j, v), generated lazily in (kx, ky)
-        order; each y chunk is summed once, when first reached."""
-        jchunks: list = []
+        order."""
         for kx in range(block_cap + 1):
-            if fx is not None and i + kx > fx:
-                return
-            ichunk, isum = _units(m, [sx.at(i + t) for t in range(kx)])
+            ichunk, isum = chunks.chunk(0, i, kx)
             u = m.sub(isum, v)  # need u with isum = v + u
             if u is None:
                 continue
             for ky in range(kx == 0, block_cap + 1):
-                if fy is not None and j + ky > fy:
-                    break
-                while len(jchunks) <= ky:
-                    jchunks.append(_units(m, [sy.at(j + t) for t in range(len(jchunks))]))
-                jchunk, jsum = jchunks[ky]
+                jchunk, jsum = chunks.chunk(1, j, ky)
                 vn = m.sub(jsum, u)
                 if vn is not None:
                     yield BraidBlock(ichunk, jchunk, u, vn), i + kx, j + ky, vn
@@ -757,11 +759,8 @@ def _search_omega(
     i, j, v = 0, 0, m.zero
     while budget > 0:
         budget -= 1
-        k = key(i, j, v)
-        if not infinite:
-            if i == fx and j == fy and m.eq(v, m.zero).is_yes:
-                return OmegaCertificate(tuple(f[4] for f in stack), ())
-        elif i >= hx and j >= hy:
+        k = (sx.fold(i), sy.fold(j), sort_key(v))
+        if i >= hx and j >= hy:
             for cut, (pk, pi, pj, _, _) in enumerate(stack):
                 if (
                     pk == k
@@ -818,13 +817,15 @@ def braid_find(
         ]
         if high:
             return _layered_find(m, xf, yf, budget)
-        cert = _uniform_omega(m, xf, yf)
+        # both streams have a cycle: only aleph0 among infinite multiplicities
+        chunks = _Chunks(m, xf, yf)
+        cert = _uniform_omega(m, *chunks.streams)
         if cert is not None and verify(m, xf, yf, cert, lam).is_yes:
             return yes(witness=cert)
-        cert = _greedy_omega(m, xf, yf, min(budget, 512))
+        cert = _greedy_omega(chunks, min(budget, 512))
         if cert is not None and verify(m, xf, yf, cert, lam).is_yes:
             return yes(witness=cert)
-        cert = _search_omega(m, xf, yf, budget)
+        cert = _search_omega(chunks, budget)
         if cert is not None:
             r = verify(m, xf, yf, cert, lam)
             if r.is_yes:

@@ -231,6 +231,69 @@ def test_braid_find_greedy_walk_success():
     )
 
 
+UNDECIDED_VEC = (
+    Family.of([(CardVec.fins(1, 0), fin(1)), (CardVec.fins(1, 1), W)]),
+    Family.of([(CardVec.fins(1, 0), W), (CardVec.fins(1, 1), W)]),
+)
+
+
+def test_braid_find_sums_each_chunk_once(monkeypatch):
+    # the depth-first search enters 2500 states here and decides nothing, but
+    # the periodic streams have few distinct chunks: each is summed once per
+    # call, not once per state (the per-state rebuild made 40,425 sums)
+    calls = [0]
+    raw_ksum = VecMonoid.raw_ksum
+
+    def counted(self, fam):
+        calls[0] += 1
+        return raw_ksum(self, fam)
+
+    monkeypatch.setattr(VecMonoid, "raw_ksum", counted)
+    r = braid_find(F2, *UNDECIDED_VEC, budget=2500)
+    assert r.is_unknown
+    assert r.note == "no certificate within budget 2500"
+    assert calls[0] < 1000
+
+
+def test_braid_find_budget_monotone():
+    # raising the budget never flips a decided answer
+    dio = DioMonoid(ConstraintSystem.make(2, congruences=[((1, 1), 2)]), at_most(W))
+    half, third = QPoint.plain(Fraction(1, 2)), QPoint.plain(Fraction(1, 3))
+    cases = [  # (monoid, x, y, answer at the largest budget)
+        (F2, *UNDECIDED_VEC, "unknown"),
+        (
+            dio,
+            Family.of([(CardVec.fins(1, 1), W), (CardVec.fins(2, 0), fin(3))]),
+            Family.of([(CardVec.fins(1, 1), W), (CardVec.fins(2, 0), W)]),
+            "unknown",
+        ),
+        (
+            RationalLineMonoid(),
+            Family.of([(half, W), (QPoint.tilde(Fraction(1, 2)), fin(1))]),
+            Family.of([(half, W), (third, W), (QPoint.tilde(Fraction(2, 3)), fin(3))]),
+            "yes",
+        ),
+        (N0, fam((1, W)), fam((20, W)), "yes"),
+        (
+            F2,
+            Family.of([(CardVec.fins(1, 0), W), (CardVec.fins(0, 1), W)]),
+            Family.of([(CardVec.fins(2, 1), W)]),
+            "yes",
+        ),
+    ]
+    for m, x, y, last in cases:
+        decided = None
+        for budget in (50, 300, 2500, 10000):
+            r = braid_find(m, x, y, budget=budget)
+            if decided is not None:
+                assert r.kind == decided, (x, y, budget)
+            elif r.decided:
+                decided = r.kind
+            if r.is_yes:
+                assert verify(m, x, y, r.witness).is_yes
+        assert r.kind == last
+
+
 def test_compose_chain_worked_example():
     a, b, c = fam((1, W)), fam((2, W)), fam((4, W))
     r1 = braid_find(N0, a, b)
