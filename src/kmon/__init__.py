@@ -17,11 +17,9 @@ from .cardinals import (
     card_sum,
     fin,
     kappa_card,
-    max_aleph_level,
     parse_card,
     render_card,
     set_finite_width,
-    set_max_aleph_level,
 )
 from .core import (
     CyclicExtensionMonoid,

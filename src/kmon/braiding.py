@@ -25,16 +25,11 @@ DEFAULT_BUDGET = 5000
 BLOCK_CAP = 8
 
 
-def _canon(m: KappaMonoid, e: Any) -> Any:
-    f = getattr(m, "canon", None)
-    return f(e) if f is not None else e
-
-
 def canonical_family(m: KappaMonoid, fam: Family) -> Family:
     """Canonicalize elements through the monoid and drop zero entries."""
     z = m.zero
     return Family.of(
-        (_canon(m, e), mult) for e, mult in fam if not m.eq(e, z).is_yes
+        (m.canon(e), mult) for e, mult in fam if not m.eq(e, z).is_yes
     )
 
 
@@ -147,7 +142,7 @@ def _tally(m: KappaMonoid, xfam: Family, yfam: Family, uses) -> TriBool:
     and side 1 on yfam, and match each side against its family."""
     totals: tuple[dict, dict] = ({}, {})
     for side, e, count, weight in uses:
-        totals[side].setdefault(_canon(m, e), []).append((count, weight))
+        totals[side].setdefault(m.canon(e), []).append((count, weight))
     for fam, tot in zip((xfam, yfam), totals):
         r = _counts_match(m, fam, {e: card_sum(cw) for e, cw in tot.items()})
         if not r.is_yes:

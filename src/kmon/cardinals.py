@@ -1,9 +1,9 @@
-"""Exact arithmetic and ordering for cardinals up to a configured symbolic bound.
+"""Exact arithmetic and ordering for cardinals up to the symbolic bound aleph3.
 
-Values are either non-negative integers or symbolic alephs ``aleph0 .. alephK``
-with ``K`` a library-wide configuration (default 3).  Sums with infinite
-content follow the closed form ``max(total index cardinality, sup of values)``;
-finite content sums as ordinary integers.
+Values are either non-negative integers or symbolic alephs ``aleph0 .. aleph3``
+(``MAX_ALEPH_LEVEL``).  Sums with infinite content follow the closed form
+``max(total index cardinality, sup of values)``; finite content sums as
+ordinary integers.
 """
 
 from __future__ import annotations
@@ -14,20 +14,8 @@ from typing import Iterable, Optional
 
 from .errors import CardBoundError, CardOverflowError
 
-_MAX_ALEPH_LEVEL = 3
+MAX_ALEPH_LEVEL = 3
 _FINITE_WIDTH: Optional[int] = None
-
-
-def max_aleph_level() -> int:
-    return _MAX_ALEPH_LEVEL
-
-
-def set_max_aleph_level(k: int) -> None:
-    """Set the largest admissible aleph level (the bound kappa = aleph_K)."""
-    global _MAX_ALEPH_LEVEL
-    if k < 0:
-        raise CardBoundError(f"max aleph level must be >= 0, got {k}")
-    _MAX_ALEPH_LEVEL = k
 
 
 def set_finite_width(bits: Optional[int]) -> None:
@@ -53,9 +41,9 @@ class ExtCard:
 
     def __post_init__(self):
         if self.aleph_level is not None:
-            if self.aleph_level < 0 or self.aleph_level > _MAX_ALEPH_LEVEL:
+            if self.aleph_level < 0 or self.aleph_level > MAX_ALEPH_LEVEL:
                 raise CardBoundError(
-                    f"aleph level {self.aleph_level} outside 0..{_MAX_ALEPH_LEVEL}"
+                    f"aleph level {self.aleph_level} outside 0..{MAX_ALEPH_LEVEL}"
                 )
             if self.n != 0:
                 raise ValueError("aleph values carry no finite part")
@@ -127,8 +115,8 @@ ALEPH0 = ExtCard(aleph_level=0)
 
 
 def kappa_card() -> ExtCard:
-    """The configured bound kappa = aleph_K."""
-    return aleph(_MAX_ALEPH_LEVEL)
+    """The bound kappa = aleph3."""
+    return aleph(MAX_ALEPH_LEVEL)
 
 
 def infinite_levels(upto: ExtCard) -> list[ExtCard]:

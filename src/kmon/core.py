@@ -136,6 +136,10 @@ class KappaMonoid:
     def eq(self, a: Any, b: Any) -> TriBool:
         return from_bool(a == b)
 
+    def canon(self, e: Any) -> Any:
+        """The representative of ``e``'s class; elements are canonical by default."""
+        return e
+
     def support_card(self, fam: Family) -> ExtCard:
         z = self.zero
         return card_sum((m, FIN1) for e, m in fam if not self.eq(e, z).is_yes)

@@ -1,8 +1,9 @@
 """Text formats: cardinal/vector/family literals, constraint systems,
 two-generator presentations, monoid names, and certificate serialization.
 
-Hand-rolled recursive descent with line/column diagnostics; every parser has
-a renderer and ``parse(render(x))`` reproduces ``x``.
+One hand-rolled recursive-descent grammar (``Parser``) reads all of them,
+certificates included, with line/column diagnostics; every parser has a
+renderer and ``parse(render(x))`` reproduces ``x``.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .braiding import (
@@ -77,12 +79,16 @@ def tokenize(src: str) -> list[Token]:
 
 
 class Parser:
+    """One recursive-descent grammar over one token stream.  Each rule reads
+    one construct from the current token; ``whole`` requires the input to end
+    after it."""
+
     def __init__(self, src: str):
         self.toks = tokenize(src)
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def peek(self, k: int = 0) -> Token:
+        return self.toks[min(self.pos + k, len(self.toks) - 1)]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -115,12 +121,53 @@ class Parser:
     def done(self) -> bool:
         return self.peek().kind == "eof"
 
+    # -- shared rules ---------------------------------------------------------
+
+    def whole(self, rule: Callable, *args):
+        """``rule`` followed by the end of the input."""
+        out = rule(*args)
+        if not self.done():
+            self.fail("trailing input")
+        return out
+
+    def word(self, name: str) -> Token:
+        """The keyword ``name``, in any letter case."""
+        t = self.peek()
+        if t.kind != "ident" or t.text.lower() != name.lower():
+            self.fail(f"expected {name!r}")
+        return self.next()
+
+    def field(self, name: str, rule: Callable, *args):
+        """``name = rule``; a prime ending ``name`` (as in ``v'``) is its own token."""
+        self.word(name.rstrip("'"))
+        if name.endswith("'"):
+            self.expect("'")
+        self.expect("=")
+        return rule(*args)
+
+    def commas(self, rule: Callable, *args) -> list:
+        """One or more ``rule`` separated by commas."""
+        out = [rule(*args)]
+        while self.at(","):
+            self.next()
+            out.append(rule(*args))
+        return out
+
+    def parens(self, rule: Callable, *args):
+        self.expect("(")
+        out = rule(*args)
+        self.expect(")")
+        return out
+
+    def nat(self) -> int:
+        return int(self.expect_kind("num").text)
+
     # -- cardinals --------------------------------------------------------
 
     def card(self) -> ExtCard:
         t = self.peek()
         if t.kind == "num":
-            return fin(int(self.next().text))
+            return fin(self.nat())
         if t.kind == "ident":
             low = t.text.lower()
             if low == "w":
@@ -132,10 +179,7 @@ class Parser:
                 return self._aleph(int(m.group(1)), t)
             if low == "aleph":
                 self.next()
-                self.expect("(")
-                level = int(self.expect_kind("num").text)
-                self.expect(")")
-                return self._aleph(level, t)
+                return self._aleph(self.parens(self.nat), t)
         self.fail("expected a cardinal literal")
 
     def _aleph(self, level: int, tok: Token) -> ExtCard:
@@ -145,23 +189,20 @@ class Parser:
             raise ParseError(str(e), tok.line, tok.col) from None
 
     def _fraction(self) -> Fraction:
-        num = int(self.expect_kind("num").text)
-        den = 1
-        if self.at("/"):
-            self.next()
-            den = int(self.expect_kind("num").text)
+        num = self.nat()
+        if not self.at("/"):
+            return Fraction(num)
+        self.next()
+        t = self.peek()
+        den = self.nat()
+        if den == 0:
+            raise ParseError("zero denominator", t.line, t.col)
         return Fraction(num, den)
 
     # -- vectors ------------------------------------------------------------
 
     def vec(self) -> CardVec:
-        self.expect("(")
-        coords = [self.card()]
-        while self.at(","):
-            self.next()
-            coords.append(self.card())
-        self.expect(")")
-        return CardVec(tuple(coords))
+        return CardVec(tuple(self.parens(self.commas, self.card)))
 
     # -- gallery elements -----------------------------------------------------
 
@@ -169,20 +210,13 @@ class Parser:
         if self.at_ident("inf"):
             self.next()
             return QPoint(Fraction(0), "inf")
-        tilde = False
-        if self.at("~"):
+        tilde = self.at("~")
+        if tilde:
             self.next()
-            tilde = True
-        num = int(self.expect_kind("num").text)
-        den = 1
-        if self.at("/"):
-            self.next()
-            den = int(self.expect_kind("num").text)
-        q = Fraction(num, den)
-        return QPoint(q, "tilde" if tilde else "plain")
+        return QPoint(self._fraction(), "tilde" if tilde else "plain")
 
     def rank_class(self, d: DedekindVMonoid) -> RankClass:
-        if self.peek().kind == "num" and self.peek().text == "0":
+        if self.at("0"):
             self.next()
             return d.zero
         self.expect("(")
@@ -191,10 +225,7 @@ class Parser:
         if self.at(";"):
             self.next()
             if not self.at(")"):
-                cls.append(int(self.expect_kind("num").text))
-                while self.at(","):
-                    self.next()
-                    cls.append(int(self.expect_kind("num").text))
+                cls = self.commas(self.nat)
         self.expect(")")
         if rank.is_infinite or rank.is_zero:
             return RankClass(rank, tuple(0 for _ in d.factors))
@@ -207,7 +238,7 @@ class Parser:
         while True:
             coeff = fin(1)
             t = self.peek()
-            if t.kind in ("num",) or self.at_ident("w") or (
+            if t.kind == "num" or self.at_ident("w") or (
                 t.kind == "ident" and t.text.lower().startswith("aleph")
             ):
                 coeff = self.card()
@@ -254,7 +285,7 @@ class Parser:
         while True:
             c = 1
             if self.peek().kind == "num":
-                c = int(self.next().text)
+                c = self.nat()
                 if self.at("*"):
                     self.next()
             t = self.expect_kind("ident")
@@ -271,14 +302,8 @@ class Parser:
             return tuple(coeffs)
 
     def dio(self) -> ConstraintSystem:
-        t = self.expect_kind("ident")
-        if t.text.lower() != "dio":
-            raise ParseError("expected 'dio'", t.line, t.col)
-        nt = self.expect_kind("ident")
-        if nt.text.lower() != "n":
-            raise ParseError("expected 'n='", nt.line, nt.col)
-        self.expect("=")
-        n = int(self.expect_kind("num").text)
+        self.word("dio")
+        n = self.field("n", self.nat)
         self.expect("{")
         eqs, ineqs, congs = [], [], []
         while not self.at("}"):
@@ -294,14 +319,9 @@ class Parser:
                 ineqs.append((a, self.linear(n)))
             elif kind == "cong":
                 a = self.linear(n)
-                it = self.expect_kind("ident")
-                if it.text.lower() != "in":
-                    raise ParseError("expected 'in'", it.line, it.col)
-                d = int(self.expect_kind("num").text)
-                nt = self.expect_kind("ident")
-                if nt.text.upper() != "N":
-                    raise ParseError("expected 'N'", nt.line, nt.col)
-                congs.append((a, d))
+                self.word("in")
+                congs.append((a, self.nat()))
+                self.word("N")
             else:
                 self.fail("expected eq, ineq, or cong")
             self.expect(";")
@@ -311,21 +331,16 @@ class Parser:
     # -- presentations -----------------------------------------------------------
 
     def twogen(self) -> TwoGenPresentation:
-        t = self.expect_kind("ident")
-        if t.text.lower() != "twogen":
-            raise ParseError("expected 'twogen'", t.line, t.col)
+        self.word("twogen")
         self.expect("{")
         rels = []
         while not self.at("}"):
-            rt = self.expect_kind("ident")
-            if rt.text.lower() != "rel":
-                raise ParseError("expected 'rel'", rt.line, rt.col)
+            self.word("rel")
             self.expect(":")
             l = self.form()
             self.expect("=")
-            r = self.form()
+            rels.append((l, self.form()))
             self.expect(";")
-            rels.append((l, r))
         self.expect("}")
         return TwoGenPresentation.of(rels)
 
@@ -336,62 +351,93 @@ class Parser:
         if t.kind != "ident":
             self.fail("expected a monoid")
         low = t.text.lower()
+        if low == "dio":
+            return DioMonoid(self.dio(), bound)
+        if low == "twogen":
+            return TwoGenMonoid(self.twogen())
+        if low not in ("n0", "cmn", "vec", "qline", "dedekind", "hnp", "trivial"):
+            self.fail("expected a monoid name")
+        self.next()
         if low == "n0":
-            self.next()
             return CyclicExtensionMonoid(CyclicMonoid(), bound)
         if low == "cmn":
-            self.next()
             self.expect("(")
-            m = int(self.expect_kind("num").text)
+            m = self.nat()
             self.expect(",")
-            nn = int(self.expect_kind("num").text)
+            nn = self.nat()
             self.expect(")")
             return CyclicExtensionMonoid(CyclicMonoid(m, nn), bound)
         if low == "vec":
-            self.next()
-            self.expect("(")
-            n = int(self.expect_kind("num").text)
-            self.expect(")")
-            return VecMonoid(n, bound)
-        if low == "dio":
-            return DioMonoid(self.dio(), bound)
+            return VecMonoid(self.parens(self.nat), bound)
         if low == "qline":
-            self.next()
             return RationalLineMonoid(bound)
         if low == "dedekind":
-            self.next()
             self.expect("(")
             if self.at_ident("g"):
-                self.next()
-                self.expect("=")
-            factors = [int(self.expect_kind("num").text)]
-            while self.at(","):
-                self.next()
-                factors.append(int(self.expect_kind("num").text))
+                factors = self.field("g", self.commas, self.nat)
+            else:
+                factors = self.commas(self.nat)
             self.expect(")")
             return DedekindVMonoid(tuple(factors), bound)
         if low == "hnp":
-            self.next()
-            self.expect("(")
-            ct = self.expect_kind("ident")
-            if ct.text.lower() != "c":
-                raise ParseError("expected 'c='", ct.line, ct.col)
-            self.expect("=")
-            cs = [self._fraction()]
-            while self.at(","):
-                self.next()
-                cs.append(self._fraction())
-            self.expect(")")
-            return HNPPredicate(tuple(cs))
-        if low == "trivial":
-            self.next()
-            self.expect("(")
-            base = self.monoid(bound=below(ALEPH0))
-            self.expect(")")
-            return TrivialExtensionMonoid(base, bound)
-        if low == "twogen":
-            return TwoGenMonoid(self.twogen())
-        self.fail("expected a monoid name")
+            return HNPPredicate(tuple(self.parens(self.field, "c", self.commas, self._fraction)))
+        return TrivialExtensionMonoid(self.parens(self.monoid, below(ALEPH0)), bound)
+
+    # -- certificates ----------------------------------------------------------------
+
+    def certificate(self, elem: Callable) -> Certificate:
+        """``C`` lines, ``LAYER`` sections or one omega certificate."""
+        if self.at_ident("c"):
+            blocks = partial(self.family, elem)
+            return CollapsedCertificate(
+                self.records("C", ("i", blocks), ("j", blocks), ("w", self.card))
+            )
+        if not self.at_ident("layer"):
+            return self.omega(elem)
+        layers = []
+        while self.at_ident("layer"):
+            (w,) = self.record("LAYER", ("w", self.card))
+            layers.append((w, self.omega(elem)))
+        return LayeredCertificate(tuple(layers))
+
+    def omega(self, elem: Callable) -> OmegaCertificate:
+        """A ``PREFIX`` section, a ``CYCLE`` section or both, in that order."""
+        if not self.at_ident("prefix", "cycle"):
+            self.fail("expected 'PREFIX' or 'CYCLE'")
+        return OmegaCertificate(self.section("PREFIX", elem), self.section("CYCLE", elem))
+
+    def section(self, name: str, elem: Callable) -> tuple[BraidBlock, ...]:
+        if not self.at_ident(name.lower()):
+            return ()
+        self.record(name)
+        blocks = partial(self.family, elem)
+        fields = (("i", blocks), ("j", blocks), ("u", elem), ("v'", elem))
+        return tuple(BraidBlock(*r) for r in self.records("B", *fields))
+
+    def records(self, word: str, *fields: tuple[str, Callable]) -> tuple[tuple, ...]:
+        out = []
+        while self.at_ident(word.lower()):
+            out.append(self.record(word, *fields))
+        return tuple(out)
+
+    def record(self, word: str, *fields: tuple[str, Callable]) -> tuple:
+        """One certificate line: ``word`` and its ``name=value`` fields, alone
+        on the line.  The first token of the next line is masked by an end
+        marker while the line is read, so a record cannot run past it."""
+        toks, row = self.toks, self.peek().line
+        stop = self.pos
+        while toks[stop].kind != "eof" and toks[stop].line == row:
+            stop += 1
+        last = toks[stop - 1]
+        saved, toks[stop] = toks[stop], Token("eof", "", row, last.col + len(last.text))
+        try:
+            self.word(word)
+            out = tuple(self.field(name, rule) for name, rule in fields)
+            if not self.done():
+                self.fail("expected end of line")
+        finally:
+            toks[stop] = saved
+        return out
 
 
 # -- element parser selection -------------------------------------------------
@@ -411,51 +457,32 @@ def element_parser(p: Parser, m: KappaMonoid) -> Callable:
     if isinstance(m, RationalLineMonoid):
         return p.qpoint
     if isinstance(m, DedekindVMonoid):
-        return lambda: p.rank_class(m)
+        return partial(p.rank_class, m)
     if isinstance(m, VecMonoid):  # includes DioMonoid
         return p.vec
     if isinstance(m, TwoGenMonoid):
-
-        def form_elem():
-            p.expect("(")
-            f = p.form()
-            p.expect(")")
-            return f
-
-        return form_elem
+        return partial(p.parens, p.form)
     return p.card  # cyclic extensions and anything cardinal-valued
 
 
 def parse_family(src: str, m: KappaMonoid) -> Family:
     p = Parser(src)
-    fam = p.family(element_parser(p, m))
-    if not p.done():
-        p.fail("trailing input")
-    return fam
+    return p.whole(p.family, element_parser(p, m))
 
 
 def parse_monoid(src: str, bound=None) -> KappaMonoid:
     p = Parser(src)
-    m = p.monoid(bound)
-    if not p.done():
-        p.fail("trailing input")
-    return m
+    return p.whole(p.monoid, bound)
 
 
 def parse_vec(src: str) -> CardVec:
     p = Parser(src)
-    v = p.vec()
-    if not p.done():
-        p.fail("trailing input")
-    return v
+    return p.whole(p.vec)
 
 
 def parse_presentation(src: str) -> TwoGenPresentation:
     p = Parser(src)
-    t = p.twogen()
-    if not p.done():
-        p.fail("trailing input")
-    return t
+    return p.whole(p.twogen)
 
 
 def parse_dsl(src: str):
@@ -463,28 +490,15 @@ def parse_dsl(src: str):
     cardinals or vectors), a constraint system, a presentation, or a monoid
     name, and return the corresponding value."""
     p = Parser(src)
-    head = p.peek()
-    if head.text == "(":
-        out = p.vec()
-    elif head.kind == "ident" and head.text.lower() == "fam":
-        save = p.pos
-        try:
-            p.next()
-            p.expect("{")
-            vecs = p.at("(")
-        finally:
-            p.pos = save
-        elem = (lambda: p.vec()) if vecs else p.card
-        out = p.family(elem)
-    elif head.kind == "ident" and head.text.lower() == "twogen":
-        out = p.twogen()
-    elif head.kind == "ident" and head.text.lower() == "dio":
-        out = p.dio()
-    else:
-        out = p.monoid()
-    if not p.done():
-        p.fail("trailing input")
-    return out
+    if p.at("("):
+        return p.whole(p.vec)
+    if p.at_ident("fam"):
+        return p.whole(p.family, p.vec if p.peek(2).text == "(" else p.card)
+    if p.at_ident("twogen"):
+        return p.whole(p.twogen)
+    if p.at_ident("dio"):
+        return p.whole(p.dio)
+    return p.whole(p.monoid)
 
 
 def render_dsl(x) -> str:
@@ -531,10 +545,7 @@ def render_form(f: Form) -> str:
 
 
 def render_family(fam: Family) -> str:
-    inner = ", ".join(
-        f"{render_elem(e)}*{render_card(m)}" for e, m in fam.entries
-    )
-    return "fam {" + inner + "}"
+    return "fam " + _render_blockset(fam)
 
 
 def render_linear(coeffs: tuple[int, ...]) -> str:
@@ -593,128 +604,32 @@ def _render_blockset(fam: Family) -> str:
     return "{" + ", ".join(f"{render_elem(e)}*{render_card(m)}" for e, m in fam) + "}"
 
 
+def _render_block(b: BraidBlock) -> str:
+    return (
+        f"B i={_render_blockset(b.iblock)} j={_render_blockset(b.jblock)}"
+        f" u={render_elem(b.u)} v'={render_elem(b.v_next)}"
+    )
+
+
 def render_certificate(cert: Certificate) -> str:
-    lines = []
     if isinstance(cert, OmegaCertificate):
-        lines.append("PREFIX")
-        for b in cert.prefix:
-            lines.append(
-                f"B i={_render_blockset(b.iblock)} j={_render_blockset(b.jblock)}"
-                f" u={render_elem(b.u)} v'={render_elem(b.v_next)}"
-            )
-        lines.append("CYCLE")
-        for b in cert.cycle:
-            lines.append(
-                f"B i={_render_blockset(b.iblock)} j={_render_blockset(b.jblock)}"
-                f" u={render_elem(b.u)} v'={render_elem(b.v_next)}"
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            ["PREFIX", *map(_render_block, cert.prefix), "CYCLE", *map(_render_block, cert.cycle)]
+        )
     if isinstance(cert, LayeredCertificate):
-        for w, layer in cert.layers:
-            lines.append(f"LAYER w={render_card(w)}")
-            lines.append(render_certificate(layer))
-        return "\n".join(lines)
+        return "\n".join(
+            f"LAYER w={render_card(w)}\n{render_certificate(layer)}" for w, layer in cert.layers
+        )
     if isinstance(cert, CollapsedCertificate):
-        for ib, jb, w in cert.blocks:
-            lines.append(
-                f"C i={_render_blockset(ib)} j={_render_blockset(jb)} w={render_card(w)}"
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            f"C i={_render_blockset(ib)} j={_render_blockset(jb)} w={render_card(w)}"
+            for ib, jb, w in cert.blocks
+        )
     raise TypeError(f"no renderer for {type(cert).__name__}")
 
 
 def parse_certificate(src: str, m: KappaMonoid) -> Certificate:
     """Parse the line-oriented certificate format against a monoid's element
     grammar."""
-    stripped = [ln.strip() for ln in src.splitlines() if ln.strip()]
-    if not stripped:
-        raise ParseError("empty certificate", 1, 1)
-
-    def parse_blockset(p: Parser) -> Family:
-        elem = element_parser(p, m)
-        p.expect("{")
-        pairs = []
-        while not p.at("}"):
-            e = elem()
-            mult = fin(1)
-            if p.at("*"):
-                p.next()
-                mult = p.card()
-            pairs.append((e, mult))
-            if p.at(","):
-                p.next()
-        p.expect("}")
-        return Family.of(pairs)
-
-    def parse_b_line(line: str) -> BraidBlock:
-        p = Parser(line)
-        t = p.expect_kind("ident")
-        if t.text != "B":
-            raise ParseError("expected 'B'", t.line, t.col)
-        p.expect_kind("ident")  # i
-        p.expect("=")
-        ib = parse_blockset(p)
-        p.expect_kind("ident")  # j
-        p.expect("=")
-        jb = parse_blockset(p)
-        p.expect_kind("ident")  # u
-        p.expect("=")
-        u = element_parser(p, m)()
-        p.expect_kind("ident")  # v
-        p.expect("'")
-        p.expect("=")
-        vn = element_parser(p, m)()
-        return BraidBlock(ib, jb, u, vn)
-
-    if stripped[0].startswith("C "):
-        blocks = []
-        for line in stripped:
-            p = Parser(line)
-            t = p.expect_kind("ident")
-            if t.text != "C":
-                raise ParseError("expected 'C'", t.line, t.col)
-            p.expect_kind("ident")
-            p.expect("=")
-            ib = parse_blockset(p)
-            p.expect_kind("ident")
-            p.expect("=")
-            jb = parse_blockset(p)
-            p.expect_kind("ident")
-            p.expect("=")
-            w = p.card()
-            blocks.append((ib, jb, w))
-        return CollapsedCertificate(tuple(blocks))
-
-    if stripped[0].startswith("LAYER"):
-        layers = []
-        i = 0
-        while i < len(stripped):
-            header = stripped[i]
-            mm = re.fullmatch(r"LAYER\s+w=(\S+)", header)
-            if not mm:
-                raise ParseError("expected 'LAYER w=...'", i + 1, 1)
-            w = Parser(mm.group(1)).card()
-            i += 1
-            chunk = []
-            while i < len(stripped) and not stripped[i].startswith("LAYER"):
-                chunk.append(stripped[i])
-                i += 1
-            layers.append((w, _parse_omega_lines(chunk, parse_b_line)))
-        return LayeredCertificate(tuple(layers))
-
-    return _parse_omega_lines(stripped, parse_b_line)
-
-
-def _parse_omega_lines(lines: list[str], parse_b_line) -> OmegaCertificate:
-    prefix, cycle = [], []
-    target = None
-    for ln in lines:
-        if ln == "PREFIX":
-            target = prefix
-        elif ln == "CYCLE":
-            target = cycle
-        else:
-            if target is None:
-                raise ParseError("certificate lines before a section header", 1, 1)
-            target.append(parse_b_line(ln))
-    return OmegaCertificate(tuple(prefix), tuple(cycle))
+    p = Parser(src)
+    return p.whole(p.certificate, element_parser(p, m))

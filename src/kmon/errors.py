@@ -10,7 +10,7 @@ class CardOverflowError(KmonError):
 
 
 class CardBoundError(KmonError):
-    """An aleph level above the configured maximum was requested."""
+    """An aleph level outside 0..3 was requested."""
 
 
 class BoundExceededError(KmonError):

@@ -20,7 +20,7 @@ from .cardinals import (
 )
 from .core import Family, KappaMonoid
 from .errors import DimensionError
-from .tribool import TriBool, from_bool, no, yes
+from .tribool import TriBool, no, yes
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,6 @@ class VecMonoid(KappaMonoid):
             card_sum((v[i], m) for v, m in fam) for i in range(self.n)
         )
         return CardVec(coords)
-
-    def eq(self, a: CardVec, b: CardVec) -> TriBool:
-        return from_bool(a == b)
 
     def sub(self, a: CardVec, b: CardVec) -> Optional[CardVec]:
         out = []

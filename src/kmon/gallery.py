@@ -101,8 +101,7 @@ class TrivialExtensionMonoid(KappaMonoid):
     def canon(self, e):
         if isinstance(e, Inf):
             return e
-        f = getattr(self.base, "canon", None)
-        return f(e) if f is not None else e
+        return self.base.canon(e)
 
 
 def plain_n0() -> CyclicExtensionMonoid:
@@ -176,9 +175,6 @@ class RationalLineMonoid(KappaMonoid):
         if any(e.tag == "tilde" for e, _ in ents):
             return QPoint(total, "tilde")
         return QPoint(total, "plain")
-
-    def eq(self, a: QPoint, b: QPoint) -> TriBool:
-        return from_bool(a == b)
 
     def sub(self, a: QPoint, b: QPoint) -> Optional[QPoint]:
         if a.tag == "inf":
@@ -292,9 +288,6 @@ class DedekindVMonoid(KappaMonoid):
             return RankClass(total, tuple(0 for _ in self.factors))
         cls = self._gsum((e.cls, m.n) for e, m in ents)
         return RankClass(total, cls)
-
-    def eq(self, a: RankClass, b: RankClass) -> TriBool:
-        return from_bool(a == b)
 
     def sub(self, a: RankClass, b: RankClass) -> Optional[RankClass]:
         if b.rank.is_zero:

@@ -99,6 +99,28 @@ def test_parse_error_reports_position():
     code, out = invoke(["member", "--monoid", "dio n=2 { eq x0 = x1; }", "--vec", "(1,1)"])
     assert code == 3
     assert "parse error" in out
+    code, out = invoke(["gallery-eval", "--monoid", "qline", "--fam", "fam {1/0*1}"])
+    assert code == 3
+    assert "parse error at 1:8" in out
+
+
+@pytest.mark.parametrize(
+    "cert,position",
+    [
+        ("PREFIX\nCYCLE\nB x={1*2} q={2*1} r=2 s'=0", "3:3"),
+        ("PREFIX\nCYCLE\nB i={1*1 1*1} j={2*1} u=2 v'=0", "3:10"),
+        ("PREFIX\nCYCLE\nB i={1*2} j={2*1} u=2 v'=0 junk", "3:28"),
+        ("LAYER w=aleph1)\nPREFIX\nCYCLE\nB i={1*2} j={2*1} u=2 v'=0", "1:15"),
+        ("C i={1*aleph0} j={1*aleph0} w=aleph1 junk", "1:38"),
+    ],
+)
+def test_braid_check_malformed_certificate_exits_3(cert, position):
+    code, out = invoke(
+        ["braid-check", "--monoid", "N0", "--x", "fam {1*aleph0}", "--y", "fam {2*aleph0}",
+         "--cert", cert]
+    )
+    assert code == 3
+    assert out.startswith(f"parse error at {position}:")
 
 
 def test_json_format_stable_fields():

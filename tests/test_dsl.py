@@ -142,14 +142,35 @@ def test_qline_literals():
     fam = parse_family("fam { 1/2*2, ~2/3, inf*1 }", m)
     assert fam.mult_of(QPoint.plain(Fraction(1, 2))) == fin(2)
     assert fam.mult_of(QPoint.tilde(Fraction(2, 3))) == fin(1)
+    with pytest.raises(ParseError) as ei:
+        parse_family("fam { 1/0*2 }", m)
+    assert (ei.value.line, ei.value.col) == (1, 9)
 
 
 def test_certificate_roundtrip_omega():
-    r = braid_find(N0, Family.of([(fin(1), W)]), Family.of([(fin(2), W)]))
-    assert r.is_yes
-    text = render_certificate(r.witness)
-    back = parse_certificate(text, N0)
-    assert back == r.witness
+    half = QPoint.plain(Fraction(1, 2))
+    cases = [
+        (N0, Family.of([(fin(1), W)]), Family.of([(fin(2), W)])),
+        # the depth-first search pair of test_braiding: tilde and fraction elements
+        (
+            RationalLineMonoid(),
+            Family.of([(half, W), (QPoint.tilde(Fraction(1, 2)), fin(1))]),
+            Family.of([(half, W), (QPoint.plain(Fraction(1, 3)), W), (QPoint.tilde(Fraction(2, 3)), fin(3))]),
+        ),
+        (F2, Family.of([(CardVec.fins(1, 0), W), (CardVec.fins(0, 1), W)]), Family.of([(CardVec.fins(1, 1), W)])),
+        (
+            CyclicExtensionMonoid(CyclicMonoid(1, 2), at_most(W)),
+            Family.of([(fin(1), W), (fin(2), fin(3))]),
+            Family.of([(fin(3), W)]),
+        ),
+    ]
+    for m, x, y in cases:
+        r = braid_find(m, x, y, budget=2500)
+        assert r.is_yes
+        text = render_certificate(r.witness)
+        back = parse_certificate(text, m)
+        assert back == r.witness
+        assert render_certificate(back) == text
 
 
 def test_certificate_roundtrip_layered_and_collapsed():
@@ -162,6 +183,33 @@ def test_certificate_roundtrip_layered_and_collapsed():
         ((Family.of([(fin(1), W)]), Family.of([(fin(1), W)]), aleph(1)),)
     )
     assert parse_certificate(render_certificate(col), N0) == col
+
+
+def test_certificate_sections_may_stand_alone():
+    blk = BraidBlock(
+        Family.of([(fin(1), fin(2))]), Family.of([(fin(2), fin(1))]), fin(2), fin(0)
+    )
+    line = "B i={1*2} j={2*1} u=2 v'=0"
+    assert parse_certificate(f"PREFIX\n{line}", N0) == OmegaCertificate((blk,), ())
+    assert parse_certificate(f"CYCLE\n{line}", N0) == OmegaCertificate((), (blk,))
+    assert parse_certificate(f"  PREFIX\n\n  CYCLE\n  {line}\n", N0) == OmegaCertificate((), (blk,))
+
+
+MALFORMED_CERTIFICATES = [
+    ("PREFIX\nCYCLE\nB x={1*2} q={2*1} r=2 s'=0", 3, 3),  # wrong field names
+    ("PREFIX\nCYCLE\nB i={1*1 1*1} j={2*1} u=2 v'=0", 3, 10),  # missing comma
+    ("PREFIX\nCYCLE\nB i={1*2} j={2*1} u=2 v'=0 junk", 3, 28),  # trailing tokens
+    ("LAYER w=aleph1)\nPREFIX\nCYCLE\nB i={1*2} j={2*1} u=2 v'=0", 1, 15),
+    ("C i={1*aleph0} j={1*aleph0} w=aleph1 junk", 1, 38),
+    ("PREFIX\nCYCLE\nB i={1*2}\nj={2*1} u=2 v'=0", 3, 10),  # a block split over two lines
+]
+
+
+@pytest.mark.parametrize("text,line,col", MALFORMED_CERTIFICATES)
+def test_malformed_certificate_rejected_at_its_position(text, line, col):
+    with pytest.raises(ParseError) as ei:
+        parse_certificate(text, N0)
+    assert (ei.value.line, ei.value.col) == (line, col)
 
 
 def test_hnp_and_dedekind_cli_forms():
