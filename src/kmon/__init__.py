@@ -17,7 +17,6 @@ from .cardinals import (
     card_sum,
     fin,
     kappa_card,
-    parse_card,
     render_card,
     set_finite_width,
 )
@@ -75,7 +74,7 @@ from .gallery import (
     TrivialExtensionMonoid,
     hnp_member,
 )
-from .dsl import parse_dsl, render_dsl
+from .dsl import parse_card, parse_dsl, render_dsl
 from .tribool import TriBool, no, unknown, yes
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from typing import Any, Optional
 
 from .cardinals import ALEPH0, ExtCard, FIN1, card_mul, card_sum, fin
 from .core import Family, KappaMonoid, sort_key
+from .diophantine import ConstraintSystem, solutions
 from .free_vectors import CardVec
 from .tribool import TriBool, no, unknown, yes
 
@@ -618,7 +619,7 @@ def _cycle_counts(m: KappaMonoid, sx: "_Stream", sy: "_Stream", cap: int):
     """Positive per-value counts making one x-block sum equal one y-block
     sum.  Uniform whole-cycle scaling first; for finite vector values the
     balance condition is itself a homogeneous linear system over the counts,
-    solved exactly by small enumeration."""
+    solved by a small box scan whose first point is the answer."""
     _, xtot = _units(m, sx.cycle)
     _, ytot = _units(m, sy.cycle)
     for a in range(1, cap + 1):
@@ -632,8 +633,6 @@ def _cycle_counts(m: KappaMonoid, sx: "_Stream", sy: "_Stream", cap: int):
         and all(c.is_finite for e in vals for c in e.coords)
         and len(vals) <= 6
     ):
-        from .diophantine import ConstraintSystem, enumerate_solutions
-
         dim = len(vals[0])
         kx = len(sx.cycle)
         eqs = []
@@ -642,12 +641,12 @@ def _cycle_counts(m: KappaMonoid, sx: "_Stream", sy: "_Stream", cap: int):
             right = tuple(0 for _ in sx.cycle) + tuple(f[i].n for f in sy.cycle)
             eqs.append((left, right))
         sys = ConstraintSystem.make(len(vals), equations=eqs)
-        for sol in enumerate_solutions(sys, min(cap, 8)):
-            if all(c >= 1 for c in sol):
-                return (
-                    {e: sol[k] for k, e in enumerate(sx.cycle)},
-                    {f: sol[kx + k] for k, f in enumerate(sy.cycle)},
-                )
+        sol = next(solutions(sys, [range(1, min(cap, 8) + 1)] * len(vals)), None)
+        if sol is not None:
+            return (
+                {e: sol[k] for k, e in enumerate(sx.cycle)},
+                {f: sol[kx + k] for k, f in enumerate(sy.cycle)},
+            )
     return None
 
 

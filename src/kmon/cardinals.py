@@ -8,7 +8,6 @@ ordinary integers.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -105,13 +104,16 @@ def fin(n: int) -> ExtCard:
 
 
 def aleph(level: int) -> ExtCard:
-    return ExtCard(aleph_level=level)
+    if 0 <= level <= MAX_ALEPH_LEVEL:
+        return _ALEPHS[level]
+    return ExtCard(aleph_level=level)  # raises CardBoundError
 
 
 _FIN_CACHE = tuple(ExtCard(n=i) for i in range(256))
+_ALEPHS = tuple(ExtCard(aleph_level=k) for k in range(MAX_ALEPH_LEVEL + 1))
 ZERO = fin(0)
 FIN1 = fin(1)
-ALEPH0 = ExtCard(aleph_level=0)
+ALEPH0 = aleph(0)
 
 
 def kappa_card() -> ExtCard:
@@ -123,7 +125,7 @@ def infinite_levels(upto: ExtCard) -> list[ExtCard]:
     """All alephs aleph0 <= a <= upto, ascending."""
     if upto.is_finite:
         return []
-    return [aleph(k) for k in range(upto.aleph_level + 1)]
+    return list(_ALEPHS[: upto.aleph_level + 1])
 
 
 def card_sum(items: Iterable[tuple[ExtCard, ExtCard]]) -> ExtCard:
@@ -148,7 +150,7 @@ def card_sum(items: Iterable[tuple[ExtCard, ExtCard]]) -> ExtCard:
             top = cl
     if top < 0:
         return fin(_check_width(total))
-    return ExtCard(aleph_level=top)
+    return _ALEPHS[top]
 
 
 def card_mul(a: ExtCard, b: ExtCard) -> ExtCard:
@@ -196,7 +198,7 @@ class CardBoundMode:
         k = self.card.aleph_level
         if self.mode == "below":
             k -= 1
-        return [aleph(i) for i in range(k + 1)]
+        return list(_ALEPHS[: k + 1])
 
     def __str__(self) -> str:
         name = "at_most" if self.mode == "at_most" else "below"
@@ -209,22 +211,6 @@ def at_most(card: ExtCard) -> CardBoundMode:
 
 def below(card: ExtCard) -> CardBoundMode:
     return CardBoundMode("below", card)
-
-
-_CARD_RE = re.compile(r"^(?:(\d+)|aleph\s*\(?\s*(\d+)\s*\)?|w)$", re.IGNORECASE)
-
-
-def parse_card(text: str) -> ExtCard:
-    """Parse a cardinal literal: ``0``, ``17``, ``aleph0`` .. ``aleph(K)``;
-    case-insensitive, ``w`` is an alias for ``aleph0``."""
-    m = _CARD_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"not a cardinal literal: {text!r}")
-    if m.group(1) is not None:
-        return fin(int(m.group(1)))
-    if m.group(2) is not None:
-        return aleph(int(m.group(2)))
-    return ALEPH0
 
 
 def render_card(c: ExtCard) -> str:

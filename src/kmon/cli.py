@@ -11,9 +11,10 @@ import json
 import sys
 
 from .braiding import braid_find, verify
-from .cardinals import ALEPH0, at_most, below, parse_card, render_card
+from .cardinals import ALEPH0, at_most, below, render_card
 from .diophantine import DioMonoid, aleph0_extend_finite, decompose, recombine, universal_extend
 from .dsl import (
+    parse_card,
     parse_certificate,
     parse_family,
     parse_monoid,

@@ -53,22 +53,15 @@ class Family:
 
     @staticmethod
     def of(pairs: Iterable[tuple[Any, ExtCard]]) -> "Family":
-        merged: dict[Any, list] = {}
-        order: list[Any] = []
+        merged: dict[Any, ExtCard] = {}
         for elem, mult in pairs:
             if mult.is_zero:
                 continue
-            if elem in merged:
-                merged[elem].append((mult, FIN1))
-            else:
-                merged[elem] = [(mult, FIN1)]
-                order.append(elem)
-        if not order:
+            prev = merged.get(elem)
+            merged[elem] = mult if prev is None else prev + mult
+        if not merged:
             return Family(())
-        items = [
-            (e, ms[0][0] if len(ms) == 1 else card_sum(ms))
-            for e, ms in ((e, merged[e]) for e in order)
-        ]
+        items = list(merged.items())
         if len(items) > 1:
             items.sort(key=lambda p: (sort_key(p[0]), p[1].sort_key()))
         return Family(tuple(items))

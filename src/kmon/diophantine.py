@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .cardinals import (
     ALEPH0,
@@ -128,11 +128,8 @@ class DioMonoid(VecMonoid):
     def _generators(self) -> list[CardVec]:
         # small finite solutions plus admissible all-or-nothing aleph patterns
         if self._gens is None:
-            gens = [
-                CardVec(tuple(fin(c) for c in sol))
-                for sol in enumerate_solutions(self.system, 3)
-                if any(sol)
-            ][:12]
+            nonzero = (s for s in solutions(self.system, [range(4)] * self.n) if any(s))
+            gens = [CardVec(tuple(fin(c) for c in sol)) for sol in itertools.islice(nonzero, 12)]
             for pat in itertools.product((ZERO, ALEPH0), repeat=self.n):
                 v = CardVec(pat)
                 if not v.is_zero and self.member(v):
@@ -215,14 +212,17 @@ def recombine(beta: CardVec, gammas: dict[ExtCard, CardVec]) -> CardVec:
     return VecMonoid(n).raw_ksum(fam)
 
 
+def solutions(sys: ConstraintSystem, box: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """The points of ``box`` that satisfy ``sys``, lazily and in
+    lexicographic order.  ``box[i]`` holds the values of coordinate i: a
+    ``range``, or a one-value tuple for a pinned coordinate."""
+    return (x for x in itertools.product(*box) if satisfies_int(sys, x))
+
+
 def enumerate_solutions(sys: ConstraintSystem, radius: int) -> list[tuple[int, ...]]:
     """All integer solutions with coordinates in 0..radius, in lexicographic
     order (deterministic for reporting)."""
-    return [
-        x
-        for x in itertools.product(range(radius + 1), repeat=sys.n)
-        if satisfies_int(sys, x)
-    ]
+    return list(solutions(sys, [range(radius + 1)] * sys.n))
 
 
 # -- exact rational feasibility (Fourier-Motzkin over Fractions) ---------------
@@ -358,14 +358,10 @@ class Aleph0Extension:
                     return no(note="a congruence on the finite coordinates fails")
         if not rational_feasible(sys, fixed):
             return no(note="finite coordinates cannot be completed to a solution")
-        for fill in itertools.product(range(self.radius + 1), repeat=len(inf)):
-            cand = [0] * sys.n
-            for i, v in fixed.items():
-                cand[i] = v
-            for i, v in zip(inf, fill):
-                cand[i] = v
-            if satisfies_int(sys, tuple(cand)):
-                return yes(witness=(tuple(cand), inf))
+        scan = range(self.radius + 1)
+        cand = next(solutions(sys, [scan if c.is_infinite else (c.n,) for c in x.coords]), None)
+        if cand is not None:
+            return yes(witness=(cand, inf))
         return unknown(note=f"no integer completion with entries <= {self.radius}")
 
     def _pattern_feasible(self, inf: tuple[int, ...]) -> TriBool:

@@ -465,6 +465,13 @@ def element_parser(p: Parser, m: KappaMonoid) -> Callable:
     return p.card  # cyclic extensions and anything cardinal-valued
 
 
+def parse_card(src: str) -> ExtCard:
+    """A cardinal literal: ``0``, ``17``, ``aleph0`` .. ``aleph3`` or
+    ``aleph(K)``, any letter case; ``w`` is ``aleph0``."""
+    p = Parser(src)
+    return p.whole(p.card)
+
+
 def parse_family(src: str, m: KappaMonoid) -> Family:
     p = Parser(src)
     return p.whole(p.family, element_parser(p, m))

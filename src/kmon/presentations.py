@@ -210,23 +210,25 @@ def _apply_hom(t: CyclicExtensionMonoid, va, vb, f: Form):
     return t.add(t.scalar(f.a, va), t.scalar(f.b, vb))
 
 
-def _respects(p: TwoGenPresentation, t, va, vb) -> bool:
-    return all(
-        t.eq(_apply_hom(t, va, vb, l), _apply_hom(t, va, vb, r)).is_yes
-        for l, r in p.relations
-    )
+def _respecting_homs(p: TwoGenPresentation):
+    """Every (target, va, vb) whose homomorphism X1 -> va, X2 -> vb respects
+    all relations of ``p``, in a fixed order."""
+    for t in _TARGETS:
+        for va in _hom_values(t):
+            for vb in _hom_values(t):
+                if all(
+                    t.eq(_apply_hom(t, va, vb, l), _apply_hom(t, va, vb, r)).is_yes
+                    for l, r in p.relations
+                ):
+                    yield t, va, vb
 
 
 def find_separating_hom(p: TwoGenPresentation, f: Form, g: Form):
     """A homomorphism into a small cyclic-extension monoid that respects all
     relations but distinguishes f from g; a replayable negative witness."""
-    for t in _TARGETS:
-        for va in _hom_values(t):
-            for vb in _hom_values(t):
-                if not _respects(p, t, va, vb):
-                    continue
-                if not t.eq(_apply_hom(t, va, vb, f), _apply_hom(t, va, vb, g)).is_yes:
-                    return (t.name, va, vb)
+    for t, va, vb in _respecting_homs(p):
+        if not t.eq(_apply_hom(t, va, vb, f), _apply_hom(t, va, vb, g)).is_yes:
+            return (t.name, va, vb)
     return None
 
 
@@ -305,9 +307,8 @@ def forms_equal(
 # -- divisor-closed membership --------------------------------------------------
 
 
-def _t_grid():
-    coords = [fin(k) for k in range(TCAP + 1)] + [ALEPH0]
-    return [Form(a, b) for a in coords for b in coords]
+_T_COORDS = [fin(k) for k in range(TCAP + 1)] + [ALEPH0]
+_T_GRID = tuple(Form(a, b) for a in _T_COORDS for b in _T_COORDS)  # slack forms
 
 
 def in_add(
@@ -344,7 +345,7 @@ def in_add(
     per_try = max(200, budget // (NCAP * 8))
     mult = FORM_ZERO
     for n in range(NCAP + 1):
-        for t in _t_grid():
+        for t in _T_GRID:
             r = forms_equal(p, target + t, mult, per_try)
             if r.is_yes:
                 return yes(witness=(n, t, r.witness))
@@ -352,15 +353,11 @@ def in_add(
 
     # homomorphism obstruction: some respecting hom sends target outside
     # every multiple of base
-    for tgt in _TARGETS:
-        for va in _hom_values(tgt):
-            for vb in _hom_values(tgt):
-                if not _respects(p, tgt, va, vb):
-                    continue
-                pt = _apply_hom(tgt, va, vb, target)
-                pb = _apply_hom(tgt, va, vb, base)
-                if _hom_blocks_in_add(tgt, pt, pb):
-                    return no(witness=(tgt.name, va, vb), note="homomorphism obstruction")
+    for tgt, va, vb in _respecting_homs(p):
+        pt = _apply_hom(tgt, va, vb, target)
+        pb = _apply_hom(tgt, va, vb, base)
+        if _hom_blocks_in_add(tgt, pt, pb):
+            return no(witness=(tgt.name, va, vb), note="homomorphism obstruction")
     return unknown(note=f"no witness with n <= {NCAP}")
 
 
@@ -508,7 +505,7 @@ def realizable_two_gen(
         grid_fin = [
             Form(fin(a), fin(b)) for a in range(NCAP + 1) for b in range(NCAP + 1)
         ]
-        grid_inf = [f for f in _t_grid() if f.is_infinite]
+        grid_inf = [f for f in _T_GRID if f.is_infinite]
         for ff in grid_fin:
             for gg in grid_inf:
                 if forms_equal(p, ff, gg, per).is_yes:
@@ -859,7 +856,7 @@ class TwoGenMonoid(KappaMonoid):
         db = card_sub_least(x.b, y.b)
         if da is not None and db is not None:
             return Form(da, db)
-        for t in _t_grid():
+        for t in _T_GRID:
             if self.eq(y + t, x).is_yes:
                 return t
         return None

@@ -10,6 +10,8 @@ from kmon.braiding import (
     LayeredCertificate,
     OmegaCertificate,
     braid_find,
+    _cycle_counts,
+    _Stream,
     canonical_family,
     compose,
     flip,
@@ -520,6 +522,30 @@ def test_balanced_cycle_counts_beyond_uniform_scaling():
     r2 = braid_find(F2, x2, y2, budget=2000)
     assert r2.is_yes
     assert verify(F2, x2, y2, r2.witness).is_yes
+
+
+@pytest.mark.parametrize(
+    "m,xs,ys",
+    [
+        (F2, [(1, 0), (0, 1), (1, 1)], [(2, 1), (1, 1)]),
+        (DioMonoid(ConstraintSystem.make(2, congruences=[((1, 1), 2)]), at_most(W)), [(2, 0), (0, 2)], [(1, 1), (2, 0)]),
+    ],
+)
+def test_cycle_counts_first_positive_solution(m, xs, ys):
+    # the cycle totals are not parallel, so no uniform scaling balances them;
+    # the counts are the lexicographically first all-positive balance
+    sx = _Stream(Family.of([(CardVec.fins(*v), W) for v in xs]))
+    sy = _Stream(Family.of([(CardVec.fins(*v), W) for v in ys]))
+    vals = sx.cycle + sy.cycle
+
+    def balanced(c):
+        left = [sum(c[k] * e[i].n for k, e in enumerate(sx.cycle)) for i in range(2)]
+        right = [sum(c[len(sx.cycle) + k] * f[i].n for k, f in enumerate(sy.cycle)) for i in range(2)]
+        return left == right
+
+    first = next(c for c in itertools.product(range(1, 9), repeat=len(vals)) if balanced(c))
+    want = (dict(zip(sx.cycle, first)), dict(zip(sy.cycle, first[len(sx.cycle):])))
+    assert _cycle_counts(m, sx, sy, 12) == want
 
 
 def test_transitivity_can_exit_the_periodic_class():

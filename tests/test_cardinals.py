@@ -13,11 +13,11 @@ from kmon.cardinals import (
     card_mul,
     card_sum,
     fin,
-    parse_card,
     render_card,
     set_finite_width,
 )
-from kmon.errors import CardBoundError, CardOverflowError
+from kmon.dsl import parse_card
+from kmon.errors import CardBoundError, CardOverflowError, ParseError
 
 GRID = [fin(n) for n in range(11)] + [aleph(k) for k in range(4)]
 
@@ -135,7 +135,7 @@ def test_parse_render_literals():
     assert parse_card("w") == ALEPH0
     for c in GRID:
         assert parse_card(render_card(c)) == c
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         parse_card("alephx")
 
 

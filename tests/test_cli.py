@@ -104,6 +104,27 @@ def test_parse_error_reports_position():
     assert "parse error at 1:8" in out
 
 
+CARD_OPTIONS = {
+    "--kappa": ["member", "--monoid", "dio n=1 { }", "--vec", "(4)"],
+    "--to": ["extend", "--monoid", "dio n=1 { }", "--vec", "(4)"],
+    "--lam": ["braid-find", "--monoid", "N0", "--x", "fam {1*2}", "--y", "fam {2*1}"],
+}
+
+
+@pytest.mark.parametrize("option", sorted(CARD_OPTIONS))
+@pytest.mark.parametrize("text", ["aleph(2", "aleph2)", "aleph 2"])
+def test_cardinal_options_reject_malformed_literals(option, text):
+    code, out = invoke(CARD_OPTIONS[option] + [option, text])
+    assert code == 3
+    assert out.startswith("parse error at 1:")
+
+
+def test_kappa_above_aleph3_exits_3():
+    code, out = invoke(CARD_OPTIONS["--kappa"] + ["--kappa", "aleph5"])
+    assert code == 3
+    assert "aleph level 5 outside 0..3" in out
+
+
 @pytest.mark.parametrize(
     "cert,position",
     [

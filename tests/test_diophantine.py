@@ -13,6 +13,7 @@ from kmon.diophantine import (
     is_saturated,
     rational_feasible,
     recombine,
+    solutions,
     universal_extend,
 )
 from kmon.errors import PreconditionError
@@ -132,6 +133,24 @@ def test_aleph0_extension_of_diagonal():
     assert DioMonoid(EQ_2X, at_most(W)).member(vec(W, 3))
 
 
+def test_aleph0_extension_witness_is_first_completion():
+    # x2 = x0 + x1 and x0 + x2 in 4*F; x1 = 2 is pinned between two infinite
+    # coordinates, so the completion scan runs over (x0, x2)
+    sys = ConstraintSystem.make(
+        3, equations=[((0, 0, 1), (1, 1, 0))], congruences=[((1, 0, 1), 4)]
+    )
+    ext = aleph0_extend_finite(DioMonoid(sys, below(W)), radius=8)
+    first = next(
+        (a, 2, c)
+        for a, c in itertools.product(range(9), repeat=2)
+        if c == a + 2 and (a + c) % 4 == 0
+    )
+    r = ext.member(vec(W, 2, W))
+    assert r.is_yes
+    assert r.witness == (first, (0, 2))
+    assert first == (1, 2, 3)
+
+
 def test_aleph0_extension_free_case():
     ext = aleph0_extend_finite(DioMonoid(ConstraintSystem.make(2), below(W)))
     grid = [fin(k) for k in range(4)] + [W]
@@ -185,6 +204,13 @@ def test_dio_monoid_passes_laws():
 def test_enumerate_solutions_deterministic():
     sols = enumerate_solutions(EQ_XY, 3)
     assert sols == [(0, 0), (1, 1), (2, 2), (3, 3)]
+    # per-coordinate boxes: ranges, and one-value tuples for pinned coordinates
+    assert list(solutions(EQ_XY, [range(1, 4), range(3)])) == [(1, 1), (2, 2)]
+    assert list(solutions(EQ_XY, [range(4), (2,)])) == [(2, 2)]
+    assert list(solutions(EQ_XY, [(5,), range(4)])) == []
+    # x0 = x1 + x2 with x2 even, x1 pinned between two scanned coordinates
+    sum_even = ConstraintSystem.make(3, equations=[((1, 0, 0), (0, 1, 1))], congruences=[((0, 0, 1), 2)])
+    assert list(solutions(sum_even, [range(5), (2,), range(5)])) == [(2, 2, 0), (4, 2, 2)]
 
 
 def test_aleph0_extension_description():
