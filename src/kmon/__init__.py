@@ -18,7 +18,6 @@ from .cardinals import (
     fin,
     kappa_card,
     render_card,
-    set_finite_width,
 )
 from .core import (
     CyclicExtensionMonoid,

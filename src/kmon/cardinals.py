@@ -11,24 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import CardBoundError, CardOverflowError
+from .errors import CardBoundError
 
 MAX_ALEPH_LEVEL = 3
-_FINITE_WIDTH: Optional[int] = None
-
-
-def set_finite_width(bits: Optional[int]) -> None:
-    """Restrict finite parts to ``bits`` bits; arithmetic that exceeds the
-    width raises CardOverflowError instead of wrapping.  ``None`` (the
-    default) means arbitrary precision."""
-    global _FINITE_WIDTH
-    _FINITE_WIDTH = bits
-
-
-def _check_width(n: int) -> int:
-    if _FINITE_WIDTH is not None and n.bit_length() > _FINITE_WIDTH:
-        raise CardOverflowError(f"finite cardinal {n} exceeds {_FINITE_WIDTH} bits")
-    return n
 
 
 @dataclass(frozen=True, order=False)
@@ -149,7 +134,7 @@ def card_sum(items: Iterable[tuple[ExtCard, ExtCard]]) -> ExtCard:
         elif cl > top:
             top = cl
     if top < 0:
-        return fin(_check_width(total))
+        return fin(total)
     return _ALEPHS[top]
 
 
@@ -158,7 +143,7 @@ def card_mul(a: ExtCard, b: ExtCard) -> ExtCard:
     if a.is_zero or b.is_zero:
         return ZERO
     if a.is_finite and b.is_finite:
-        return fin(_check_width(a.n * b.n))
+        return fin(a.n * b.n)
     return a if b < a else b
 
 

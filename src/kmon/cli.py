@@ -70,13 +70,25 @@ def _verdict(rep: Report, t: TriBool, **fields) -> int:
     return rep.emit(_tri_exit(t))
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget", type=int, default=10_000, help="search steps")
-    common.add_argument("--radius", type=int, default=32, help="enumeration cap")
-    common.add_argument("--kappa", default="aleph3", help="summation bound, e.g. aleph2")
+    kappa = argparse.ArgumentParser(add_help=False)
+    kappa.add_argument("--kappa", default="aleph3", help="summation bound, e.g. aleph2")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=_at_least(1), default=10_000, help="search steps")
 
     ap = argparse.ArgumentParser(
         prog="kmon",
@@ -84,10 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add(name: str, help: str):
-        return sub.add_parser(name, help=help, parents=[common])
+    def add(name: str, help: str, *options: argparse.ArgumentParser):
+        return sub.add_parser(name, help=help, parents=[common, *options])
 
-    s = add("member", "constraint-system membership")
+    s = add("member", "constraint-system membership", kappa)
     s.add_argument("--monoid", required=True)
     s.add_argument("--vec", required=True)
 
@@ -96,38 +108,40 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--to", required=True)
     s.add_argument("--vec")
 
-    s = add("decompose", "split a member into level parts")
+    s = add("decompose", "split a member into level parts", kappa)
     s.add_argument("--monoid", required=True)
     s.add_argument("--vec", required=True)
 
-    s = add("braid-check", "verify a braiding certificate")
+    s = add("braid-check", "verify a braiding certificate", kappa)
     s.add_argument("--monoid", required=True)
     s.add_argument("--x", required=True)
     s.add_argument("--y", required=True)
     s.add_argument("--cert", required=True, help="certificate text or @file")
     s.add_argument("--lam", default="aleph0")
 
-    s = add("braid-find", "search for a braiding certificate")
+    s = add("braid-find", "search for a braiding certificate", kappa, budget)
     s.add_argument("--monoid", required=True)
     s.add_argument("--x", required=True)
     s.add_argument("--y", required=True)
     s.add_argument("--lam", default="aleph0")
 
-    s = add("realizable2", "two-generator realizability")
+    s = add("realizable2", "two-generator realizability", budget)
     s.add_argument("--pres", required=True)
     s.add_argument("--corollary", action="store_true", help="case-by-case report")
 
-    s = add("axioms", "randomized law check for a monoid")
+    s = add("axioms", "randomized law check for a monoid", kappa)
     s.add_argument("--monoid", required=True)
-    s.add_argument("--samples", type=int, default=500)
+    s.add_argument("--samples", type=_at_least(1), default=500)
+    s.add_argument("--seed", type=int, default=0)
 
-    s = add("gallery-eval", "evaluate a family sum in a monoid")
+    s = add("gallery-eval", "evaluate a family sum in a monoid", kappa)
     s.add_argument("--monoid", required=True)
     s.add_argument("--fam", required=True)
 
     s = add("aleph0-extend", "membership in H + aleph0*H")
     s.add_argument("--monoid", required=True)
     s.add_argument("--vec", required=True)
+    s.add_argument("--radius", type=_at_least(0), default=32, help="enumeration cap")
 
     return ap
 

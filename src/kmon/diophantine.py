@@ -330,7 +330,7 @@ class Aleph0Extension:
 
     system: ConstraintSystem
     radius: int = DEFAULT_RADIUS
-    _pattern_cache: dict = field(default_factory=dict)
+    _pattern_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def member(self, x: CardVec) -> TriBool:
         sys = self.system

@@ -473,8 +473,23 @@ def parse_card(src: str) -> ExtCard:
 
 
 def parse_family(src: str, m: KappaMonoid) -> Family:
+    """A family of elements of ``m``; in a constraint-defined monoid an
+    element that is not a member is a parse error at that element."""
     p = Parser(src)
-    return p.whole(p.family, element_parser(p, m))
+    elem = element_parser(p, m)
+    if isinstance(m, DioMonoid):
+        vec = elem
+
+        def elem():
+            t = p.peek()
+            v = vec()
+            if not m.member(v):
+                raise ParseError(
+                    f"{render_elem(v)} is not a member of {render_monoid(m)}", t.line, t.col
+                )
+            return v
+
+    return p.whole(p.family, elem)
 
 
 def parse_monoid(src: str, bound=None) -> KappaMonoid:

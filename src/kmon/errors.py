@@ -5,10 +5,6 @@ class KmonError(Exception):
     """Base class for all library errors."""
 
 
-class CardOverflowError(KmonError):
-    """A finite cardinal exceeded the configured integer width."""
-
-
 class CardBoundError(KmonError):
     """An aleph level outside 0..3 was requested."""
 

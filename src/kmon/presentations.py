@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .cardinals import ALEPH0, ExtCard, ZERO, at_most, card_mul, card_sub_least, card_sum, fin
 from .core import CyclicExtensionMonoid, CyclicMonoid, Family, KappaMonoid
@@ -118,54 +118,44 @@ class TwoGenPresentation:
 # -- rewriting ------------------------------------------------------------------
 
 
-def _sub_coeff_choices(fc: ExtCard, lc: ExtCard) -> list[ExtCard]:
-    """Coefficients t with t + lc = fc (the branching lives at aleph0 = aleph0
-    where any finite slack or aleph0 works)."""
-    if fc.is_finite:
-        if lc.is_finite and lc.n <= fc.n:
-            return [fin(fc.n - lc.n)]
-        return []
-    if lc.is_finite:
-        return [ALEPH0]
-    return [fin(k) for k in range(TCAP + 1)] + [ALEPH0]
-
-
 _MULTIPLIERS = [fin(k) for k in range(1, 5)] + [ALEPH0]
+_T_COORDS = tuple(fin(k) for k in range(TCAP + 1)) + (ALEPH0,)
 
 
-def _successors(p: TwoGenPresentation, f: Form, goal: Optional[Form] = None):
-    """Single-rewrite successors f = t + m*L -> t + m*R, and whether the
-    capped slack branching lost any (a capped aleph0-slack is lossless only
-    when the replacement side is infinite there, making all slacks agree).
-    Slack choices are seeded with goal-aligned values so one-step matches
-    beyond the cap are still found."""
+def _slacks(fc: ExtCard, lc: ExtCard, rc: ExtCard, gc: ExtCard):
+    """The coefficients t with t + lc = fc, and whether capping them lost any.
+
+    The branching lives at aleph0 = aleph0, where any finite slack or aleph0
+    works.  A capped slack is lossless only when the replacement coefficient
+    rc is infinite, making all slacks agree; otherwise the goal-aligned slack
+    gc - rc is added so one-step matches beyond the cap are still found."""
+    if fc.is_finite:
+        return ((fin(fc.n - lc.n),) if lc.is_finite and lc.n <= fc.n else ()), False
+    if lc.is_finite:
+        return (ALEPH0,), False
+    if rc.is_infinite:
+        return _T_COORDS, False
+    if gc.is_finite and gc.n - rc.n > TCAP:
+        return _T_COORDS + (fin(gc.n - rc.n),), True
+    return _T_COORDS, True
+
+
+def _successors(rules, f: Form, goal: Form):
+    """Single-rewrite successors f = t + m*L -> t + m*R under the rewrites
+    (relation index, m, m*L, m*R), and whether the capped slack branching
+    lost any."""
     out = []
     lossy = False
-    for ridx, (l, r) in enumerate(p.relations):
-        for m in _MULTIPLIERS:
-            ml, mr = l.scale(m), r.scale(m)
-            ta_choices = _sub_coeff_choices(f.a, ml.a)
-            tb_choices = _sub_coeff_choices(f.b, ml.b)
-            if len(ta_choices) > 1:
-                if mr.a.is_finite:
-                    lossy = True
-                if goal is not None and goal.a.is_finite and mr.a.is_finite:
-                    aim = goal.a.n - mr.a.n
-                    if aim >= 0 and fin(aim) not in ta_choices:
-                        ta_choices = ta_choices + [fin(aim)]
-            if len(tb_choices) > 1:
-                if mr.b.is_finite:
-                    lossy = True
-                if goal is not None and goal.b.is_finite and mr.b.is_finite:
-                    aim = goal.b.n - mr.b.n
-                    if aim >= 0 and fin(aim) not in tb_choices:
-                        tb_choices = tb_choices + [fin(aim)]
-            for ta in ta_choices:
-                for tb in tb_choices:
-                    t = Form(ta, tb)
-                    g = t + mr
-                    if g != f:
-                        out.append((g, (ridx, m, t)))
+    for ridx, m, ml, mr in rules:
+        ta_choices, lossy_a = _slacks(f.a, ml.a, mr.a, goal.a)
+        tb_choices, lossy_b = _slacks(f.b, ml.b, mr.b, goal.b)
+        lossy = lossy or lossy_a or lossy_b
+        for ta in ta_choices:
+            for tb in tb_choices:
+                t = Form(ta, tb)
+                g = t + mr
+                if g != f:
+                    out.append((g, (ridx, m, t)))
     return out, lossy
 
 
@@ -207,7 +197,7 @@ def _hom_values(t: CyclicExtensionMonoid) -> list[ExtCard]:
 
 
 def _apply_hom(t: CyclicExtensionMonoid, va, vb, f: Form):
-    return t.add(t.scalar(f.a, va), t.scalar(f.b, vb))
+    return t.raw_ksum(Family.of([(va, f.a), (vb, f.b)]))
 
 
 def _respecting_homs(p: TwoGenPresentation):
@@ -262,6 +252,11 @@ def forms_equal(
         + 2 * TCAP
         + 8
     )
+    rules = [
+        (ridx, m, l.scale(m), r.scale(m))
+        for ridx, (l, r) in enumerate(p.relations)
+        for m in _MULTIPLIERS
+    ]
     seen = {f: None}
     frontier = [f]
     expanded = 0
@@ -273,7 +268,7 @@ def forms_equal(
                 nxt.extend(frontier[pos:])
                 break
             expanded += 1
-            succs, lossy = _successors(p, cur, goal=g)
+            succs, lossy = _successors(rules, cur, g)
             pruned = pruned or lossy
             for succ, step in sorted(succs, key=lambda s: s[0].sort_key()):
                 if any(c.is_finite and c.n > coord_cap for c in (succ.a, succ.b)):
@@ -307,7 +302,6 @@ def forms_equal(
 # -- divisor-closed membership --------------------------------------------------
 
 
-_T_COORDS = [fin(k) for k in range(TCAP + 1)] + [ALEPH0]
 _T_GRID = tuple(Form(a, b) for a in _T_COORDS for b in _T_COORDS)  # slack forms
 
 
@@ -417,11 +411,6 @@ class RealizabilityReport:
         return None
 
 
-def _peel_decided(p: TwoGenPresentation, i: int, j: int, budget: int) -> TriBool:
-    """Can one copy of x_i be absorbed into aleph0*x_j?"""
-    return forms_equal(p, gen(i) + gen(j).scale(ALEPH0), gen(j).scale(ALEPH0), budget)
-
-
 def _cyclic_witness(p: TwoGenPresentation, budget: int):
     """A generator expressible through the other one, if that is decidable."""
     per = max(200, budget // 24)
@@ -438,6 +427,11 @@ def _cyclic_witness(p: TwoGenPresentation, budget: int):
     return ("non-cyclic", None, None, None, None)
 
 
+def _adds(p: TwoGenPresentation, budget: int) -> dict:
+    """The answers to X1 in add(X2) and X2 in add(X1), keyed (i, j)."""
+    return {(i, j): in_add(p, gen(i), gen(j), budget) for i, j in ((1, 2), (2, 1))}
+
+
 def realizable_two_gen(
     p: TwoGenPresentation, budget: int = 10_000
 ) -> RealizabilityReport:
@@ -445,6 +439,14 @@ def realizable_two_gen(
     three conditions (absorption forces divisor membership; equal infinite
     forms with incomparable generators reduce to finite equalities; no mixed
     finite/infinite element), for both generator orders."""
+    return _three_conditions(p, budget, lambda: _adds(p, budget))
+
+
+def _three_conditions(
+    p: TwoGenPresentation, budget: int, get_adds: Callable[[], dict]
+) -> RealizabilityReport:
+    """realizable_two_gen with the ``_adds`` answers taken from ``get_adds()``,
+    which is called only once the presentation is not known to be cyclic."""
     rep = RealizabilityReport(verdict=unknown())
     kind, ci, cj, cbeta, cchain = _cyclic_witness(p, budget)
     if kind == "cyclic":
@@ -487,7 +489,6 @@ def realizable_two_gen(
     else:
         rep.conditions.append(ConditionStatus("non-cyclic", "holds", True))
 
-    exact_all = kind == "non-cyclic"
     per = max(200, budget // 64)
 
     # (iii) no element with both finite and infinite forms
@@ -501,18 +502,17 @@ def realizable_two_gen(
             )
         )
     else:
-        clash = None
-        grid_fin = [
-            Form(fin(a), fin(b)) for a in range(NCAP + 1) for b in range(NCAP + 1)
-        ]
+        grid_fin = (Form(fin(a), fin(b)) for a in range(NCAP + 1) for b in range(NCAP + 1))
         grid_inf = [f for f in _T_GRID if f.is_infinite]
-        for ff in grid_fin:
-            for gg in grid_inf:
-                if forms_equal(p, ff, gg, per).is_yes:
-                    clash = (ff, gg)
-                    break
-            if clash:
-                break
+        clash = next(
+            (
+                (ff, gg)
+                for ff in grid_fin
+                for gg in grid_inf
+                if forms_equal(p, ff, gg, per).is_yes
+            ),
+            None,
+        )
         if clash:
             rep.conditions.append(
                 ConditionStatus(
@@ -527,11 +527,8 @@ def realizable_two_gen(
                     detail="no clash on the grid; no preservation argument",
                 )
             )
-            exact_all = False
 
-    adds = {
-        (i, j): in_add(p, gen(i), gen(j), budget) for i, j in ((1, 2), (2, 1))
-    }
+    adds = get_adds()
 
     for i, j in ((1, 2), (2, 1)):
         inf_j = gen(j).scale(ALEPH0)
@@ -539,7 +536,6 @@ def realizable_two_gen(
 
         # (i): n x_i + w x_j = w x_i + w x_j forces absorption and membership
         name_i = f"(i) i={i},j={j}"
-        peel = _peel_decided(p, i, j, per)
         status = None
         for n in range(NCAP + 1):
             prem = forms_equal(p, gen(i).scale(fin(n)) + inf_j, both_inf, per)
@@ -567,9 +563,9 @@ def realizable_two_gen(
                 status = ConditionStatus(name_i, "unknown", detail=f"premise undecided at n={n}")
                 break
         if status is None:
-            # peel-yes makes the premise independent of n: one absorbed copy
-            # absorbs them all, so the n = 0 verdict settles every n
-            exact = not p.relations or peel.is_yes
+            # if aleph0*x_j absorbs one copy of x_i, the premise does not
+            # depend on n, so the n = 0 verdict settles every n
+            exact = not p.relations or forms_equal(p, gen(i) + inf_j, inf_j, per).is_yes
             status = ConditionStatus(
                 name_i,
                 "holds",
@@ -577,10 +573,6 @@ def realizable_two_gen(
                 detail="premise fails for all tested n"
                 + ("" if exact else f" (n <= {NCAP} only)"),
             )
-        if not status.exact or status.status == "unknown":
-            exact_all = exact_all and status.status == "holds" and status.exact
-        if status.status == "holds" and not status.exact:
-            exact_all = False
         rep.conditions.append(status)
 
         # (ii): with x_i outside add(x_j), equal infinite forms reduce to a
@@ -597,47 +589,40 @@ def realizable_two_gen(
             rep.conditions.append(
                 ConditionStatus(name_ii, "unknown", detail="add membership undecided")
             )
-            exact_all = False
             continue
-        status = None
-        for mth in range(NCAP + 1):
-            for nth in range(mth + 1, NCAP + 1):
-                prem = forms_equal(
+        unmatched = next(
+            (
+                (mth, nth)
+                for mth in range(NCAP + 1)
+                for nth in range(mth + 1, NCAP + 1)
+                if forms_equal(
                     p,
                     gen(i).scale(fin(mth)) + inf_j,
                     gen(i).scale(fin(nth)) + inf_j,
                     per,
+                ).is_yes
+                and not any(
+                    forms_equal(
+                        p,
+                        gen(i).scale(fin(mth)) + gen(j).scale(fin(k)),
+                        gen(i).scale(fin(nth)) + gen(j).scale(fin(kp)),
+                        per,
+                    ).is_yes
+                    for k in range(NCAP + 1)
+                    for kp in range(NCAP + 1)
                 )
-                if not prem.is_yes:
-                    if prem.is_unknown:
-                        exact_all = False
-                    continue
-                found = False
-                for k in range(NCAP + 1):
-                    for kp in range(NCAP + 1):
-                        if forms_equal(
-                            p,
-                            gen(i).scale(fin(mth)) + gen(j).scale(fin(k)),
-                            gen(i).scale(fin(nth)) + gen(j).scale(fin(kp)),
-                            per,
-                        ).is_yes:
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
-                    exact = p.finite_forms_rigid and p.class_preserving
-                    status = ConditionStatus(
-                        name_ii,
-                        "violated",
-                        exact,
-                        (mth, nth),
-                        detail="no finite equality matches the infinite one",
-                    )
-                    break
-            if status:
-                break
-        if status is None:
+            ),
+            None,
+        )
+        if unmatched is not None:
+            status = ConditionStatus(
+                name_ii,
+                "violated",
+                p.finite_forms_rigid and p.class_preserving,
+                unmatched,
+                detail="no finite equality matches the infinite one",
+            )
+        else:
             # no range-independence argument is available for the premises
             # of (ii) beyond the free case
             exact = not p.relations
@@ -647,15 +632,13 @@ def realizable_two_gen(
                 exact,
                 detail="checked premises on the range" if not exact else "",
             )
-            if not exact:
-                exact_all = False
         rep.conditions.append(status)
 
     violated = [c for c in rep.conditions if c.status == "violated" and c.exact]
     und = [c for c in rep.conditions if c.status == "unknown" or not c.exact]
     if violated:
         rep.verdict = no(witness=[c.name for c in violated])
-    elif not und and exact_all:
+    elif not und and kind == "non-cyclic":
         rep.verdict = yes()
     else:
         rep.verdict = unknown(
@@ -668,8 +651,9 @@ def corollary_checks(p: TwoGenPresentation, budget: int = 10_000) -> Realizabili
     """Classify the presentation by how the generators' divisor-closed
     submonoids relate, evaluate the case-specific equivalents, and
     cross-check agreement with the main decider where both decide."""
-    rep = _corollary_cases(p, budget)
-    main = realizable_two_gen(p, budget)
+    adds = _adds(p, budget)
+    rep = _corollary_cases(p, budget, adds)
+    main = _three_conditions(p, budget, lambda: adds)
     if rep.verdict.decided and main.verdict.decided:
         agree = rep.verdict.kind == main.verdict.kind
         rep.conditions.append(
@@ -689,10 +673,9 @@ def corollary_checks(p: TwoGenPresentation, budget: int = 10_000) -> Realizabili
     return rep
 
 
-def _corollary_cases(p: TwoGenPresentation, budget: int) -> RealizabilityReport:
+def _corollary_cases(p: TwoGenPresentation, budget: int, adds: dict) -> RealizabilityReport:
     rep = RealizabilityReport(verdict=unknown())
-    a12 = in_add(p, X1, X2, budget)
-    a21 = in_add(p, X2, X1, budget)
+    a12, a21 = adds[(1, 2)], adds[(2, 1)]
     per = max(200, budget // 64)
     rep.notes.append(f"X1 in add(X2): {a12}; X2 in add(X1): {a21}")
 

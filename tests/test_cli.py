@@ -126,6 +126,46 @@ def test_kappa_above_aleph3_exits_3():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["realizable2", "--pres", "twogen { }", "--kappa", "aleph5"],
+        ["extend", "--monoid", "dio n=1 { }", "--to", "aleph1", "--kappa", "aleph5"],
+        ["aleph0-extend", "--monoid", "dio n=1 { }", "--vec", "(4)", "--kappa", "aleph5"],
+        ["member", "--monoid", "dio n=1 { }", "--vec", "(4)", "--budget", "5"],
+        ["axioms", "--monoid", "N0", "--samples", "-3"],
+        ["axioms", "--monoid", "N0", "--samples", "0"],
+        ["braid-find", "--monoid", "N0", "--x", "fam {1*2}", "--y", "fam {2*1}", "--budget", "-5"],
+        ["realizable2", "--pres", "twogen { }", "--budget", "0"],
+        ["aleph0-extend", "--monoid", "dio n=1 { }", "--vec", "(4)", "--radius", "-1"],
+    ],
+)
+def test_options_only_where_read_and_in_range(argv):
+    assert invoke(argv)[0] == 3
+
+
+DIAGONAL = "dio n=2 { eq: x0 = x1; }"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["braid-find", "--monoid", DIAGONAL, "--x", "fam {(2,0)*aleph0}", "--y", "fam {(1,1)*1}"],
+        ["braid-find", "--monoid", DIAGONAL, "--x", "fam {(1,1)*1}", "--y", "fam {(2,0)*aleph0}"],
+        ["gallery-eval", "--monoid", DIAGONAL, "--fam", "fam {(2,0)*aleph0}"],
+    ],
+)
+def test_family_elements_outside_a_dio_monoid_exit_3(argv):
+    code, out = invoke(argv)
+    assert code == 3
+    assert out.startswith("parse error at 1:6: (2, 0) is not a member")
+
+
+def test_family_members_of_a_dio_monoid_are_accepted():
+    code, out = invoke(["gallery-eval", "--monoid", DIAGONAL, "--fam", "fam {(2,2)*aleph0, (1,1)*3}"])
+    assert code == 0 and "(aleph0, aleph0)" in out
+
+
+@pytest.mark.parametrize(
     "cert,position",
     [
         ("PREFIX\nCYCLE\nB x={1*2} q={2*1} r=2 s'=0", "3:3"),

@@ -5,6 +5,7 @@ import pytest
 
 from kmon.cardinals import ALEPH0, ZERO, aleph, at_most, below, fin
 from kmon.diophantine import (
+    Aleph0Extension,
     ConstraintSystem,
     DioMonoid,
     aleph0_extend_finite,
@@ -149,6 +150,16 @@ def test_aleph0_extension_witness_is_first_completion():
     assert r.is_yes
     assert r.witness == (first, (0, 2))
     assert first == (1, 2, 3)
+
+
+def test_aleph0_extension_pattern_cache_is_not_part_of_the_value():
+    a = aleph0_extend_finite(DioMonoid(EQ_XY, below(W)))
+    b = aleph0_extend_finite(DioMonoid(EQ_XY, below(W)))
+    assert a.member(vec(W, W)).is_yes
+    assert a == b
+    assert repr(a) == repr(b)
+    with pytest.raises(TypeError):
+        Aleph0Extension(EQ_XY, 8, {})
 
 
 def test_aleph0_extension_free_case():

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from kmon import presentations
 from kmon.cardinals import ALEPH0, ZERO, fin
+from kmon.dsl import parse_presentation
 from kmon.presentations import (
     Form,
     FORM_ZERO,
@@ -138,6 +140,33 @@ def test_corollary_checks_free():
     rep = corollary_checks(FREE)
     assert any("incomparable" in n for n in rep.notes)
     assert rep.verdict.is_yes, rep.render()
+
+
+def test_corollary_checks_asks_each_in_add_once(monkeypatch):
+    calls = []
+    real = presentations.in_add
+
+    def counted(p, target, base, budget=10_000):
+        calls.append((target, base))
+        return real(p, target, base, budget)
+
+    monkeypatch.setattr(presentations, "in_add", counted)
+    corollary_checks(FREE)
+    assert calls == [(X1, X2), (X2, X1)]
+
+
+def test_realizable_undecided_cyclicity_is_unknown_with_exact_conditions():
+    # every condition holds with exact proof, but X2 against the multiples of
+    # X1 stays undecided at this budget, so the verdict cannot be Yes
+    p = parse_presentation(
+        "twogen { rel: 2*X1 + 2*X2 = 0*X1 + 1*X2; rel: 3*X1 + 0*X2 = 1*X1 + 5*X2; }"
+    )
+    rep = realizable_two_gen(p, budget=200)
+    assert rep.verdict.is_unknown
+    assert rep.verdict.note == "range-limited arguments"
+    assert rep.conditions
+    assert all(c.status == "holds" and c.exact for c in rep.conditions), rep.render()
+    assert rep.notes == ["non-cyclicity unverified (X2 vs multiples of X1 undecided)"]
 
 
 def test_corollary_checks_trivial_extension():
