@@ -8,7 +8,7 @@ ordinary integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Optional
 
 from .errors import CardBoundError
@@ -16,23 +16,57 @@ from .errors import CardBoundError
 MAX_ALEPH_LEVEL = 3
 
 
-@dataclass(frozen=True, order=False)
-class ExtCard:
-    """A cardinal: finite ``n`` (aleph_level is None) or ``aleph(level)``."""
+class Frozen:
+    """Base of the immutable value classes: every field is set once, in
+    ``__init__``, through ``object.__setattr__``."""
 
-    n: int = 0
-    aleph_level: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.aleph_level is not None:
-            if self.aleph_level < 0 or self.aleph_level > MAX_ALEPH_LEVEL:
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class ExtCard(Frozen):
+    """A cardinal: finite ``n`` (aleph_level is None) or ``aleph(level)``.
+
+    The sort key and the hash are computed once, at construction."""
+
+    __slots__ = ("n", "aleph_level", "_key", "_hash")
+
+    def __init__(self, n: int = 0, aleph_level: Optional[int] = None):
+        if aleph_level is not None:
+            if aleph_level < 0 or aleph_level > MAX_ALEPH_LEVEL:
                 raise CardBoundError(
-                    f"aleph level {self.aleph_level} outside 0..{MAX_ALEPH_LEVEL}"
+                    f"aleph level {aleph_level} outside 0..{MAX_ALEPH_LEVEL}"
                 )
-            if self.n != 0:
+            if n != 0:
                 raise ValueError("aleph values carry no finite part")
-        elif self.n < 0:
+            key = (1, aleph_level)
+        elif n < 0:
             raise ValueError("finite cardinals are non-negative")
+        else:
+            key = (0, n)
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "aleph_level", aleph_level)
+        init(self, "_key", key)
+        init(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not ExtCard:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return ExtCard, (self.n, self.aleph_level)
 
     @property
     def is_finite(self) -> bool:
@@ -47,25 +81,19 @@ class ExtCard:
         return self.aleph_level is None and self.n == 0
 
     def sort_key(self):
-        if self.aleph_level is None:
-            return (0, self.n)
-        return (1, self.aleph_level)
+        return self._key
 
     def __le__(self, other: "ExtCard") -> bool:
-        if self.aleph_level is None:
-            return other.aleph_level is not None or self.n <= other.n
-        return other.aleph_level is not None and self.aleph_level <= other.aleph_level
+        return self._key <= other._key
 
     def __lt__(self, other: "ExtCard") -> bool:
-        if self.aleph_level is None:
-            return other.aleph_level is not None or self.n < other.n
-        return other.aleph_level is not None and self.aleph_level < other.aleph_level
+        return self._key < other._key
 
     def __ge__(self, other: "ExtCard") -> bool:
-        return other <= self
+        return self._key >= other._key
 
     def __gt__(self, other: "ExtCard") -> bool:
-        return other < self
+        return self._key > other._key
 
     def __add__(self, other: "ExtCard") -> "ExtCard":
         return card_sum([(self, FIN1), (other, FIN1)])

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional
 
 from .braiding import braid_find, verify
 from .cardinals import ALEPH0, at_most, below, render_card
@@ -70,6 +71,42 @@ def _verdict(rep: Report, t: TriBool, **fields) -> int:
     return rep.emit(_tri_exit(t))
 
 
+class _UsageError(Exception):
+    def __init__(self, parser: argparse.ArgumentParser, message: str, command: Optional[str]):
+        super().__init__(message)
+        self.parser, self.message, self.command = parser, message, command
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting, so that ``run`` reports them
+    in the requested output format."""
+
+    def error(self, message: str):
+        # a subcommand's parser is named "kmon <subcommand>"
+        raise _UsageError(self, message, self.prog.partition(" ")[2] or None)
+
+
+def _add_format(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _usage_error(e: _UsageError, argv: list[str]) -> int:
+    sniff = _Parser(add_help=False)
+    _add_format(sniff)
+    try:
+        fmt = sniff.parse_known_args(argv)[0].format
+    except _UsageError:
+        fmt = "text"
+    if fmt != "json":
+        try:
+            argparse.ArgumentParser.error(e.parser, e.message)
+        except SystemExit:
+            return EXIT_USAGE
+    rep = Report(e.command, fmt)
+    rep.say(f"error: {e.message}", error=e.message)
+    return rep.emit(EXIT_USAGE)
+
+
 def _at_least(low: int):
     """An argparse type: an integer no smaller than ``low``."""
 
@@ -84,13 +121,13 @@ def _at_least(low: int):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    _add_format(common)
     kappa = argparse.ArgumentParser(add_help=False)
     kappa.add_argument("--kappa", default="aleph3", help="summation bound, e.g. aleph2")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=_at_least(1), default=10_000, help="search steps")
 
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="kmon",
         description="decision procedures for monoids with infinite summation",
     )
@@ -304,7 +341,11 @@ _DISPATCH = {
 def run(argv: list[str]) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args, extra = ap.parse_known_args(argv)
+        if extra:
+            raise _UsageError(ap, f"unrecognized arguments: {' '.join(extra)}", args.cmd)
+    except _UsageError as e:
+        return _usage_error(e, argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_YES
     rep = Report(args.cmd, args.format)

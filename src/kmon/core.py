@@ -18,6 +18,7 @@ from .cardinals import (
     CardBoundMode,
     ExtCard,
     FIN1,
+    Frozen,
     ZERO,
     at_most,
     card_mul,
@@ -41,18 +42,44 @@ def sort_key(x: Any):
     return ("~" + type(x).__name__, str(x))
 
 
-@dataclass(frozen=True)
-class Family:
+def _entry_key(entry: tuple[Any, ExtCard]):
+    elem, mult = entry
+    return (sort_key(elem), mult._key)
+
+
+class Family(Frozen):
     """Finite multiset of (element, multiplicity) pairs, multiplicities >= 1.
 
     Canonical form merges equal elements by cardinal addition of their
     multiplicities and sorts entries by a stable element key.
     """
 
-    entries: tuple[tuple[Any, ExtCard], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Any, ExtCard], ...]):
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Family:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"Family(entries={self.entries!r})"
+
+    def __reduce__(self):
+        return Family, (self.entries,)
 
     @staticmethod
     def of(pairs: Iterable[tuple[Any, ExtCard]]) -> "Family":
+        if isinstance(pairs, (list, tuple)) and len(pairs) == 1:
+            elem, mult = pairs[0]
+            return _EMPTY if mult.is_zero else Family(((elem, mult),))
         merged: dict[Any, ExtCard] = {}
         for elem, mult in pairs:
             if mult.is_zero:
@@ -60,15 +87,15 @@ class Family:
             prev = merged.get(elem)
             merged[elem] = mult if prev is None else prev + mult
         if not merged:
-            return Family(())
+            return _EMPTY
         items = list(merged.items())
         if len(items) > 1:
-            items.sort(key=lambda p: (sort_key(p[0]), p[1].sort_key()))
+            items.sort(key=_entry_key)
         return Family(tuple(items))
 
     @staticmethod
     def empty() -> "Family":
-        return Family(())
+        return _EMPTY
 
     def mult_of(self, elem: Any) -> ExtCard:
         for e, m in self.entries:
@@ -81,12 +108,36 @@ class Family:
         return card_sum((m, FIN1) for _, m in self.entries)
 
     def add(self, other: "Family") -> "Family":
-        return Family.of(self.entries + other.entries)
+        """Multiset union: a merge of the two sorted entry tuples."""
+        a, b = self.entries, other.entries
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (e, m), (f, n) = a[i], b[j]
+            ke, kf = sort_key(e), sort_key(f)
+            if ke < kf:
+                out.append(a[i])
+                i += 1
+            elif kf < ke:
+                out.append(b[j])
+                j += 1
+            elif e == f:
+                out.append((e, m + n))
+                i += 1
+                j += 1
+            else:  # distinct elements on one key: the multiplicities order them
+                return Family.of(a + b)
+        return Family(tuple(out) + a[i:] + b[j:])
 
     def scale(self, a: ExtCard) -> "Family":
+        # the elements stay distinct and card_mul is monotone: still sorted
         if a.is_zero:
-            return Family.empty()
-        return Family.of((e, card_mul(a, m)) for e, m in self.entries)
+            return _EMPTY
+        return Family(tuple([(e, card_mul(a, m)) for e, m in self.entries]))
 
     def __iter__(self):
         return iter(self.entries)
@@ -97,6 +148,9 @@ class Family:
     def __str__(self):
         inner = ", ".join(f"{e}*{m}" for e, m in self.entries)
         return "{" + inner + "}"
+
+
+_EMPTY = Family(())
 
 
 def flatten(outer: Family) -> Family:
@@ -138,6 +192,16 @@ class KappaMonoid:
         return card_sum((m, FIN1) for e, m in fam if not self.eq(e, z).is_yes)
 
     def check_bound(self, fam: Family) -> None:
+        # a finite sum of admitted cardinals is admitted (the bound is
+        # infinite, and regular under below), so the support can only break
+        # the bound through an over-bound multiplicity, and then only on a
+        # nonzero element
+        admits = self.bound.admits
+        for _, m in fam.entries:
+            if not admits(m):
+                break
+        else:
+            return
         cnt = self.support_card(fam)
         if not self.bound.admits(cnt):
             raise BoundExceededError(
@@ -328,7 +392,7 @@ class CyclicExtensionMonoid(KappaMonoid):
         return x
 
     def raw_ksum(self, fam: Family) -> ExtCard:
-        ents = [(self.canon(e), m) for e, m in fam if not self.canon(e).is_zero]
+        ents = [(c, m) for e, m in fam.entries if not (c := self.canon(e)).is_zero]
         if not ents:
             return ZERO
         support = card_sum((m, FIN1) for _, m in ents)

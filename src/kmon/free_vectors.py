@@ -4,13 +4,14 @@ coordinatewise summation."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Optional
 
 from .cardinals import (
     CardBoundMode,
     ExtCard,
     FIN1,
+    Frozen,
     ZERO,
     at_most,
     card_sub_least,
@@ -23,11 +24,29 @@ from .errors import DimensionError
 from .tribool import TriBool, no, yes
 
 
-@dataclass(frozen=True)
-class CardVec:
+class CardVec(Frozen):
     """Element of the rank-n free monoid: an n-tuple of cardinals."""
 
-    coords: tuple[ExtCard, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[ExtCard, ...]):
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not CardVec:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
+    def __repr__(self) -> str:
+        return f"CardVec(coords={self.coords!r})"
+
+    def __reduce__(self):
+        return CardVec, (self.coords,)
 
     @staticmethod
     def of(*cs: ExtCard) -> "CardVec":
@@ -48,14 +67,14 @@ class CardVec:
         return all(c.is_zero for c in self.coords)
 
     def sort_key(self):
-        return tuple(c.sort_key() for c in self.coords)
+        return tuple([c._key for c in self.coords])
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
 def vec_zero(n: int) -> CardVec:
-    return CardVec(tuple(ZERO for _ in range(n)))
+    return CardVec((ZERO,) * n)
 
 
 class VecMonoid(KappaMonoid):
@@ -67,7 +86,7 @@ class VecMonoid(KappaMonoid):
         self.bound = bound if bound is not None else at_most(kappa_card())
         self.name = f"vec({n})@{self.bound}"
 
-    @property
+    @cached_property
     def zero(self) -> CardVec:
         return vec_zero(self.n)
 
@@ -76,10 +95,13 @@ class VecMonoid(KappaMonoid):
             raise DimensionError(f"expected length {self.n}, got {len(v)}")
 
     def raw_ksum(self, fam: Family) -> CardVec:
-        for v, _ in fam:
+        ents = fam.entries
+        for v, _ in ents:
             self._check_dim(v)
+        if len(ents) == 1 and ents[0][1] == FIN1:
+            return ents[0][0]
         coords = tuple(
-            card_sum((v[i], m) for v, m in fam) for i in range(self.n)
+            [card_sum([(v.coords[i], m) for v, m in ents]) for i in range(self.n)]
         )
         return CardVec(coords)
 

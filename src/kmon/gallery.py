@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -63,12 +64,15 @@ class TrivialExtensionMonoid(KappaMonoid):
 
     def raw_ksum(self, fam: Family):
         zero = self.base.zero
-        ents = [(e, m) for e, m in fam if not self.eq(e, zero).is_yes]
-        if any(isinstance(e, Inf) for e, _ in ents):
-            return INF
-        if any(m.is_infinite for _, m in ents):
-            return INF
-        return self.base.raw_ksum(Family.of(ents))
+        ents = []
+        for e, m in fam.entries:
+            if self.eq(e, zero).is_yes:
+                continue
+            if isinstance(e, Inf) or m.is_infinite:
+                return INF
+            ents.append((e, m))
+        # a subset of canonical entries is canonical
+        return self.base.raw_ksum(Family(tuple(ents)))
 
     def eq(self, a, b) -> TriBool:
         ia, ib = isinstance(a, Inf), isinstance(b, Inf)
@@ -159,22 +163,22 @@ class RationalLineMonoid(KappaMonoid):
     def __init__(self, bound: Optional[CardBoundMode] = None):
         self.bound = bound if bound is not None else at_most(kappa_card())
 
-    @property
+    @cached_property
     def zero(self) -> QPoint:
         return QPoint.plain(0)
 
     def raw_ksum(self, fam: Family) -> QPoint:
-        ents = [(e, m) for e, m in fam if not (e.tag == "plain" and e.q == 0)]
-        if not ents:
-            return self.zero
-        if any(e.tag == "inf" for e, _ in ents):
-            return QINF
-        if any(m.is_infinite for _, m in ents):
-            return QINF  # positive entries with infinite multiplicity diverge
-        total = sum((e.q * m.n for e, m in ents), Fraction(0))
-        if any(e.tag == "tilde" for e, _ in ents):
-            return QPoint(total, "tilde")
-        return QPoint(total, "plain")
+        total = Fraction(0)
+        tag = "plain"
+        for e, m in fam.entries:
+            if e.tag == "plain" and e.q == 0:
+                continue
+            if e.tag == "inf" or m.is_infinite:
+                return QINF  # the top, or a positive entry repeated infinitely often
+            total += e.q * m.n
+            if e.tag == "tilde":
+                tag = "tilde"
+        return QPoint(total, tag)
 
     def sub(self, a: QPoint, b: QPoint) -> Optional[QPoint]:
         if a.tag == "inf":
@@ -261,7 +265,7 @@ class DedekindVMonoid(KappaMonoid):
         self.bound = bound if bound is not None else at_most(kappa_card())
         self.name = f"dedekind({','.join(map(str, factors))})"
 
-    @property
+    @cached_property
     def zero(self) -> RankClass:
         return RankClass(ZERO, tuple(0 for _ in self.factors))
 
@@ -280,12 +284,12 @@ class DedekindVMonoid(KappaMonoid):
         return tuple(out)
 
     def raw_ksum(self, fam: Family) -> RankClass:
-        ents = [(e, m) for e, m in fam if not e.rank.is_zero]
+        ents = [(e, m) for e, m in fam.entries if not e.rank.is_zero]
         if not ents:
             return self.zero
         total = card_sum((e.rank, m) for e, m in ents)
         if total.is_infinite:
-            return RankClass(total, tuple(0 for _ in self.factors))
+            return RankClass(total, self.zero.cls)
         cls = self._gsum((e.cls, m.n) for e, m in ents)
         return RankClass(total, cls)
 

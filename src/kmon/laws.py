@@ -86,8 +86,10 @@ def check_axioms(m: KappaMonoid, samples: int = 500, seed: int = 0) -> LawReport
 
     zero = m.zero
     mults = m.sample_mults()
-    top = _top_multiple(m) if m.bound.admissible_levels() else None
+    infs = m.bound.admissible_levels()
+    top = _top_multiple(m) if infs else None
     unit = m.canonical_order_unit()
+    ku = m.scalar(top, unit) if unit is not None and top is not None else None
 
     a1e.check(m.eq(m.ksum(Family.empty()), zero), "ksum({}) != 0")
 
@@ -146,7 +148,6 @@ def check_axioms(m: KappaMonoid, samples: int = 500, seed: int = 0) -> LawReport
         rhs = m.ksum(fam.scale(alpha))
         sc2.check(m.eq(lhs, rhs), lambda a=alpha, f=fam, l=lhs, r=rhs: f"alpha={a}, fam={f}: {l} != {r}")
 
-        infs = m.bound.admissible_levels()
         if infs:
             al = rng.choice(infs)
             ax = m.scalar(al, x)
@@ -171,8 +172,7 @@ def check_axioms(m: KappaMonoid, samples: int = 500, seed: int = 0) -> LawReport
                 )
 
         # big-multiple absorption needs an order-unit
-        if unit is not None and top is not None:
-            ku = m.scalar(top, unit)
+        if ku is not None:
             t = m.add(ku, x)
             big.check(m.eq(t, ku), lambda x=x: f"kappa*u + {x} != kappa*u")
 

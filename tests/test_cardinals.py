@@ -136,3 +136,43 @@ def test_bound_modes():
     assert not below(ALEPH0).admits(ALEPH0)
     assert below(aleph(2)).admissible_levels() == [ALEPH0, aleph(1)]
     assert at_most(aleph(1)).admissible_levels() == [ALEPH0, aleph(1)]
+
+
+@pytest.mark.parametrize("n", [5, 300])
+def test_constructed_and_interned_cardinals_are_equal(n):
+    # fin interns 0..255; 300 is built afresh on every call
+    assert ExtCard(n=n) == fin(n)
+    assert hash(ExtCard(n=n)) == hash(fin(n))
+    assert ExtCard(aleph_level=2) == aleph(2)
+    assert hash(ExtCard(aleph_level=2)) == hash(aleph(2))
+    assert fin(n) != aleph(0)
+    assert fin(n) != n and fin(n) != (0, n) and fin(n) != ExtCard(n=n + 1)
+    assert len({ExtCard(n=n), fin(n), ExtCard(n=n)}) == 1
+
+
+def test_cardinal_fields_are_immutable():
+    for c in (fin(3), fin(300), ALEPH0):
+        with pytest.raises(AttributeError):
+            c.n = 4
+        with pytest.raises(AttributeError):
+            c.aleph_level = 1
+        with pytest.raises(AttributeError):
+            del c.n
+    assert fin(3).n == 3 and ALEPH0.aleph_level == 0
+
+
+def test_cardinal_constructor_errors():
+    with pytest.raises(CardBoundError, match=r"^aleph level 5 outside 0\.\.3$"):
+        ExtCard(aleph_level=5)
+    with pytest.raises(ValueError, match="^finite cardinals are non-negative$"):
+        ExtCard(n=-1)
+    with pytest.raises(ValueError, match="^aleph values carry no finite part$"):
+        ExtCard(n=2, aleph_level=1)
+
+
+def test_cardinal_repr_and_order():
+    assert repr(ExtCard(n=7)) == "fin(7)" and repr(aleph(3)) == "aleph(3)"
+    assert sorted([aleph(1), fin(300), ZERO, ALEPH0, fin(2)]) == [
+        ZERO, fin(2), fin(300), ALEPH0, aleph(1)
+    ]
+    assert fin(300) >= fin(300) > fin(299) and not fin(300) < fin(300)

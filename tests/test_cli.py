@@ -225,3 +225,25 @@ def test_determinism_across_runs():
         a = invoke(argv)
         b = invoke(argv)
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "argv,command,error",
+    [
+        (["member", "--monoid", "dio n=1 { }"], "member",
+         "the following arguments are required: --vec"),
+        (["realizable2", "--pres", "twogen { }", "--budget", "0"], "realizable2",
+         "argument --budget: 0 is below 1"),
+        (["member", "--monoid", "dio n=1 { }", "--vec", "(4)", "--budget", "5"], "member",
+         "unrecognized arguments: --budget 5"),
+    ],
+)
+def test_json_usage_error(argv, command, error, capsys):
+    code, out = invoke(argv + ["--format", "json"])
+    assert code == 3
+    assert json.loads(out) == {"command": command, "error": error, "exit": 3}
+    # text mode keeps argparse's usage message on stderr and an empty stdout
+    capsys.readouterr()
+    code, out = invoke(argv)
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.endswith(f"error: {error}\n")

@@ -1,8 +1,10 @@
+import copy
+import pickle
 import random
 
 import pytest
 
-from kmon.cardinals import ALEPH0, ZERO, aleph, at_most, below, fin, kappa_card
+from kmon.cardinals import ALEPH0, FIN1, ZERO, aleph, at_most, below, card_mul, fin, kappa_card
 from kmon.core import (
     CyclicExtensionMonoid,
     CyclicMonoid,
@@ -14,8 +16,10 @@ from kmon.core import (
     size_of,
     flatten,
 )
+from kmon.diophantine import ConstraintSystem, DioMonoid
 from kmon.errors import BoundExceededError, PreconditionError
 from kmon.free_vectors import CardVec, VecMonoid
+from kmon.gallery import DedekindVMonoid, RationalLineMonoid, TrivialExtensionMonoid, plain_n0
 from kmon.laws import check_axioms
 
 
@@ -148,3 +152,113 @@ def test_law_report_render_format():
     rep = check_axioms(F2, samples=30, seed=1)
     for line in rep.render().splitlines():
         assert line.startswith("PASS") or line.startswith("FAIL")
+
+
+def test_value_types_compare_by_type_and_value():
+    assert fin(1) != CardVec.fins(1)
+    assert CardVec.fins(1) != fin(1)
+    assert CardVec.fins(1, 300) == CardVec.of(fin(1), fin(300))
+    assert hash(CardVec.fins(1, 300)) == hash(CardVec.of(fin(1), fin(300)))
+    assert Family.of([(fin(1), fin(2))]) == Family.of(iter([(fin(1), fin(2))]))
+    assert Family.of([(fin(1), fin(2))]) != Family.of([(fin(1), fin(3))])
+    assert Family.empty() is Family.of([]) is Family.of([(fin(1), ZERO)])
+
+
+def test_value_types_are_immutable_and_picklable():
+    v = CardVec.fins(1, 2)
+    fam = Family.of([(fin(1), fin(2))])
+    for obj, field in ((v, "coords"), (fam, "entries"), (Family.empty(), "entries")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, ())
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    assert v.coords == (fin(1), fin(2)) and fam.entries == ((fin(1), fin(2)),)
+    for obj in (fin(300), ALEPH0, v, fam, Family.empty()):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        assert copy.deepcopy(obj) == obj
+
+
+ACCEPTANCE_1_MONOIDS = [
+    VecMonoid(1, at_most(ALEPH0)),
+    VecMonoid(2, at_most(aleph(2))),
+    VecMonoid(3, at_most(aleph(3))),
+    CyclicExtensionMonoid(CyclicMonoid()),
+    CyclicExtensionMonoid(CyclicMonoid(1, 2)),
+    CyclicExtensionMonoid(CyclicMonoid(2, 3)),
+    DioMonoid(ConstraintSystem.make(2, equations=[((1, 0), (0, 1))]), at_most(aleph(1))),
+    DioMonoid(ConstraintSystem.make(2, equations=[((2, 0), (1, 1))]), at_most(aleph(1))),
+    DioMonoid(ConstraintSystem.make(2, congruences=[((1, 1), 2)]), at_most(ALEPH0)),
+    TrivialExtensionMonoid(plain_n0()),
+    TrivialExtensionMonoid(VecMonoid(2, below(ALEPH0))),
+    RationalLineMonoid(),
+    DedekindVMonoid((2,)),
+    DedekindVMonoid((2, 2)),
+]
+
+
+def merged(pairs):
+    """Family.of through its general merge: a generator skips the one-pair path."""
+    return Family.of(p for p in list(pairs))
+
+
+@pytest.mark.parametrize("m", ACCEPTANCE_1_MONOIDS, ids=lambda m: m.name)
+def test_family_fast_paths_match_the_general_merge(m):
+    rng = random.Random(20260810)
+    scalars = [ZERO, FIN1, fin(3), ALEPH0, aleph(2)]
+    for _ in range(60):
+        x = m.sample_element(rng)
+        mult = rng.choice(m.sample_mults())
+        assert Family.of([(x, mult)]).entries == merged([(x, mult)]).entries
+        assert Family.of([(x, ZERO)]).entries == merged([(x, ZERO)]).entries == ()
+        assert Family.of([(x, mult), (x, fin(2))]).entries == ((x, mult + fin(2)),)
+        a, b = m.sample_family(rng), m.sample_family(rng)
+        for fam in (a, b, Family.of([(x, mult)]), Family.empty()):
+            assert Family.of(fam.entries).entries == fam.entries
+            for s in scalars:
+                want = merged((e, card_mul(s, k)) for e, k in fam)
+                assert fam.scale(s).entries == want.entries
+        for lhs, rhs in ((a, b), (b, a), (a, a), (a, Family.empty()), (Family.empty(), b)):
+            assert lhs.add(rhs).entries == merged(lhs.entries + rhs.entries).entries
+
+
+class Unkeyed:
+    """No sort_key, so distinct instances share the element key of their str."""
+
+    def __str__(self):
+        return "u"
+
+
+def test_family_add_orders_distinct_elements_on_one_key_by_multiplicity():
+    a, b = Unkeyed(), Unkeyed()
+    fa, fb = Family.of([(a, fin(2))]), Family.of([(b, fin(1))])
+    assert fa.add(fb).entries == merged(fa.entries + fb.entries).entries == ((b, fin(1)), (a, fin(2)))
+    assert fa.add(fa).entries == ((a, fin(4)),)
+
+
+def test_bound_check_below_aleph0_counts_only_nonzero_elements():
+    m = VecMonoid(2, below(ALEPH0))
+    assert m.ksum(Family.of([(CardVec.fins(0, 0), ALEPH0)])) == m.zero
+    with pytest.raises(BoundExceededError):
+        m.ksum(Family.of([(CardVec.fins(1, 0), ALEPH0)]))
+
+
+@pytest.mark.parametrize("cyc", [CyclicMonoid(), CyclicMonoid(1, 2)], ids=str)
+def test_bound_check_at_most_counts_only_nonzero_elements(cyc):
+    m = CyclicExtensionMonoid(cyc, at_most(ALEPH0))
+    assert m.ksum(Family.of([(ZERO, aleph(1))])) == ZERO
+    assert m.ksum(Family.of([(ZERO, aleph(1)), (fin(1), ALEPH0)])) == ALEPH0
+    with pytest.raises(BoundExceededError):
+        m.ksum(Family.of([(fin(1), aleph(1))]))
+    with pytest.raises(BoundExceededError):
+        m.ksum(Family.of([(ZERO, aleph(1)), (fin(1), aleph(1))]))
+
+
+class NoEqMonoid(CyclicExtensionMonoid):
+    def eq(self, a, b):
+        raise AssertionError("the bound check compared an element with zero")
+
+
+def test_bound_check_needs_no_eq_when_every_multiplicity_is_admitted():
+    m = NoEqMonoid(CyclicMonoid(), at_most(aleph(1)))
+    fam = Family.of([(ZERO, aleph(1)), (fin(2), ALEPH0), (aleph(1), fin(3))])
+    assert m.ksum(fam) == aleph(1)
