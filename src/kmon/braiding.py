@@ -19,11 +19,15 @@ from typing import Any, Optional
 from .cardinals import ALEPH0, ExtCard, FIN1, card_mul, card_sum, fin
 from .core import Family, KappaMonoid, sort_key
 from .diophantine import ConstraintSystem, solutions
+from .errors import PreconditionError
 from .free_vectors import CardVec
 from .tribool import TriBool, no, unknown, yes
 
 DEFAULT_BUDGET = 5000
-BLOCK_CAP = 8
+BLOCK_CAP = 8  # longest chunk per side of a DFS block
+GREEDY_CAP = 64  # longest chunk per side of a greedy block
+GREEDY_BUDGET = 512  # most states the greedy walk enters
+SCALE_CAP = 12  # largest cycle and prefix multiplier of the uniform tier
 
 
 def canonical_family(m: KappaMonoid, fam: Family) -> Family:
@@ -151,33 +155,25 @@ def _tally(m: KappaMonoid, xfam: Family, yfam: Family, uses) -> TriBool:
     return yes()
 
 
-def _verify_omega(
-    m: KappaMonoid, xfam: Family, yfam: Family, cert: OmegaCertificate, lam: ExtCard
+def _verify_layers(
+    m: KappaMonoid,
+    xfam: Family,
+    yfam: Family,
+    layers: tuple[tuple[ExtCard, OmegaCertificate], ...],
+    lam: ExtCard,
 ) -> TriBool:
-    big = _oversized(cert.prefix + cert.cycle, lam)
-    if big is not None:
-        return no(note=f"block size {big} not below {lam}")
-    r = _chain_check(m, cert)
-    if not r.is_yes:
-        return r
-    uses = _omega_uses(cert, FIN1)
-    if uses is None:
-        return no(note="omega blocks must have finite multiplicities")
-    return _tally(m, xfam, yfam, uses)
-
-
-def _verify_layered(
-    m: KappaMonoid, xfam: Family, yfam: Family, cert: LayeredCertificate, lam: ExtCard
-) -> TriBool:
+    """Check (weight, omega chain) layers, each repeated ``weight`` times, and
+    their total consumption; an omega certificate is one layer of weight 1."""
     uses: list = []
-    for weight, layer in cert.layers:
+    for weight, layer in layers:
         if weight.is_zero:
             return no(note="layer weights must be >= 1")
+        big = _oversized(layer.prefix + layer.cycle, lam)
+        if big is not None:
+            return no(note=f"block size {big} not below {lam}")
         r = _chain_check(m, layer)
         if not r.is_yes:
             return r
-        if _oversized(layer.prefix + layer.cycle, lam) is not None:
-            return no(note="layer block too large")
         layer_uses = _omega_uses(layer, weight)
         if layer_uses is None:
             return no(note="omega blocks must have finite multiplicities")
@@ -211,11 +207,13 @@ def verify(
     lam: ExtCard = ALEPH0,
 ) -> TriBool:
     """Check the block equations, seam conditions, and consumption accounting
-    of a certificate against the two families."""
+    of a certificate against the two families.  ``lam`` must be infinite."""
+    if lam.is_finite:
+        raise PreconditionError(f"lambda must be infinite, got {lam}")
     if isinstance(cert, OmegaCertificate):
-        return _verify_omega(m, xfam, yfam, cert, lam)
+        return _verify_layers(m, xfam, yfam, ((FIN1, cert),), lam)
     if isinstance(cert, LayeredCertificate):
-        return _verify_layered(m, xfam, yfam, cert, lam)
+        return _verify_layers(m, xfam, yfam, cert.layers, lam)
     if isinstance(cert, CollapsedCertificate):
         return _verify_collapsed(m, xfam, yfam, cert, lam)
     return no(note=f"unknown certificate kind {type(cert).__name__}")
@@ -348,6 +346,24 @@ def _compose_walk(
             else:
                 diff[e] = k
 
+    def advance(pos: int, end: Optional[int], block, sign: int) -> Optional[int]:
+        """Take the chain's block at ``pos`` unless the chain has ended, then
+        more blocks until no middle count has sign ``-sign``; None when the
+        chain ends first or the guard passes the budget."""
+        if not (end is not None and pos >= end):
+            bump(block(pos), sign)
+            pos += 1
+        guard = 0
+        while any(k * sign < 0 for k in diff.values()):
+            if end is not None and pos >= end:
+                return None
+            bump(block(pos), sign)
+            pos += 1
+            guard += 1
+            if guard > budget:
+                return None
+        return pos
+
     pos1 = pos2 = 0
     fin1, fin2 = c1.finite_len(), c2.finite_len()
     supers: list[_Super] = []
@@ -388,36 +404,18 @@ def _compose_walk(
 
         # A-step: advance chain1 to cover chain2's overshoot
         s1 = pos1
-        if not (fin1 is not None and pos1 >= fin1):
-            bump(c1.jblock(pos1), +1)
-            pos1 += 1
-        guard = 0
-        while any(k < 0 for k in diff.values()):
-            if fin1 is not None and pos1 >= fin1:
-                return None
-            bump(c1.jblock(pos1), +1)
-            pos1 += 1
-            guard += 1
-            if guard > budget:
-                return None
+        pos1 = advance(pos1, fin1, c1.jblock, +1)
+        if pos1 is None:
+            return None
         if supers:
             shortfall = Family.of((e, fin(k)) for e, k in diff.items() if k > 0)
             supers[-1].t_val = m.ksum(shortfall)
 
         # B-step: advance chain2 to cover chain1
         s2 = pos2
-        if not (fin2 is not None and pos2 >= fin2):
-            bump(c2.iblock(pos2), -1)
-            pos2 += 1
-        guard = 0
-        while any(k > 0 for k in diff.values()):
-            if fin2 is not None and pos2 >= fin2:
-                return None
-            bump(c2.iblock(pos2), -1)
-            pos2 += 1
-            guard += 1
-            if guard > budget:
-                return None
+        pos2 = advance(pos2, fin2, c2.iblock, -1)
+        if pos2 is None:
+            return None
         overshoot = Family.of((e, fin(-k)) for e, k in diff.items() if k < 0)
 
         xchunk, u1, v1_in = _merge_run(m, c1, s1, pos1, "i")
@@ -584,9 +582,10 @@ def _units(m: KappaMonoid, elems: list) -> tuple[Family, Any]:
 
 
 class _Chunks:
-    """The two streams of one braid_find call and the chunks its greedy and
-    DFS tiers cut from them, each built and summed once.  Both streams have a
-    cycle, so a chunk is fixed by its side, its folded start and its length."""
+    """The two streams of one braid_find call and the chunks the search cuts
+    from them, each built and summed once.  Both streams have a cycle, so a
+    chunk is fixed by its side, its folded start and its length.  ``greedy``
+    and ``dfs`` are the two orders in which the walk is offered blocks."""
 
     def __init__(self, m: KappaMonoid, xfam: Family, yfam: Family):
         self.m = m
@@ -602,17 +601,45 @@ class _Chunks:
             got = self.table[key] = _units(self.m, [s.at(key[1] + t) for t in range(k)])
         return got
 
+    def _take(self, side: int, pos: int, carry: Any):
+        """The shortest non-empty chunk of stream ``side`` from ``pos``, at
+        most GREEDY_CAP long, whose sum covers ``carry``: (length, chunk,
+        remainder), or None."""
+        for k in range(1, GREEDY_CAP + 1):
+            chunk, total = self.chunk(side, pos, k)
+            rest = self.m.sub(total, carry)
+            if rest is not None:
+                return k, chunk, rest
+        return None
 
-def _take(chunks: _Chunks, side: int, pos: int, carry: Any, cap: int):
-    """The shortest non-empty chunk of stream ``side`` from ``pos``, at most
-    ``cap`` long, whose sum covers ``carry``: (length, chunk, remainder), or
-    None."""
-    for k in range(1, cap + 1):
-        chunk, total = chunks.chunk(side, pos, k)
-        rest = chunks.m.sub(total, carry)
-        if rest is not None:
-            return k, chunk, rest
-    return None
+    def greedy(self, i: int, j: int, v):
+        """The one minimal-consumption block from state (i, j, v): just
+        enough of each stream to cover the carry.  Complete for positive
+        scalars, where the carry stays below the largest stream value."""
+        took = self._take(0, i, v)
+        if took is None:
+            return
+        k, ichunk, u = took
+        took = self._take(1, j, u)
+        if took is None:
+            return
+        l, jchunk, vn = took
+        yield BraidBlock(ichunk, jchunk, u, vn), i + k, j + l, vn
+
+    def dfs(self, i: int, j: int, v):
+        """Every block from state (i, j, v), at most BLOCK_CAP elements a
+        side, in (kx, ky) order: smallest blocks first."""
+        m = self.m
+        for kx in range(BLOCK_CAP + 1):
+            ichunk, isum = self.chunk(0, i, kx)
+            u = m.sub(isum, v)  # need u with isum = v + u
+            if u is None:
+                continue
+            for ky in range(kx == 0, BLOCK_CAP + 1):
+                jchunk, jsum = self.chunk(1, j, ky)
+                vn = m.sub(jsum, u)
+                if vn is not None:
+                    yield BraidBlock(ichunk, jchunk, u, vn), i + kx, j + ky, vn
 
 
 def _cycle_counts(m: KappaMonoid, sx: "_Stream", sy: "_Stream", cap: int):
@@ -650,13 +677,11 @@ def _cycle_counts(m: KappaMonoid, sx: "_Stream", sy: "_Stream", cap: int):
     return None
 
 
-def _uniform_omega(
-    m: KappaMonoid, sx: _Stream, sy: _Stream, scale_cap: int = 12
-) -> Optional[OmegaCertificate]:
+def _uniform_omega(m: KappaMonoid, sx: _Stream, sy: _Stream) -> Optional[OmegaCertificate]:
     """Periodic certificate from balanced whole blocks: one cycle block with
     per-value counts chosen so its two sums agree, plus one prefix block
     padding the finite heads with extra cycle copies until they balance."""
-    counts = _cycle_counts(m, sx, sy, scale_cap)
+    counts = _cycle_counts(m, sx, sy, SCALE_CAP)
     if counts is None:
         return None
     cx, cy = counts
@@ -668,9 +693,9 @@ def _uniform_omega(
         return OmegaCertificate((), (cycle_block,))
     _, hx = _units(m, sx.head)
     _, hy = _units(m, sy.head)
-    for kx in range(scale_cap + 1):
+    for kx in range(SCALE_CAP + 1):
         left = m.add(hx, m.scalar(fin(kx), block_sum))
-        for ky in range(scale_cap + 1):
+        for ky in range(SCALE_CAP + 1):
             if m.eq(left, m.add(hy, m.scalar(fin(ky), block_sum))).is_yes:
                 prefix = BraidBlock(
                     Family.of(
@@ -688,81 +713,23 @@ def _uniform_omega(
     return None
 
 
-def _greedy_omega(
-    chunks: _Chunks, budget: int, block_cap: int = 64
-) -> Optional[OmegaCertificate]:
-    """Deterministic minimal-consumption walk for infinite-support pairs:
-    take just enough of each stream to cover the carry, and close the cycle
-    at the first repeated state.  Complete for positive scalars, where the
-    carry stays below the largest stream value."""
-    m = chunks.m
+def _walk(chunks: _Chunks, budget: int, children) -> Optional[OmegaCertificate]:
+    """Depth-first walk over consecutive block splits of the two streams,
+    taking the blocks leaving state (i, j, v) in the order ``children(i, j,
+    v)`` yields them, one budget unit per state entered.  The cycle closes at
+    the first state past both heads whose key repeats one on the branch."""
     sx, sy = chunks.streams
-    i = j = 0
-    v = m.zero
-    blocks: list[BraidBlock] = []
-    seen: dict = {}
-    px, py = len(sx.head), len(sy.head)
-    for _ in range(budget):
-        if i >= px and j >= py:
-            state = (sx.fold(i), sy.fold(j), sort_key(v))
-            if state in seen:
-                k, i0, j0 = seen[state]
-                if (i - i0) >= len(sx.cycle) and (j - j0) >= len(sy.cycle):
-                    return OmegaCertificate(tuple(blocks[:k]), tuple(blocks[k:]))
-                return None  # repeated without a full wrap: walk is stuck
-            seen[state] = (len(blocks), i, j)
-        took = _take(chunks, 0, i, v, block_cap)
-        if took is None:
-            return None
-        k, ichunk, u = took
-        took = _take(chunks, 1, j, u, block_cap)
-        if took is None:
-            return None
-        l, jchunk, vn = took
-        blocks.append(BraidBlock(ichunk, jchunk, u, vn))
-        i, j, v = i + k, j + l, vn
-    return None
-
-
-def _search_omega(
-    chunks: _Chunks, budget: int, block_cap: int = BLOCK_CAP
-) -> Optional[OmegaCertificate]:
-    """Depth-first search over consecutive block splits of canonical streams;
-    deterministic order, smallest blocks first, one budget unit per state
-    entered."""
-    m = chunks.m
-    sx, sy = chunks.streams
-    hx, hy, lx, ly = len(sx.head), len(sy.head), len(sx.cycle), len(sy.cycle)
-
-    def children(i: int, j: int, v):
-        """The blocks leaving state (i, j, v), generated lazily in (kx, ky)
-        order."""
-        for kx in range(block_cap + 1):
-            ichunk, isum = chunks.chunk(0, i, kx)
-            u = m.sub(isum, v)  # need u with isum = v + u
-            if u is None:
-                continue
-            for ky in range(kx == 0, block_cap + 1):
-                jchunk, jsum = chunks.chunk(1, j, ky)
-                vn = m.sub(jsum, u)
-                if vn is not None:
-                    yield BraidBlock(ichunk, jchunk, u, vn), i + kx, j + ky, vn
-
+    hx, hy = len(sx.head), len(sy.head)
     # one [state key, i, j, children, block taken] per state on the branch
     stack: list[list] = []
-    i, j, v = 0, 0, m.zero
+    i, j, v = 0, 0, chunks.m.zero
     while budget > 0:
         budget -= 1
         k = (sx.fold(i), sy.fold(j), sort_key(v))
         if i >= hx and j >= hy:
+            # equal folds past the heads: i - pi and j - pj are whole periods
             for cut, (pk, pi, pj, _, _) in enumerate(stack):
-                if (
-                    pk == k
-                    and i - pi >= lx
-                    and j - pj >= ly
-                    and (i - pi) % lx == 0
-                    and (j - pj) % ly == 0
-                ):
+                if pk == k and i > pi and j > pj:
                     blocks = tuple(f[4] for f in stack)
                     return OmegaCertificate(blocks[:cut], blocks[cut:])
         stack.append([k, i, j, children(i, j, v), None])
@@ -783,50 +750,39 @@ def braid_find(
 ) -> TriBool:
     """Search for a certificate.  No is returned only with a checkable
     obstruction (decided sum mismatch, or a finite form against an infinite
-    one); otherwise the search is honest about exhaustion."""
+    one); otherwise the search is honest about exhaustion.  ``lam`` must be
+    infinite."""
+    if lam.is_finite:
+        raise PreconditionError(f"lambda must be infinite, got {lam}")
     xf = canonical_family(m, xfam)
     yf = canonical_family(m, yfam)
-    if lam == ALEPH0:
-        cx, cy = xf.index_card(), yf.index_card()
-        if cx.is_finite != cy.is_finite:
-            return no(note="finite vs infinite form")
+    finite = xf.index_card().is_finite
+    if lam == ALEPH0 and finite != yf.index_card().is_finite:
+        return no(note="finite vs infinite form")
     e = m.eq(m.ksum(xf), m.ksum(yf))
     if e.is_no:
         return no(note="sums differ")
+    if lam != ALEPH0:
+        return _collapsed_find(m, xf, yf, lam, budget)
 
-    if lam == ALEPH0:
-        cx, cy = xf.index_card(), yf.index_card()
-        if cx.is_finite:
-            if not e.is_yes:
-                return unknown(note="sum equality undecided")
-            cert = OmegaCertificate(
-                (BraidBlock(xf, yf, m.ksum(xf), m.zero),), ()
-            )
-            r = verify(m, xf, yf, cert, lam)
-            return yes(witness=cert) if r.is_yes else unknown(note="trivial block rejected")
-        high = [
-            mult
-            for _, mult in itertools.chain(xf, yf)
-            if mult.is_infinite and mult != ALEPH0
-        ]
-        if high:
-            return _layered_find(m, xf, yf, budget)
-        # both streams have a cycle: only aleph0 among infinite multiplicities
-        chunks = _Chunks(m, xf, yf)
-        cert = _uniform_omega(m, *chunks.streams)
+    if finite:
+        if not e.is_yes:
+            return unknown(note="sum equality undecided")
+        cert = OmegaCertificate((BraidBlock(xf, yf, m.ksum(xf), m.zero),), ())
+        r = verify(m, xf, yf, cert, lam)
+        return yes(witness=cert) if r.is_yes else unknown(note="trivial block rejected")
+    if any(mult.is_infinite and mult != ALEPH0 for _, mult in itertools.chain(xf, yf)):
+        return _layered_find(m, xf, yf, budget)
+    # both streams have a cycle: only aleph0 among infinite multiplicities
+    chunks = _Chunks(m, xf, yf)
+    cert = _uniform_omega(m, *chunks.streams)
+    if cert is not None and verify(m, xf, yf, cert, lam).is_yes:
+        return yes(witness=cert)
+    for steps, children in ((min(budget, GREEDY_BUDGET), chunks.greedy), (budget, chunks.dfs)):
+        cert = _walk(chunks, steps, children)
         if cert is not None and verify(m, xf, yf, cert, lam).is_yes:
             return yes(witness=cert)
-        cert = _greedy_omega(chunks, min(budget, 512))
-        if cert is not None and verify(m, xf, yf, cert, lam).is_yes:
-            return yes(witness=cert)
-        cert = _search_omega(chunks, budget)
-        if cert is not None:
-            r = verify(m, xf, yf, cert, lam)
-            if r.is_yes:
-                return yes(witness=cert)
-        return unknown(note=f"no certificate within budget {budget}")
-
-    return _collapsed_find(m, xf, yf, lam, budget)
+    return unknown(note=f"no certificate within budget {budget}")
 
 
 def _layered_find(m: KappaMonoid, xf: Family, yf: Family, budget: int) -> TriBool:

@@ -213,7 +213,13 @@ class KappaMonoid:
         return self.raw_ksum(fam)
 
     def add(self, a: Any, b: Any) -> Any:
-        return self.raw_ksum(Family.of([(a, FIN1), (b, FIN1)]))
+        # Family.of's canonical {a, b}, built directly; equal sort keys keep
+        # the input order, as its stable sort does
+        if a == b:
+            return self.raw_ksum(Family(((a, fin(2)),)))
+        if sort_key(b) < sort_key(a):
+            a, b = b, a
+        return self.raw_ksum(Family(((a, FIN1), (b, FIN1))))
 
     def scalar(self, a: ExtCard, x: Any) -> Any:
         if a.is_zero:

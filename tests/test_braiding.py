@@ -21,6 +21,7 @@ from kmon.braiding import (
 from kmon.cardinals import ALEPH0, ZERO, aleph, at_most, fin
 from kmon.core import CyclicExtensionMonoid, CyclicMonoid, Family
 from kmon.diophantine import ConstraintSystem, DioMonoid
+from kmon.errors import PreconditionError
 from kmon.dsl import render_certificate
 from kmon.free_vectors import CardVec, VecMonoid
 from kmon.gallery import QPoint, RationalLineMonoid
@@ -81,9 +82,30 @@ def test_verify_totals_uses_of_one_class_named_twice():
 
 
 def test_verify_block_size_respects_lambda():
-    big_block = BraidBlock(fam((1, W)), fam((1, W)), ZERO, ZERO)
-    cert = OmegaCertificate((big_block,), ())
-    assert verify(N0, fam((1, W)), fam((1, W)), cert, ALEPH0).is_no
+    ones = fam((1, W))
+    # the block equations hold (0 + aleph0 = aleph0 + 0): only its size is wrong
+    cert = OmegaCertificate((BraidBlock(ones, ones, W, ZERO),), ())
+    r = verify(N0, ones, ones, cert, ALEPH0)
+    assert r.is_no and r.note == "block size aleph0 not below aleph0"
+    # a layer is checked like an omega certificate, after its weight
+    r = verify(N0, ones, ones, LayeredCertificate(((W, cert),)), ALEPH0)
+    assert r.is_no and r.note == "block size aleph0 not below aleph0"
+    r = verify(N0, ones, ones, LayeredCertificate(((ZERO, cert),)), ALEPH0)
+    assert r.is_no and r.note == "layer weights must be >= 1"
+    # above aleph0 the block is small enough, but an omega block is finite
+    r = verify(N0, ones, ones, cert, aleph(1))
+    assert r.is_no and r.note == "omega blocks must have finite multiplicities"
+
+
+def test_finite_lambda_is_rejected():
+    ones, twos = fam((1, W)), fam((2, W))
+    cert = OmegaCertificate((), (blk([1, 1], [2], 2, 0),))
+    with pytest.raises(PreconditionError, match="lambda must be infinite"):
+        braid_find(N0, ones, twos, fin(5))
+    with pytest.raises(PreconditionError, match="lambda must be infinite"):
+        verify(N0, ones, twos, cert, fin(2))
+    with pytest.raises(PreconditionError, match="lambda must be infinite"):
+        compose(N0, ones, twos, ones, cert, flip(N0, cert), fin(3))
 
 
 def test_telescope_equal_on_valid_certs():

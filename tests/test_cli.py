@@ -137,6 +137,9 @@ def test_kappa_above_aleph3_exits_3():
         ["braid-find", "--monoid", "N0", "--x", "fam {1*2}", "--y", "fam {2*1}", "--budget", "-5"],
         ["realizable2", "--pres", "twogen { }", "--budget", "0"],
         ["aleph0-extend", "--monoid", "dio n=1 { }", "--vec", "(4)", "--radius", "-1"],
+        ["braid-find", "--monoid", "N0", "--x", "fam {1*aleph0}", "--y", "fam {2*aleph0}", "--lam", "5"],
+        ["braid-check", "--monoid", "N0", "--x", "fam {1*aleph0}", "--y", "fam {2*aleph0}",
+         "--cert", "PREFIX\nCYCLE\nB i={1*2} j={2*1} u=2 v'=0", "--lam", "2"],
     ],
 )
 def test_options_only_where_read_and_in_range(argv):

@@ -219,6 +219,8 @@ def test_family_fast_paths_match_the_general_merge(m):
                 assert fam.scale(s).entries == want.entries
         for lhs, rhs in ((a, b), (b, a), (a, a), (a, Family.empty()), (Family.empty(), b)):
             assert lhs.add(rhs).entries == merged(lhs.entries + rhs.entries).entries
+        for p, q in [(x, x)] + [pair for e, _ in a for pair in ((x, e), (e, x))]:
+            assert m.add(p, q) == m.raw_ksum(Family.of([(p, FIN1), (q, FIN1)]))
 
 
 class Unkeyed:
