@@ -80,12 +80,13 @@ Certificate = Any  # OmegaCertificate | LayeredCertificate | CollapsedCertificat
 # -- verification ---------------------------------------------------------------
 
 
-def _oversized(blocks, lam: ExtCard) -> Optional[ExtCard]:
-    """Index cardinality of the first block chunk not below lambda, if any."""
-    for b in blocks:
-        for fam in (b.iblock, b.jblock):
-            if not fam.index_card() < lam:
-                return fam.index_card()
+def _oversized(chunks, lam: ExtCard) -> Optional[TriBool]:
+    """No for the first chunk whose index cardinality is not below lambda:
+    the one block-size rule of every certificate kind."""
+    for fam in chunks:
+        size = fam.index_card()
+        if not size < lam:
+            return no(note=f"block size {size} not below {lam}")
     return None
 
 
@@ -168,9 +169,9 @@ def _verify_layers(
     for weight, layer in layers:
         if weight.is_zero:
             return no(note="layer weights must be >= 1")
-        big = _oversized(layer.prefix + layer.cycle, lam)
-        if big is not None:
-            return no(note=f"block size {big} not below {lam}")
+        chunks = (f for b in layer.prefix + layer.cycle for f in (b.iblock, b.jblock))
+        if (big := _oversized(chunks, lam)) is not None:
+            return big
         r = _chain_check(m, layer)
         if not r.is_yes:
             return r
@@ -190,8 +191,8 @@ def _verify_collapsed(
     for ib, jb, weight in cert.blocks:
         if weight.is_zero:
             return no(note="block weights must be >= 1")
-        if not ib.index_card() < lam or not jb.index_card() < lam:
-            return no(note="collapsed block too large")
+        if (big := _oversized((ib, jb), lam)) is not None:
+            return big
         r = m.eq(m.ksum(ib), m.ksum(jb))
         if not r.is_yes:
             return r if r.is_unknown else no(note="collapsed block sums differ")
@@ -222,43 +223,34 @@ def verify(
 # -- symmetry -------------------------------------------------------------------
 
 
+def _fold(i: int, head: int, period: int) -> int:
+    """Position i itself within a head of that length; past it, the position
+    in the first period at which the same periodic suffix starts."""
+    return i if i < head else head + (i - head) % period
+
+
 class _Chain:
-    """Position-indexed view of an omega certificate, with implicit empty
-    blocks past a finite prefix."""
+    """Position-indexed view of an omega certificate; past the end of a
+    finite prefix every position holds an empty block with zero carries."""
 
     def __init__(self, m: KappaMonoid, cert: OmegaCertificate):
-        self.m = m
-        self.p = list(cert.prefix)
-        self.c = list(cert.cycle)
+        self.zero = m.zero
+        self.blocks = cert.prefix + cert.cycle
+        self.head, self.period = len(cert.prefix), len(cert.cycle)
+        self.end = None if cert.cycle else self.head  # None: periodic
+        self.pad = BraidBlock(Family.empty(), Family.empty(), m.zero, m.zero)
 
-    def block(self, mu: int) -> Optional[BraidBlock]:
-        if mu < len(self.p):
-            return self.p[mu]
-        if not self.c:
-            return None
-        return self.c[(mu - len(self.p)) % len(self.c)]
+    def done(self, pos: int) -> bool:
+        return self.end is not None and pos >= self.end
 
-    def u(self, mu: int):
-        b = self.block(mu)
-        return self.m.zero if b is None else b.u
+    def fold(self, mu: int) -> int:
+        return _fold(mu, self.head, self.period)
 
-    def v_next(self, mu: int):
-        b = self.block(mu)
-        return self.m.zero if b is None else b.v_next
+    def __getitem__(self, mu: int) -> BraidBlock:
+        return self.pad if self.done(mu) else self.blocks[self.fold(mu)]
 
     def v_in(self, mu: int):
-        return self.m.zero if mu == 0 else self.v_next(mu - 1)
-
-    def iblock(self, mu: int) -> Family:
-        b = self.block(mu)
-        return Family.empty() if b is None else b.iblock
-
-    def jblock(self, mu: int) -> Family:
-        b = self.block(mu)
-        return Family.empty() if b is None else b.jblock
-
-    def finite_len(self) -> Optional[int]:
-        return len(self.p) if not self.c else None
+        return self.zero if mu == 0 else self[mu - 1].v_next
 
 
 def flip(m: KappaMonoid, cert: OmegaCertificate) -> OmegaCertificate:
@@ -266,21 +258,15 @@ def flip(m: KappaMonoid, cert: OmegaCertificate) -> OmegaCertificate:
     a position reuses the old j-chunk as its i-chunk and pulls the next old
     i-chunk over, with the limit position absorbing the extra block."""
     ch = _Chain(m, cert)
-    p, c = len(cert.prefix), len(cert.cycle)
-    p_new = max(p, 1)
+    p_new = max(ch.head, 1)
     blocks = []
-    for mu in range(p_new + c):
+    for mu in range(p_new + ch.period):
+        b, nxt = ch[mu], ch[mu + 1]
         if mu == 0:
-            ib = ch.jblock(0)
-            jb = ch.iblock(0).add(ch.iblock(1))
-            u = m.add(ch.u(0), ch.v_next(0))
-            vn = ch.u(1)
+            jb, u = b.iblock.add(nxt.iblock), m.add(b.u, b.v_next)
         else:
-            ib = ch.jblock(mu)
-            jb = ch.iblock(mu + 1)
-            u = ch.v_next(mu)
-            vn = ch.u(mu + 1)
-        blocks.append(BraidBlock(ib, jb, u, vn))
+            jb, u = nxt.iblock, b.v_next
+        blocks.append(BraidBlock(b.jblock, jb, u, nxt.u))
     return OmegaCertificate(tuple(blocks[:p_new]), tuple(blocks[p_new:]))
 
 
@@ -302,25 +288,25 @@ class _Super:
     """One aligned superblock: a consecutive run of each chain."""
 
     x: Family
-    z: Family
     u1: Any  # merged u of the x/y chain over this run
     v1_in: Any
+    z: Family
     g2: Any  # merged u of the y/z chain over this run
     h2_in: Any
-    s_val: Any = None  # sum of the y-overshoot after this superblock
-    t_val: Any = None  # sum of the y-shortfall closed by the next A-step
+    s_val: Any  # sum of the y-overshoot after this superblock
+    t_val: Any  # sum of the y-shortfall closed by the next A-step, if any
 
 
 def _merge_run(m: KappaMonoid, ch: _Chain, start: int, end: int, side: str):
-    """Merged chunk and chain data of consecutive positions start..end-1."""
+    """Merged ``side`` chunk and chain data of positions start..end-1."""
     chunk = Family.empty()
     if start >= end:
         return chunk, m.zero, ch.v_in(start)
-    u = ch.u(start)
+    u = ch[start].u
     for mu in range(start + 1, end):
-        u = m.add(u, m.add(ch.v_in(mu), ch.u(mu)))
+        u = m.add(u, m.add(ch.v_in(mu), ch[mu].u))
     for mu in range(start, end):
-        chunk = chunk.add(ch.iblock(mu) if side == "i" else ch.jblock(mu))
+        chunk = chunk.add(getattr(ch[mu], side))
     return chunk, u, ch.v_in(start)
 
 
@@ -346,18 +332,18 @@ def _compose_walk(
             else:
                 diff[e] = k
 
-    def advance(pos: int, end: Optional[int], block, sign: int) -> Optional[int]:
-        """Take the chain's block at ``pos`` unless the chain has ended, then
-        more blocks until no middle count has sign ``-sign``; None when the
+    def advance(ch: _Chain, pos: int, side: str, sign: int) -> Optional[int]:
+        """Take the ``side`` chunk at ``pos`` unless the chain is done, then
+        more chunks until no middle count has sign ``-sign``; None when the
         chain ends first or the guard passes the budget."""
-        if not (end is not None and pos >= end):
-            bump(block(pos), sign)
+        if not ch.done(pos):
+            bump(getattr(ch[pos], side), sign)
             pos += 1
         guard = 0
         while any(k * sign < 0 for k in diff.values()):
-            if end is not None and pos >= end:
+            if ch.done(pos):
                 return None
-            bump(block(pos), sign)
+            bump(getattr(ch[pos], side), sign)
             pos += 1
             guard += 1
             if guard > budget:
@@ -365,7 +351,6 @@ def _compose_walk(
         return pos
 
     pos1 = pos2 = 0
-    fin1, fin2 = c1.finite_len(), c2.finite_len()
     supers: list[_Super] = []
     seen: dict = {}
     steps = 0
@@ -378,18 +363,16 @@ def _compose_walk(
             return None
         if sum(abs(k) for k in diff.values()) > drift_cap:
             return None  # aperiodic alignment; the caller falls back
-        exhausted1 = fin1 is not None and pos1 >= fin1
-        exhausted2 = fin2 is not None and pos2 >= fin2
-        if exhausted1 and exhausted2 and not diff:
+        if c1.done(pos1) and c2.done(pos2) and not diff:
             if pending_cycle:
                 start, period = pending_cycle
                 return supers, start, period
             return supers, len(supers), 0
-        if pending_cycle is None and fin1 is None and fin2 is None:
-            if pos1 >= len(c1.p) and pos2 >= len(c2.p):
+        if pending_cycle is None and c1.end is None and c2.end is None:
+            if pos1 >= c1.head and pos2 >= c2.head:
                 key = (
-                    (pos1 - len(c1.p)) % len(c1.c),
-                    (pos2 - len(c2.p)) % len(c2.c),
+                    c1.fold(pos1),
+                    c2.fold(pos2),
                     tuple(sorted((sort_key(e), k) for e, k in diff.items())),
                 )
                 if key in seen:
@@ -404,7 +387,7 @@ def _compose_walk(
 
         # A-step: advance chain1 to cover chain2's overshoot
         s1 = pos1
-        pos1 = advance(pos1, fin1, c1.jblock, +1)
+        pos1 = advance(c1, pos1, "jblock", +1)
         if pos1 is None:
             return None
         if supers:
@@ -413,53 +396,32 @@ def _compose_walk(
 
         # B-step: advance chain2 to cover chain1
         s2 = pos2
-        pos2 = advance(pos2, fin2, c2.iblock, -1)
+        pos2 = advance(c2, pos2, "iblock", -1)
         if pos2 is None:
             return None
         overshoot = Family.of((e, fin(-k)) for e, k in diff.items() if k < 0)
-
-        xchunk, u1, v1_in = _merge_run(m, c1, s1, pos1, "i")
-        zchunk, g2, h2_in = _merge_run(m, c2, s2, pos2, "j")
         supers.append(
             _Super(
-                x=xchunk,
-                z=zchunk,
-                u1=u1,
-                v1_in=v1_in,
-                g2=g2,
-                h2_in=h2_in,
+                *_merge_run(m, c1, s1, pos1, "iblock"),
+                *_merge_run(m, c2, s2, pos2, "jblock"),
                 s_val=m.ksum(overshoot),
+                t_val=m.zero,
             )
         )
-
-
-def _super_at(supers: list[_Super], start: int, period: int, idx: int) -> _Super:
-    if period > 0 and idx >= start:
-        return supers[start + (idx - start) % period]
-    return supers[idx]
 
 
 def _compose_blocks(
     m: KappaMonoid, supers: list[_Super], start: int, period: int, count: int
 ) -> list[BraidBlock]:
-    """Composite blocks: the limit block plus three superblocks per step."""
+    """Composite blocks: the limit block plus three superblocks per step;
+    past the end of a finite walk, every superblock is empty."""
+    z = m.zero
+    pad = _Super(Family.empty(), z, z, Family.empty(), z, z, z, z)
 
     def S(idx: int) -> _Super:
-        if period == 0 and idx >= len(supers):
-            return _Super(
-                x=Family.empty(),
-                z=Family.empty(),
-                u1=m.zero,
-                v1_in=m.zero,
-                g2=m.zero,
-                h2_in=m.zero,
-                s_val=m.zero,
-                t_val=m.zero,
-            )
-        s = _super_at(supers, start, period, idx)
-        if s.t_val is None:
-            s.t_val = m.zero
-        return s
+        if period:
+            return supers[_fold(idx, start, period)]
+        return supers[idx] if idx < len(supers) else pad
 
     def d(l: int):
         if l == 0:
@@ -567,10 +529,7 @@ class _Stream:
         return self.cycle[(i - len(self.head)) % len(self.cycle)]
 
     def fold(self, i: int) -> int:
-        """Position i itself in the head; past it, the position in the first
-        period at which the same suffix starts."""
-        h = len(self.head)
-        return i if i < h else h + (i - h) % len(self.cycle)
+        return _fold(i, len(self.head), len(self.cycle))
 
 
 def _units(m: KappaMonoid, elems: list) -> tuple[Family, Any]:

@@ -27,7 +27,7 @@ from .dsl import (
     render_family,
     render_monoid,
 )
-from .errors import KmonError, ParseError
+from .errors import KmonError, ParseError, PreconditionError
 from .gallery import HNPPredicate
 from .laws import check_axioms
 from .presentations import corollary_checks, realizable_two_gen
@@ -187,6 +187,15 @@ def _bound(args):
     return at_most(parse_card(args.kappa))
 
 
+def _monoid(args):
+    """The --monoid of a subcommand that computes in it; an hnp(c=...)
+    predicate is no monoid, and only member reads it."""
+    m = parse_monoid(args.monoid, _bound(args))
+    if isinstance(m, HNPPredicate):
+        raise PreconditionError(f"{args.cmd} requires a monoid; hnp(c=...) is read only by member")
+    return m
+
+
 def _cmd_member(args, rep: Report) -> int:
     m = parse_monoid(args.monoid, _bound(args))
     v = parse_vec(args.vec)
@@ -245,7 +254,7 @@ def _cmd_decompose(args, rep: Report) -> int:
 
 
 def _cmd_braid_check(args, rep: Report) -> int:
-    m = parse_monoid(args.monoid, _bound(args))
+    m = _monoid(args)
     x = parse_family(args.x, m)
     y = parse_family(args.y, m)
     text = args.cert
@@ -261,7 +270,7 @@ def _cmd_braid_check(args, rep: Report) -> int:
 
 
 def _cmd_braid_find(args, rep: Report) -> int:
-    m = parse_monoid(args.monoid, _bound(args))
+    m = _monoid(args)
     x = parse_family(args.x, m)
     y = parse_family(args.y, m)
     r = braid_find(m, x, y, parse_card(args.lam), args.budget)
@@ -293,7 +302,7 @@ def _cmd_realizable2(args, rep: Report) -> int:
 
 
 def _cmd_axioms(args, rep: Report) -> int:
-    m = parse_monoid(args.monoid, _bound(args))
+    m = _monoid(args)
     report = check_axioms(m, samples=args.samples, seed=args.seed)
     for line in report.render().splitlines():
         rep.say(line)
@@ -303,7 +312,7 @@ def _cmd_axioms(args, rep: Report) -> int:
 
 
 def _cmd_gallery_eval(args, rep: Report) -> int:
-    m = parse_monoid(args.monoid, _bound(args))
+    m = _monoid(args)
     fam = parse_family(args.fam, m)
     val = m.ksum(fam)
     rep.say(

@@ -28,10 +28,10 @@ from .cardinals import (
     infinite_levels,
     kappa_card,
 )
-from .errors import BoundExceededError, PreconditionError
+from .errors import BoundExceededError, PreconditionError, SearchExhausted
 from .tribool import TriBool, from_bool, no, unknown, yes
 
-DEFAULT_SEARCH_BOUND = 64
+SEARCH_BOUND = 64  # most multiples the default finite-multiple scan tries
 
 
 def sort_key(x: Any):
@@ -238,19 +238,20 @@ class KappaMonoid:
         not known how to find one)."""
         raise NotImplementedError
 
-    def finite_multiple_leq(self, u: Any, x: Any, search_bound: int) -> TriBool:
-        """Is x <= n*u for some finite n?  Default: bounded search, Unknown on
-        exhaustion; the scan is exact when the multiples stabilize, and
-        concrete monoids override with fully exact answers."""
+    def finite_multiple_leq(self, u: Any, x: Any) -> TriBool:
+        """Is x <= n*u for some finite n?  Default: a scan of the first
+        SEARCH_BOUND multiples, Unknown on exhaustion; the scan is exact when
+        the multiples stabilize, and concrete monoids override with fully
+        exact answers."""
         acc = self.zero
-        for n in range(search_bound + 1):
+        for n in range(SEARCH_BOUND + 1):
             if self.leq(x, acc).is_yes:
                 return yes(witness=n)
             nxt = self.add(acc, u)
             if self.eq(nxt, acc).is_yes:
                 return no(note=f"multiples of u stabilize at {acc}")
             acc = nxt
-        return unknown(note=f"no finite multiple found up to {search_bound}")
+        return unknown(note=f"no finite multiple found up to {SEARCH_BOUND}")
 
     def sample_element(self, rng: random.Random) -> Any:
         raise NotImplementedError
@@ -294,7 +295,7 @@ def order_unit_check(m: KappaMonoid, u: Any, probes: Iterable[Any]) -> TriBool:
     if m.bound.mode == "below" and not m.bound.admissible_levels():
         # plain monoid: classic order-unit, bounded search over finite multiples
         for x in probes:
-            r = m.finite_multiple_leq(u, x, DEFAULT_SEARCH_BOUND)
+            r = m.finite_multiple_leq(u, x)
             if not r.is_yes:
                 return r
         return yes()
@@ -306,15 +307,11 @@ def order_unit_check(m: KappaMonoid, u: Any, probes: Iterable[Any]) -> TriBool:
     return yes()
 
 
-def size_of(
-    m: KappaMonoid, u: Any, x: Any, search_bound: int = DEFAULT_SEARCH_BOUND
-) -> ExtCard:
+def size_of(m: KappaMonoid, u: Any, x: Any) -> ExtCard:
     """0 if x <= n*u for some finite n, else the least infinite a with
     x <= a*u.  Raises SearchExhausted via Unknown when the finite search
     cannot be decided."""
-    from .errors import SearchExhausted
-
-    r = m.finite_multiple_leq(u, x, search_bound)
+    r = m.finite_multiple_leq(u, x)
     if r.is_yes:
         return ZERO
     if r.is_unknown:
@@ -425,11 +422,14 @@ class CyclicExtensionMonoid(KappaMonoid):
                 return fin(c)
         return None
 
-    def finite_multiple_leq(self, u: ExtCard, x: ExtCard, search_bound: int) -> TriBool:
+    def finite_multiple_leq(self, u: ExtCard, x: ExtCard) -> TriBool:
         x = self.canon(x)
         if x.is_infinite:
+            # only an infinite u helps, and then n*u = u for every n >= 1
+            if self.leq(x, u).is_yes:
+                return yes(witness=1)
             return no(note="infinite element exceeds every finite multiple")
-        return super().finite_multiple_leq(u, x, search_bound)
+        return super().finite_multiple_leq(u, x)
 
     def sample_element(self, rng: random.Random) -> ExtCard:
         levels = self.bound.admissible_levels()

@@ -114,16 +114,17 @@ class VecMonoid(KappaMonoid):
             out.append(d)
         return CardVec(tuple(out))
 
-    def finite_multiple_leq(self, u: CardVec, x: CardVec, search_bound: int) -> TriBool:
-        # exact: x <= n*u for some finite n iff coordinatewise x_i is finite
-        # wherever u_i > 0 and zero wherever u_i = 0
+    def finite_multiple_leq(self, u: CardVec, x: CardVec) -> TriBool:
+        # exact: x <= n*u for some finite n iff coordinatewise x_i is zero
+        # wherever u_i = 0, finite wherever u_i is finite, and at most u_i
+        # wherever u_i is infinite (n*u_i = u_i for n >= 1)
         need = 0
         for i in range(self.n):
             if x[i].is_zero:
                 continue
             if u[i].is_zero:
                 return no(note=f"coordinate {i}: {x[i]} vs 0 forever")
-            if x[i].is_infinite:
+            if x[i].is_infinite and not (u[i].is_infinite and x[i] <= u[i]):
                 return no(note=f"coordinate {i} is infinite")
             need = max(need, 1 if u[i].is_infinite else -(-x[i].n // u[i].n))
         return yes(witness=need)

@@ -87,12 +87,12 @@ class TrivialExtensionMonoid(KappaMonoid):
             return None
         return self.base.sub(a, b)
 
-    def finite_multiple_leq(self, u, x, search_bound: int) -> TriBool:
-        if isinstance(x, Inf):
-            return no(note="the top element exceeds every finite multiple")
+    def finite_multiple_leq(self, u, x) -> TriBool:
         if isinstance(u, Inf):
             return yes(witness=1)
-        return self.base.finite_multiple_leq(u, x, search_bound)
+        if isinstance(x, Inf):
+            return no(note="the top element exceeds every finite multiple")
+        return self.base.finite_multiple_leq(u, x)
 
     def sample_element(self, rng: random.Random):
         if rng.random() < 0.2:
@@ -200,12 +200,12 @@ class RationalLineMonoid(KappaMonoid):
             return None
         return QPoint.plain(a.q - b.q)
 
-    def finite_multiple_leq(self, u: QPoint, x: QPoint, search_bound: int) -> TriBool:
-        # exact by rational arithmetic; the search bound is never needed
-        if x.tag == "inf":
-            return no(note="top exceeds every finite multiple")
+    def finite_multiple_leq(self, u: QPoint, x: QPoint) -> TriBool:
+        # exact by rational arithmetic
         if u.tag == "inf":
             return yes(witness=1)
+        if x.tag == "inf":
+            return no(note="top exceeds every finite multiple")
         if x == self.zero:
             return yes(witness=0)
         if u.q == 0:
@@ -311,10 +311,13 @@ class DedekindVMonoid(KappaMonoid):
         )
         return RankClass(fin(a.rank.n - b.rank.n), diff)
 
-    def finite_multiple_leq(self, u: RankClass, x: RankClass, search_bound: int) -> TriBool:
+    def finite_multiple_leq(self, u: RankClass, x: RankClass) -> TriBool:
         # exact: a strictly smaller positive rank is always a summand, so the
-        # scan is bounded by the rank of x plus one
+        # scan is bounded by the rank of x plus one; n*u is u for n >= 1 when
+        # u has infinite rank
         if x.rank.is_infinite:
+            if u.rank.is_infinite and x.rank <= u.rank:
+                return yes(witness=1)
             return no(note="infinite rank exceeds every finite multiple")
         if u.rank.is_zero:
             return from_bool(x.rank.is_zero, witness=0)

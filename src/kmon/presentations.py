@@ -350,27 +350,9 @@ def in_add(
     for tgt, va, vb in _respecting_homs(p):
         pt = _apply_hom(tgt, va, vb, target)
         pb = _apply_hom(tgt, va, vb, base)
-        if _hom_blocks_in_add(tgt, pt, pb):
+        if tgt.finite_multiple_leq(pb, pt).is_no:
             return no(witness=(tgt.name, va, vb), note="homomorphism obstruction")
     return unknown(note=f"no witness with n <= {NCAP}")
-
-
-def _hom_blocks_in_add(t: CyclicExtensionMonoid, pt, pb) -> bool:
-    """In the target: pt <= n*pb for no finite n.  Multiples of a finite
-    class are eventually periodic, so a bounded scan is exact."""
-    span = 2 + (HOM_COEFF_CAP * NCAP if t.cyc.is_free else t.cyc.m + t.cyc.n)
-    if t.cyc.is_free:
-        if pb.is_zero:
-            return not pt.is_zero
-        if pt.is_infinite:
-            return pb.is_finite
-        return False
-    acc = t.zero
-    for _ in range(span + 1):
-        if t.leq(pt, acc).is_yes:
-            return False
-        acc = t.add(acc, pb)
-    return True
 
 
 # -- condition reports ----------------------------------------------------------

@@ -95,6 +95,11 @@ def test_verify_block_size_respects_lambda():
     # above aleph0 the block is small enough, but an omega block is finite
     r = verify(N0, ones, ones, cert, aleph(1))
     assert r.is_no and r.note == "omega blocks must have finite multiplicities"
+    # a collapsed block follows the same size rule and wording
+    big = fam((1, aleph(1)))
+    r = verify(N0, big, big, CollapsedCertificate(((big, big, fin(1)),)), aleph(1))
+    assert r.is_no and r.note == "block size aleph1 not below aleph1"
+    assert verify(N0, big, big, CollapsedCertificate(((big, big, fin(1)),)), aleph(2)).is_yes
 
 
 def test_finite_lambda_is_rejected():
@@ -496,7 +501,7 @@ def test_size_of_exhaustion_raises():
 
     m = TwoGenMonoid(TwoGenPresentation.of([]), budget=100)
     with pytest.raises(SearchExhausted):
-        size_of(m, X1, X2, search_bound=3)
+        size_of(m, X1, X2)
 
 
 def test_verify_unknown_propagates_from_tri_valued_equality():

@@ -163,6 +163,22 @@ def test_family_elements_outside_a_dio_monoid_exit_3(argv):
     assert out.startswith("parse error at 1:6: (2, 0) is not a member")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gallery-eval", "--fam", "fam {1*2}"],
+        ["axioms"],
+        ["braid-find", "--x", "fam {1*2}", "--y", "fam {2*1}"],
+        ["braid-check", "--x", "fam {1*2}", "--y", "fam {2*1}",
+         "--cert", "PREFIX\nB i={1*2} j={2*1} u=2 v'=0"],
+    ],
+)
+def test_hnp_predicate_outside_member_exits_3(argv):
+    code, out = invoke(argv + ["--monoid", "hnp(c=1)"])
+    assert code == 3
+    assert out.startswith(f"error: {argv[0]} requires a monoid")
+
+
 def test_family_members_of_a_dio_monoid_are_accepted():
     code, out = invoke(["gallery-eval", "--monoid", DIAGONAL, "--fam", "fam {(2,2)*aleph0, (1,1)*3}"])
     assert code == 0 and "(aleph0, aleph0)" in out

@@ -19,7 +19,15 @@ from kmon.core import (
 from kmon.diophantine import ConstraintSystem, DioMonoid
 from kmon.errors import BoundExceededError, PreconditionError
 from kmon.free_vectors import CardVec, VecMonoid
-from kmon.gallery import DedekindVMonoid, RationalLineMonoid, TrivialExtensionMonoid, plain_n0
+from kmon.gallery import (
+    INF,
+    QINF,
+    DedekindVMonoid,
+    QPoint,
+    RationalLineMonoid,
+    TrivialExtensionMonoid,
+    plain_n0,
+)
 from kmon.laws import check_axioms
 
 
@@ -100,6 +108,49 @@ def test_size_of():
     assert size_of(f2big, u, CardVec.of(aleph(1), ZERO)) == aleph(1)
 
 
+TRIV = TrivialExtensionMonoid(plain_n0())
+QLINE = RationalLineMonoid()
+DED = DedekindVMonoid((2,))
+F2BIG = VecMonoid(2, at_most(aleph(2)))
+
+
+@pytest.mark.parametrize(
+    "m,u,x",
+    [
+        (N0EXT, ALEPH0, ALEPH0),
+        (N0EXT, aleph(1), ALEPH0),
+        (F2, CardVec.of(ALEPH0, fin(1)), CardVec.of(ALEPH0, fin(3))),
+        (TRIV, INF, INF),
+        (QLINE, QINF, QINF),
+        (DED, DED.elem(ALEPH0), DED.elem(ALEPH0)),
+    ],
+    ids=["N0", "N0-aleph1", "vec2", "trivial", "qline", "dedekind"],
+)
+def test_infinite_x_below_one_copy_of_infinite_u(m, u, x):
+    # n*u = u for every n >= 1 on the infinite part, so x <= 1*u suffices
+    assert m.finite_multiple_leq(u, x).is_yes
+    assert size_of(m, u, x) == ZERO
+
+
+@pytest.mark.parametrize(
+    "m,u,x",
+    [
+        (N0EXT, fin(1), ALEPH0),
+        (N0EXT, ALEPH0, aleph(1)),
+        (F2, CardVec.fins(1, 1), CardVec.of(ALEPH0, fin(1))),
+        (F2BIG, CardVec.of(ALEPH0, fin(1)), CardVec.of(aleph(1), fin(1))),
+        (TRIV, fin(1), INF),
+        (QLINE, QPoint.plain(1), QINF),
+        (DED, DED.elem(1), DED.elem(ALEPH0)),
+        (DED, DED.elem(ALEPH0), DED.elem(aleph(1))),
+    ],
+    ids=["N0", "N0-aleph1", "vec2", "vec2-aleph1", "trivial", "qline", "dedekind",
+         "dedekind-aleph1"],
+)
+def test_infinite_x_above_every_finite_multiple(m, u, x):
+    assert m.finite_multiple_leq(u, x).is_no
+
+
 def test_absorb_big():
     u = CardVec.fins(1, 1)
     t = CardVec.of(ALEPH0, ALEPH0)
@@ -112,11 +163,11 @@ def test_in_add_monotone():
     x = CardVec.fins(2, 1)
     ys = [CardVec.fins(a, b) for a in range(4) for b in range(3)]
     for y in ys:
-        r = KappaMonoid.finite_multiple_leq(F2, x, y, 8)
+        r = KappaMonoid.finite_multiple_leq(F2, x, y)
         if r.is_yes:
             for yp in ys:
                 if F2.leq(yp, y).is_yes:
-                    assert KappaMonoid.finite_multiple_leq(F2, x, yp, 8).is_yes
+                    assert KappaMonoid.finite_multiple_leq(F2, x, yp).is_yes
 
 
 def test_check_axioms_pass_on_lawful_monoids():
