@@ -746,7 +746,9 @@ def braid_find(
 
 def _layered_find(m: KappaMonoid, xf: Family, yf: Family, budget: int) -> TriBool:
     """Canonical level split: one weighted layer per multiplicity level above
-    aleph0, plus a weight-one base layer for the rest."""
+    aleph0, plus a weight-one base layer for the rest.  The whole sums are
+    equal here, and another split may succeed where this one fails, so a
+    failing part gives Unknown, never No."""
     levels = sorted(
         {mult for _, mult in itertools.chain(xf, yf) if mult.is_infinite and mult != ALEPH0},
         key=lambda c: c.sort_key(),
@@ -764,10 +766,7 @@ def _layered_find(m: KappaMonoid, xf: Family, yf: Family, budget: int) -> TriBoo
     if len(base_x) or len(base_y):
         sub = braid_find(m, base_x, base_y, ALEPH0, budget)
         if not sub.is_yes:
-            return (
-                no(note=f"base layer: {sub.note}") if sub.is_no else
-                unknown(note=f"base layer: {sub.note}")
-            )
+            return unknown(note=f"base layer: {sub.note}")
         layers.append((FIN1, sub.witness))
     cert = LayeredCertificate(tuple(layers))
     r = verify(m, xf, yf, cert, ALEPH0)
@@ -795,8 +794,8 @@ def _collapsed_find(
     ry = Family.of((e, mult) for e, mult in yf if mult < lam)
     if len(rx) or len(ry):
         r = m.eq(m.ksum(rx), m.ksum(ry))
-        if r.is_no:
-            return no(note="small-multiplicity remainders have different sums")
+        if r.is_no:  # the whole sums are equal: another split may balance
+            return unknown(note="small-multiplicity remainders have different sums")
         if r.is_unknown:
             return unknown(note="remainder sum equality undecided")
         blocks.append((rx, ry, FIN1))

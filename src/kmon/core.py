@@ -429,6 +429,11 @@ class CyclicExtensionMonoid(KappaMonoid):
             if self.leq(x, u).is_yes:
                 return yes(witness=1)
             return no(note="infinite element exceeds every finite multiple")
+        if self.cyc.is_free and not u.is_zero:
+            # n*u is the integer n*u.n, or u itself for infinite u and n >= 1
+            if u.is_infinite:
+                return yes(witness=0 if x.is_zero else 1)
+            return yes(witness=-(-x.n // u.n))
         return super().finite_multiple_leq(u, x)
 
     def sample_element(self, rng: random.Random) -> ExtCard:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .cardinals import ALEPH0, ExtCard, ZERO, at_most, card_mul, card_sub_least, card_sum, fin
+from .cardinals import ALEPH0, ExtCard, Frozen, ZERO, at_most, card_mul, card_sub_least, card_sum, fin
 from .core import CyclicExtensionMonoid, CyclicMonoid, Family, KappaMonoid
 from .tribool import TriBool, no, unknown, yes
 
@@ -24,17 +24,36 @@ TCAP = 4  # range for slack-form coordinates
 HOM_COEFF_CAP = 8
 
 
-@dataclass(frozen=True)
-class Form:
-    """alpha*X1 + beta*X2 with both coefficients at most aleph0."""
+class Form(Frozen):
+    """alpha*X1 + beta*X2 with both coefficients at most aleph0.
 
-    a: ExtCard
-    b: ExtCard
+    The hash is computed once, at construction."""
 
-    def __post_init__(self):
-        for c in (self.a, self.b):
-            if c.is_infinite and c != ALEPH0:
-                raise ValueError("form coefficients are bounded by aleph0")
+    __slots__ = ("a", "b", "_hash")
+
+    def __init__(self, a: ExtCard, b: ExtCard):
+        if a.aleph_level or b.aleph_level:  # None is finite, 0 is aleph0
+            raise ValueError("form coefficients are bounded by aleph0")
+        init = object.__setattr__
+        init(self, "a", a)
+        init(self, "b", b)
+        init(self, "_hash", hash((a, b)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Form:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Form(a={self.a!r}, b={self.b!r})"
+
+    def __reduce__(self):
+        return Form, (self.a, self.b)
 
     @staticmethod
     def of(a, b) -> "Form":
@@ -151,11 +170,11 @@ def _successors(rules, f: Form, goal: Form):
         tb_choices, lossy_b = _slacks(f.b, ml.b, mr.b, goal.b)
         lossy = lossy or lossy_a or lossy_b
         for ta in ta_choices:
+            ga = ta + mr.a
             for tb in tb_choices:
-                t = Form(ta, tb)
-                g = t + mr
+                g = Form(ga, tb + mr.b)  # t + m*R with t = (ta, tb)
                 if g != f:
-                    out.append((g, (ridx, m, t)))
+                    out.append((g, (ridx, m, Form(ta, tb))))
     return out, lossy
 
 
@@ -213,10 +232,64 @@ def _respecting_homs(p: TwoGenPresentation):
                     yield t, va, vb
 
 
+class _Saturation:
+    """The facts of one presentation that the queries of one public call
+    share, each derived once: the presentation's structural flags, the
+    scaled rewrites, the relation-respecting homomorphisms and, in report
+    contexts, a memo of goal-free successor lists.
+
+    Every public entry builds one from a bare presentation, and the private
+    helpers pass it down in the presentation's place; it never outlives the
+    call that built it."""
+
+    __slots__ = ("p", "rigid", "preserving", "max_coord", "succ_memo", "_rules", "_homs", "_hom_gen")
+
+    def __init__(self, p: TwoGenPresentation, memo: bool):
+        self.p = p
+        self.rigid = p.finite_forms_rigid
+        self.preserving = p.class_preserving
+        self.max_coord = p.max_finite_coord()
+        # node -> sorted successors, for expansions that were not lossy:
+        # _slacks reads the goal only when it reports a loss
+        self.succ_memo: Optional[dict] = {} if memo else None
+        self._rules = None
+        self._homs: list = []
+        self._hom_gen = _respecting_homs(p)  # runs only as far as it is read
+
+    def rules(self) -> list:
+        """The rewrites (relation index, m, m*L, m*R), built on first use."""
+        if self._rules is None:
+            self._rules = [
+                (ridx, m, l.scale(m), r.scale(m))
+                for ridx, (l, r) in enumerate(self.p.relations)
+                for m in _MULTIPLIERS
+            ]
+        return self._rules
+
+    def homs(self):
+        """``_respecting_homs(p)`` in its order, each one tested once: the
+        list is extended only as far as some caller reads it."""
+        i = 0
+        while True:
+            if i == len(self._homs):
+                h = next(self._hom_gen, None)
+                if h is None:
+                    return
+                self._homs.append(h)
+            yield self._homs[i]
+            i += 1
+
+
+def _saturation(p, memo: bool = True) -> _Saturation:
+    """The context a public entry was handed, or a new one for a bare
+    presentation."""
+    return p if isinstance(p, _Saturation) else _Saturation(p, memo)
+
+
 def find_separating_hom(p: TwoGenPresentation, f: Form, g: Form):
     """A homomorphism into a small cyclic-extension monoid that respects all
     relations but distinguishes f from g; a replayable negative witness."""
-    for t, va, vb in _respecting_homs(p):
+    for t, va, vb in _saturation(p).homs():
         if not t.eq(_apply_hom(t, va, vb, f), _apply_hom(t, va, vb, g)).is_yes:
             return (t.name, va, vb)
     return None
@@ -235,28 +308,27 @@ def forms_equal(
     """
     if f == g:
         return yes(witness=[])
+    s = _saturation(p, memo=False)
+    p = s.p
     if not p.relations:
         return no(note="free presentation: distinct forms differ")
-    if p.finite_forms_rigid and not f.is_infinite and not g.is_infinite:
+    if s.rigid and not f.is_infinite and not g.is_infinite:
         return no(note="finite forms are rigid under these relations")
-    if p.class_preserving and (f.is_infinite != g.is_infinite):
+    if s.preserving and (f.is_infinite != g.is_infinite):
         return no(note="rewrites preserve the finite/infinite class")
 
     # bounded congruence saturation, breadth-first, shortest chain first
     coord_cap = (
         max(
-            p.max_finite_coord() * 2,
+            s.max_coord * 2,
             *(c.n for c in (f.a, f.b, g.a, g.b) if c.is_finite),
             4,
         )
         + 2 * TCAP
         + 8
     )
-    rules = [
-        (ridx, m, l.scale(m), r.scale(m))
-        for ridx, (l, r) in enumerate(p.relations)
-        for m in _MULTIPLIERS
-    ]
+    rules = s.rules()
+    memo = s.succ_memo
     seen = {f: None}
     frontier = [f]
     expanded = 0
@@ -268,9 +340,15 @@ def forms_equal(
                 nxt.extend(frontier[pos:])
                 break
             expanded += 1
-            succs, lossy = _successors(rules, cur, g)
-            pruned = pruned or lossy
-            for succ, step in sorted(succs, key=lambda s: s[0].sort_key()):
+            succs = memo.get(cur) if memo is not None else None
+            if succs is None:
+                succs, lossy = _successors(rules, cur, g)
+                succs.sort(key=lambda e: e[0].sort_key())
+                if lossy:
+                    pruned = True
+                elif memo is not None:
+                    memo[cur] = succs
+            for succ, step in succs:
                 if any(c.is_finite and c.n > coord_cap for c in (succ.a, succ.b)):
                     pruned = True
                     continue
@@ -293,7 +371,7 @@ def forms_equal(
         # the whole equivalence class was enumerated and g is not in it
         return no(note="equivalence class exhausted without reaching the target")
 
-    hom = find_separating_hom(p, f, g)
+    hom = find_separating_hom(s, f, g)
     if hom is not None:
         return no(witness=hom, note="separating homomorphism")
     return unknown(note=f"saturation budget {budget} exhausted")
@@ -311,6 +389,8 @@ def in_add(
     """Is target a summand of some finite multiple of base?"""
     if target.is_zero:
         return yes(witness=(0, FORM_ZERO, []))
+    s = _saturation(p)
+    p = s.p
     # exact closed forms first
     if not p.relations:
         ok = True
@@ -323,8 +403,8 @@ def in_add(
         if not ok:
             return no(note="free presentation: a coordinate can never be covered")
     if (
-        p.finite_forms_rigid
-        and p.class_preserving
+        s.rigid
+        and s.preserving
         and not base.is_infinite
         and p.relations
     ):
@@ -340,14 +420,14 @@ def in_add(
     mult = FORM_ZERO
     for n in range(NCAP + 1):
         for t in _T_GRID:
-            r = forms_equal(p, target + t, mult, per_try)
+            r = forms_equal(s, target + t, mult, per_try)
             if r.is_yes:
                 return yes(witness=(n, t, r.witness))
         mult = mult + base
 
     # homomorphism obstruction: some respecting hom sends target outside
     # every multiple of base
-    for tgt, va, vb in _respecting_homs(p):
+    for tgt, va, vb in s.homs():
         pt = _apply_hom(tgt, va, vb, target)
         pb = _apply_hom(tgt, va, vb, base)
         if tgt.finite_multiple_leq(pb, pt).is_no:
@@ -393,13 +473,13 @@ class RealizabilityReport:
         return None
 
 
-def _cyclic_witness(p: TwoGenPresentation, budget: int):
+def _cyclic_witness(s: _Saturation, budget: int):
     """A generator expressible through the other one, if that is decidable."""
     per = max(200, budget // 24)
     open_pair = None
     for i, j in ((1, 2), (2, 1)):
         for beta in [fin(k) for k in range(NCAP + 1)] + [ALEPH0]:
-            r = forms_equal(p, gen(i), gen(j).scale(beta), per)
+            r = forms_equal(s, gen(i), gen(j).scale(beta), per)
             if r.is_yes:
                 return ("cyclic", i, j, beta, r.witness)
             if r.is_unknown and open_pair is None:
@@ -409,9 +489,9 @@ def _cyclic_witness(p: TwoGenPresentation, budget: int):
     return ("non-cyclic", None, None, None, None)
 
 
-def _adds(p: TwoGenPresentation, budget: int) -> dict:
+def _adds(s: _Saturation, budget: int) -> dict:
     """The answers to X1 in add(X2) and X2 in add(X1), keyed (i, j)."""
-    return {(i, j): in_add(p, gen(i), gen(j), budget) for i, j in ((1, 2), (2, 1))}
+    return {(i, j): in_add(s, gen(i), gen(j), budget) for i, j in ((1, 2), (2, 1))}
 
 
 def realizable_two_gen(
@@ -421,16 +501,17 @@ def realizable_two_gen(
     three conditions (absorption forces divisor membership; equal infinite
     forms with incomparable generators reduce to finite equalities; no mixed
     finite/infinite element), for both generator orders."""
-    return _three_conditions(p, budget, lambda: _adds(p, budget))
+    s = _saturation(p)
+    return _three_conditions(s, budget, lambda: _adds(s, budget))
 
 
 def _three_conditions(
-    p: TwoGenPresentation, budget: int, get_adds: Callable[[], dict]
+    s: _Saturation, budget: int, get_adds: Callable[[], dict]
 ) -> RealizabilityReport:
     """realizable_two_gen with the ``_adds`` answers taken from ``get_adds()``,
     which is called only once the presentation is not known to be cyclic."""
     rep = RealizabilityReport(verdict=unknown())
-    kind, ci, cj, cbeta, cchain = _cyclic_witness(p, budget)
+    kind, ci, cj, cbeta, cchain = _cyclic_witness(s, budget)
     if kind == "cyclic":
         rep.notes.append(
             f"presentation is cyclic: X{ci} = {cbeta}*X{cj};"
@@ -442,7 +523,7 @@ def _three_conditions(
         # cyclic criterion: realizable iff aleph0*x != n*x for every finite n
         x = gen(cj)
         per = max(200, budget // (NCAP + 2))
-        if p.class_preserving and not x.is_zero:
+        if s.preserving and not x.is_zero:
             rep.verdict = yes(note="cyclic with aleph0*x distinct from all n*x")
             rep.conditions.append(
                 ConditionStatus(
@@ -454,7 +535,7 @@ def _three_conditions(
             )
             return rep
         for n in range(NCAP + 1):
-            r = forms_equal(p, x.scale(ALEPH0), x.scale(fin(n)), per)
+            r = forms_equal(s, x.scale(ALEPH0), x.scale(fin(n)), per)
             if r.is_yes:
                 rep.verdict = no(witness=n, note=f"aleph0*x = {n}*x")
                 rep.conditions.append(
@@ -474,7 +555,7 @@ def _three_conditions(
     per = max(200, budget // 64)
 
     # (iii) no element with both finite and infinite forms
-    if p.class_preserving:
+    if s.preserving:
         rep.conditions.append(
             ConditionStatus(
                 "(iii) finite/infinite separation",
@@ -491,7 +572,7 @@ def _three_conditions(
                 (ff, gg)
                 for ff in grid_fin
                 for gg in grid_inf
-                if forms_equal(p, ff, gg, per).is_yes
+                if forms_equal(s, ff, gg, per).is_yes
             ),
             None,
         )
@@ -520,9 +601,9 @@ def _three_conditions(
         name_i = f"(i) i={i},j={j}"
         status = None
         for n in range(NCAP + 1):
-            prem = forms_equal(p, gen(i).scale(fin(n)) + inf_j, both_inf, per)
+            prem = forms_equal(s, gen(i).scale(fin(n)) + inf_j, both_inf, per)
             if prem.is_yes:
-                concl1 = forms_equal(p, inf_j, both_inf, per)
+                concl1 = forms_equal(s, inf_j, both_inf, per)
                 concl2 = adds[(i, j)]
                 if concl1.is_yes and concl2.is_yes:
                     status = ConditionStatus(name_i, "holds", True, n)
@@ -547,7 +628,7 @@ def _three_conditions(
         if status is None:
             # if aleph0*x_j absorbs one copy of x_i, the premise does not
             # depend on n, so the n = 0 verdict settles every n
-            exact = not p.relations or forms_equal(p, gen(i) + inf_j, inf_j, per).is_yes
+            exact = not s.p.relations or forms_equal(s, gen(i) + inf_j, inf_j, per).is_yes
             status = ConditionStatus(
                 name_i,
                 "holds",
@@ -578,14 +659,14 @@ def _three_conditions(
                 for mth in range(NCAP + 1)
                 for nth in range(mth + 1, NCAP + 1)
                 if forms_equal(
-                    p,
+                    s,
                     gen(i).scale(fin(mth)) + inf_j,
                     gen(i).scale(fin(nth)) + inf_j,
                     per,
                 ).is_yes
                 and not any(
                     forms_equal(
-                        p,
+                        s,
                         gen(i).scale(fin(mth)) + gen(j).scale(fin(k)),
                         gen(i).scale(fin(nth)) + gen(j).scale(fin(kp)),
                         per,
@@ -600,14 +681,14 @@ def _three_conditions(
             status = ConditionStatus(
                 name_ii,
                 "violated",
-                p.finite_forms_rigid and p.class_preserving,
+                s.rigid and s.preserving,
                 unmatched,
                 detail="no finite equality matches the infinite one",
             )
         else:
             # no range-independence argument is available for the premises
             # of (ii) beyond the free case
-            exact = not p.relations
+            exact = not s.p.relations
             status = ConditionStatus(
                 name_ii,
                 "holds",
@@ -633,9 +714,10 @@ def corollary_checks(p: TwoGenPresentation, budget: int = 10_000) -> Realizabili
     """Classify the presentation by how the generators' divisor-closed
     submonoids relate, evaluate the case-specific equivalents, and
     cross-check agreement with the main decider where both decide."""
-    adds = _adds(p, budget)
-    rep = _corollary_cases(p, budget, adds)
-    main = _three_conditions(p, budget, lambda: adds)
+    s = _saturation(p)
+    adds = _adds(s, budget)
+    rep = _corollary_cases(s, budget, adds)
+    main = _three_conditions(s, budget, lambda: adds)
     if rep.verdict.decided and main.verdict.decided:
         agree = rep.verdict.kind == main.verdict.kind
         rep.conditions.append(
@@ -655,7 +737,7 @@ def corollary_checks(p: TwoGenPresentation, budget: int = 10_000) -> Realizabili
     return rep
 
 
-def _corollary_cases(p: TwoGenPresentation, budget: int, adds: dict) -> RealizabilityReport:
+def _corollary_cases(s: _Saturation, budget: int, adds: dict) -> RealizabilityReport:
     rep = RealizabilityReport(verdict=unknown())
     a12, a21 = adds[(1, 2)], adds[(2, 1)]
     per = max(200, budget // 64)
@@ -668,14 +750,14 @@ def _corollary_cases(p: TwoGenPresentation, budget: int, adds: dict) -> Realizab
     if a12.is_no and a21.is_no:
         rep.notes.append("case: incomparable generators")
         ok = True
-        exact = not p.relations
+        exact = not s.p.relations
         witness = None
         coeffs = [fin(k) for k in range(4)] + [ALEPH0]
         for i, j in ((1, 2), (2, 1)):
             for a1, b1, a2, b2 in itertools.product(coeffs, repeat=4):
                 f1 = gen(i).scale(a1) + gen(j).scale(b1)
                 f2 = gen(i).scale(a2) + gen(j).scale(b2)
-                if not forms_equal(p, f1, f2, per).is_yes:
+                if not forms_equal(s, f1, f2, per).is_yes:
                     continue
                 if a1.is_finite != a2.is_finite:
                     ok, witness = False, (i, j, f1, f2)
@@ -683,7 +765,7 @@ def _corollary_cases(p: TwoGenPresentation, budget: int, adds: dict) -> Realizab
                 if a1.is_infinite and a2.is_infinite:
                     found = any(
                         forms_equal(
-                            p,
+                            s,
                             gen(i).scale(fin(m1)) + gen(j).scale(b1),
                             gen(i).scale(fin(m2)) + gen(j).scale(b2),
                             per,
@@ -709,7 +791,7 @@ def _corollary_cases(p: TwoGenPresentation, budget: int, adds: dict) -> Realizab
         rep.notes.append("case: add(X1) = add(X2)")
         pats = [Form(ALEPH0, ZERO), Form(ZERO, ALEPH0), Form(ALEPH0, ALEPH0)]
         uniq = all(
-            forms_equal(p, f1, f2, per).is_yes
+            forms_equal(s, f1, f2, per).is_yes
             for f1, f2 in itertools.combinations(pats, 2)
         )
         rep.conditions.append(
@@ -720,7 +802,7 @@ def _corollary_cases(p: TwoGenPresentation, budget: int, adds: dict) -> Realizab
                 detail="infinite patterns collapse" if uniq else "",
             )
         )
-        sep = p.class_preserving
+        sep = s.preserving
         rep.conditions.append(
             ConditionStatus(
                 "equal-adds case: no finite/infinite clash",
@@ -738,7 +820,7 @@ def _corollary_cases(p: TwoGenPresentation, budget: int, adds: dict) -> Realizab
         # aleph0 x_j absorbs every multiple of x_i
         absorb = all(
             forms_equal(
-                p, gen(j).scale(ALEPH0) + gen(i).scale(b), gen(j).scale(ALEPH0), per
+                s, gen(j).scale(ALEPH0) + gen(i).scale(b), gen(j).scale(ALEPH0), per
             ).is_yes
             for b in [fin(1), fin(2), ALEPH0]
         )
@@ -754,7 +836,7 @@ def _corollary_cases(p: TwoGenPresentation, budget: int, adds: dict) -> Realizab
         for nn in range(3):
             for beta in [fin(k) for k in range(3)] + [ALEPH0]:
                 prem = forms_equal(
-                    p,
+                    s,
                     gen(i).scale(ALEPH0) + gen(j).scale(fin(nn)),
                     gen(i).scale(ALEPH0) + gen(j).scale(beta),
                     per,
@@ -766,7 +848,7 @@ def _corollary_cases(p: TwoGenPresentation, budget: int, adds: dict) -> Realizab
                     break
                 found = any(
                     forms_equal(
-                        p,
+                        s,
                         gen(i).scale(fin(m1)) + gen(j).scale(beta),
                         gen(i).scale(fin(m2)) + gen(j).scale(fin(nn)),
                         per,
@@ -779,7 +861,7 @@ def _corollary_cases(p: TwoGenPresentation, budget: int, adds: dict) -> Realizab
                     break
             if not ok:
                 break
-        sep = p.class_preserving
+        sep = s.preserving
         rep.conditions.append(
             ConditionStatus(
                 "one-sided case: infinite equalities reduce and classes separate",

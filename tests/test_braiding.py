@@ -610,3 +610,33 @@ def test_braid_find_soundness_property(x, y):
     elif r.is_no:
         cx, cy = x.index_card(), y.index_card()
         assert cx.is_finite != cy.is_finite or F2.ksum(x) != F2.ksum(y)
+
+
+def test_failed_canonical_split_above_aleph0_is_unknown_not_no():
+    # the whole sums agree, and a certificate exists for another split, so a
+    # failing part of the canonical split is no obstruction
+    m = VecMonoid(2, at_most(aleph(1)))
+    v = CardVec.fins
+    x = Family.of([(v(1, 1), aleph(1)), (v(1, 0), fin(1))])
+    y = Family.of([(v(1, 1), aleph(1))])
+    r = braid_find(m, x, y)
+    assert r.is_unknown and r.note == "base layer: sums differ"
+    r = braid_find(m, x, y, aleph(1))
+    assert r.is_unknown and r.note == "small-multiplicity remainders have different sums"
+
+    def one(*pairs):
+        return Family.of([(e, fin(k) if isinstance(k, int) else k) for e, k in pairs])
+
+    countable = OmegaCertificate(
+        (BraidBlock(one((v(1, 0), 1), (v(1, 1), 1)), one((v(1, 1), 2)), v(2, 1), v(0, 1)),),
+        (BraidBlock(one((v(1, 1), 1)), one((v(1, 1), 1)), v(1, 0), v(0, 1)),),
+    )
+    big = OmegaCertificate((), (BraidBlock(one((v(1, 1), 1)), one((v(1, 1), 1)), v(1, 1), v(0, 0)),))
+    assert verify(m, x, y, LayeredCertificate(((fin(1), countable), (aleph(1), big)))).is_yes
+    collapsed = CollapsedCertificate(
+        (
+            (one((v(1, 0), 1), (v(1, 1), W)), one((v(1, 1), W)), fin(1)),
+            (one((v(1, 1), 1)), one((v(1, 1), 1)), aleph(1)),
+        )
+    )
+    assert verify(m, x, y, collapsed, aleph(1)).is_yes

@@ -151,6 +151,25 @@ def test_infinite_x_above_every_finite_multiple(m, u, x):
     assert m.finite_multiple_leq(u, x).is_no
 
 
+def test_free_n0_finite_multiples_are_exact():
+    # x <= ceil(x/u)*u in N0, found without the bounded scan
+    r = N0EXT.finite_multiple_leq(fin(1), fin(100))
+    assert r.is_yes and r.witness == 100
+    assert size_of(N0EXT, fin(1), fin(100)) == ZERO
+    assert order_unit_check(plain_n0(), fin(1), [fin(100)]).is_yes
+    assert N0EXT.finite_multiple_leq(fin(7), fin(100)).witness == 15
+    # the closed form agrees with the generic scan wherever the scan decides
+    values = [fin(k) for k in range(41)] + [ALEPH0]
+    for u in values:
+        for x in values:
+            scan = KappaMonoid.finite_multiple_leq(N0EXT, u, x)
+            if scan.decided:
+                r = N0EXT.finite_multiple_leq(u, x)
+                assert (r.kind, r.witness) == (scan.kind, scan.witness), (u, x)
+                if u.is_zero and x.is_finite and not x.is_zero:
+                    assert r.note == scan.note
+
+
 def test_absorb_big():
     u = CardVec.fins(1, 1)
     t = CardVec.of(ALEPH0, ALEPH0)

@@ -1,9 +1,11 @@
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from kmon import presentations
-from kmon.cardinals import ALEPH0, ZERO, fin
+from kmon.cardinals import ALEPH0, ZERO, aleph, fin
 from kmon.dsl import parse_presentation
 from kmon.presentations import (
     Form,
@@ -281,3 +283,80 @@ def test_corollary_cross_check_runs_and_agrees():
         assert rep.verdict.kind == kind, rep.render()
         cc = rep.condition("cross-check against the three-condition decider")
         assert cc is not None and cc.status == "holds"
+
+
+def _answers(p, pairs, budget):
+    """(kind, note, witness) of forms_equal over ``pairs`` within one shared
+    report context, and from fresh one-shot calls."""
+    s = presentations._Saturation(p, memo=True)
+    shared = [forms_equal(s, f, g, budget) for f, g in pairs]
+    fresh = [forms_equal(p, f, g, budget) for f, g in pairs]
+    return (
+        [(r.kind, r.note, repr(r.witness)) for r in shared],
+        [(r.kind, r.note, repr(r.witness)) for r in fresh],
+    )
+
+
+ALEPH0_ABSORBS_ONE = TwoGenPresentation.of([(Form.of(W, 0), Form.of(1, 0))])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [ALEPH0_ABSORBS_ONE, TwoGenPresentation.of([(Form.of(2, 3), Form.of(3, 2))])],
+    ids=["aleph0-absorbs", "trade"],
+)
+def test_shared_context_answers_match_fresh_calls(p):
+    coeffs = [0, 1, 2, W]
+    grid = [Form.of(a, b) for a in coeffs for b in coeffs] + [Form.of(9, 0), Form.of(5, 4)]
+    pairs = [(f, g) for f in grid for g in grid]
+    for order in (pairs, pairs[::-1]):
+        shared, fresh = _answers(p, order, 300)
+        assert shared == fresh
+
+
+def test_shared_context_keeps_goal_aligned_slack():
+    # aleph0*X1 -> 9*X1 takes the goal-aligned slack 8, beyond the cap, so
+    # that expansion is lossy and must not be memoised for another goal
+    f, near, far = Form.of(W, 0), Form.of(3, 0), Form.of(9, 0)
+    shared, fresh = _answers(ALEPH0_ABSORBS_ONE, [(f, near), (f, far), (f, near)], 300)
+    assert shared == fresh
+    r = forms_equal(ALEPH0_ABSORBS_ONE, f, far, 300)
+    assert r.is_yes and r.witness[0][1][2] == Form.of(8, 0)
+
+
+def test_report_derives_presentation_facts_once(monkeypatch):
+    # within one report, goal-free expansions are memoised and the
+    # respecting homomorphisms are tested once (a fresh derivation per
+    # forms_equal call made 6,182 expansions and 657 homomorphism scans)
+    counts = {"succ": 0, "homs": 0}
+    successors, homs = presentations._successors, presentations._respecting_homs
+
+    def counted_successors(*args):
+        counts["succ"] += 1
+        return successors(*args)
+
+    def counted_homs(*args):
+        counts["homs"] += 1
+        return homs(*args)
+
+    monkeypatch.setattr(presentations, "_successors", counted_successors)
+    monkeypatch.setattr(presentations, "_respecting_homs", counted_homs)
+    rep = realizable_two_gen(parse_presentation("twogen { rel: aleph0*X1 = 1*X1; }"), 10_000)
+    assert rep.verdict.is_no
+    assert counts["succ"] < 1500
+    assert counts["homs"] == 1
+
+
+def test_form_contract():
+    with pytest.raises(ValueError):
+        Form(aleph(1), ZERO)
+    with pytest.raises(ValueError):
+        X1.scale(aleph(1))
+    f = Form.of(3, W)
+    assert repr(f) == "Form(a=fin(3), b=aleph(0))"
+    assert str(f) == "3*X1 + aleph0*X2"
+    assert f == Form(fin(3), ALEPH0) and hash(f) == hash(Form(fin(3), ALEPH0))
+    assert f != Form.of(W, 3) and f != (fin(3), ALEPH0)
+    assert pickle.loads(pickle.dumps(f)) == f
+    with pytest.raises(FrozenInstanceError):
+        f.a = ZERO
