@@ -7,6 +7,10 @@ finite and countable multipliers, which subsumes the absorption rewrites);
 negative answers carry a separating homomorphism into a small concrete
 monoid, and structural preconditions (rigid finite forms, finiteness-class
 preservation) upgrade bounded answers to exact ones where they apply.
+
+Saturation runs until its first pruned expansion; the search for a separating
+homomorphism runs then, once, since a pruned search can no longer exhaust the
+class and no rewrite changes a form's image under a respecting homomorphism.
 """
 
 from __future__ import annotations
@@ -215,8 +219,18 @@ def _hom_values(t: CyclicExtensionMonoid) -> list[ExtCard]:
     return vals + [ALEPH0]
 
 
-def _apply_hom(t: CyclicExtensionMonoid, va, vb, f: Form):
-    return t.raw_ksum(Family.of([(va, f.a), (vb, f.b)]))
+def _apply_hom(t: CyclicExtensionMonoid, va, vb, f: Form) -> ExtCard:
+    """The canonical image f.a*va + f.b*vb of f under X1 -> va, X2 -> vb:
+    aleph0 once an infinite factor meets a nonzero one, otherwise the
+    integer sum's class (all hom values and coefficients are <= aleph0)."""
+    total = 0
+    for v, c in ((va, f.a), (vb, f.b)):
+        if v.is_zero or c.is_zero:
+            continue
+        if v.is_infinite or c.is_infinite:
+            return ALEPH0
+        total += v.n * c.n
+    return fin(t.cyc.canon(total))
 
 
 def _respecting_homs(p: TwoGenPresentation):
@@ -226,7 +240,7 @@ def _respecting_homs(p: TwoGenPresentation):
         for va in _hom_values(t):
             for vb in _hom_values(t):
                 if all(
-                    t.eq(_apply_hom(t, va, vb, l), _apply_hom(t, va, vb, r)).is_yes
+                    _apply_hom(t, va, vb, l) == _apply_hom(t, va, vb, r)
                     for l, r in p.relations
                 ):
                     yield t, va, vb
@@ -290,7 +304,7 @@ def find_separating_hom(p: TwoGenPresentation, f: Form, g: Form):
     """A homomorphism into a small cyclic-extension monoid that respects all
     relations but distinguishes f from g; a replayable negative witness."""
     for t, va, vb in _saturation(p).homs():
-        if not t.eq(_apply_hom(t, va, vb, f), _apply_hom(t, va, vb, g)).is_yes:
+        if _apply_hom(t, va, vb, f) != _apply_hom(t, va, vb, g):
             return (t.name, va, vb)
     return None
 
@@ -340,6 +354,7 @@ def forms_equal(
                 nxt.extend(frontier[pos:])
                 break
             expanded += 1
+            was_pruned = pruned
             succs = memo.get(cur) if memo is not None else None
             if succs is None:
                 succs, lossy = _successors(rules, cur, g)
@@ -366,14 +381,21 @@ def forms_equal(
                     assert replay_chain(p, f, g, chain)
                     return yes(witness=chain)
                 nxt.append(succ)
+            if pruned and not was_pruned:
+                # a pruned search can no longer exhaust the class, and every
+                # rewrite keeps the images under respecting homomorphisms, so
+                # one that separates f from g settles the answer now
+                hom = find_separating_hom(s, f, g)
+                if hom is not None:
+                    return no(witness=hom, note="separating homomorphism")
         frontier = nxt
-    if not frontier and not pruned:
-        # the whole equivalence class was enumerated and g is not in it
-        return no(note="equivalence class exhausted without reaching the target")
-
-    hom = find_separating_hom(s, f, g)
-    if hom is not None:
-        return no(witness=hom, note="separating homomorphism")
+    if not pruned:
+        if not frontier:
+            # the whole equivalence class was enumerated and g is not in it
+            return no(note="equivalence class exhausted without reaching the target")
+        hom = find_separating_hom(s, f, g)  # not yet tried: nothing was pruned
+        if hom is not None:
+            return no(witness=hom, note="separating homomorphism")
     return unknown(note=f"saturation budget {budget} exhausted")
 
 
@@ -903,8 +925,9 @@ class TwoGenMonoid(KappaMonoid):
         db = card_sub_least(x.b, y.b)
         if da is not None and db is not None:
             return Form(da, db)
+        s = _saturation(self.p)
         for t in _T_GRID:
-            if self.eq(y + t, x).is_yes:
+            if forms_equal(s, y + t, x, self.budget).is_yes:
                 return t
         return None
 

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import random
 from dataclasses import FrozenInstanceError
@@ -6,6 +7,7 @@ import pytest
 
 from kmon import presentations
 from kmon.cardinals import ALEPH0, ZERO, aleph, fin
+from kmon.core import Family
 from kmon.dsl import parse_presentation
 from kmon.presentations import (
     Form,
@@ -15,6 +17,7 @@ from kmon.presentations import (
     X1,
     X2,
     corollary_checks,
+    find_separating_hom,
     forms_equal,
     in_add,
     realizable_two_gen,
@@ -345,6 +348,75 @@ def test_report_derives_presentation_facts_once(monkeypatch):
     assert rep.verdict.is_no
     assert counts["succ"] < 1500
     assert counts["homs"] == 1
+
+
+def test_closed_form_hom_images_match_the_monoid_sum():
+    coeffs = [fin(k) for k in range(5)] + [W]
+    forms = [Form(a, b) for a in coeffs for b in coeffs]
+    for t in presentations._TARGETS:
+        vals = presentations._hom_values(t)
+        for va in vals:
+            for vb in vals:
+                for f in forms:
+                    want = t.raw_ksum(Family.of([(va, f.a), (vb, f.b)]))
+                    assert presentations._apply_hom(t, va, vb, f) == want, (t.name, va, vb, f)
+
+
+def _query_stream(n=300, seed=20261018):
+    """One-shot forms_equal queries drawn like the twogen benchmark's: one
+    relation and two forms, every coefficient in {0, 1, 2, 3, aleph0}."""
+    rng = random.Random(seed)
+    cards = [fin(0), fin(1), fin(2), fin(3), W]
+
+    def form():
+        return Form(rng.choice(cards), rng.choice(cards))
+
+    out = []
+    for _ in range(n):
+        p = TwoGenPresentation.of([(form(), form())])
+        out.append((p, form(), form()))
+    return out
+
+
+def test_query_stream_answers_are_pinned():
+    # the sha256 was computed before the homomorphism check moved ahead of
+    # the end of saturation: every kind, note and witness must stay the same
+    qs = _query_stream()
+    answers = [forms_equal(p, f, g) for p, f, g in qs]
+    answers += [in_add(p, a, b) for p, _, _ in qs[:10] for a, b in ((X1, X2), (X2, X1))]
+    digest = hashlib.sha256("\n".join(map(repr, answers)).encode()).hexdigest()
+    assert digest == "01c01875cdd2d25d4b831d37b5b5bb1a84f16f1f3e7ce7d6b1a7359cfa3f981d"
+
+
+def test_separating_hom_answers_name_the_first_separating_hom():
+    seen = 0
+    for p, f, g in _query_stream():
+        r = forms_equal(p, f, g)
+        if r.note == "separating homomorphism":
+            seen += 1
+            assert r.witness == find_separating_hom(p, f, g)
+    assert seen == 89
+    # the budget runs out at one unpruned expansion: the check still runs
+    p = TwoGenPresentation.of([(Form.of(1, 0), Form.of(3, W))])
+    r = forms_equal(p, Form.of(1, 1), Form.of(0, 1), budget=1)
+    assert r.note == "separating homomorphism"
+    assert r.witness == ("cyclic-ext(N0)", W, fin(0))
+
+
+def test_two_gen_monoid_sub_builds_one_context(monkeypatch):
+    built = []
+    init = presentations._Saturation.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(presentations._Saturation, "__init__", counted_init)
+    m = TwoGenMonoid(TwoGenPresentation.of([(Form.of(2, 3), Form.of(3, 2))]))
+    assert m.sub(Form.of(1, 0), Form.of(0, 1)) is None  # all 36 slacks tried
+    assert len(built) == 1
+    assert m.sub(Form.of(3, 2), Form.of(0, 3)) == Form.of(2, 0)  # 0*X1 + 3*X2 + t = 2*X1 + 3*X2
+    assert len(built) == 2
 
 
 def test_form_contract():
