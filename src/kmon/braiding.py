@@ -11,6 +11,7 @@ block-sum-equality form that the relation degenerates to above aleph0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -608,10 +609,11 @@ def _cycle_counts(m: KappaMonoid, sx: "_Stream", sy: "_Stream", cap: int):
     solved by a small box scan whose first point is the answer."""
     _, xtot = _units(m, sx.cycle)
     _, ytot = _units(m, sy.cycle)
+    ymult = functools.cache(lambda b: m.scalar(fin(b), ytot))
     for a in range(1, cap + 1):
         asum = m.scalar(fin(a), xtot)
         for b in range(1, cap + 1):
-            if m.eq(asum, m.scalar(fin(b), ytot)).is_yes:
+            if m.eq(asum, ymult(b)).is_yes:
                 return {e: a for e in sx.cycle}, {e: b for e in sy.cycle}
     vals = sx.cycle + sy.cycle
     if (
@@ -652,10 +654,13 @@ def _uniform_omega(m: KappaMonoid, sx: _Stream, sy: _Stream) -> Optional[OmegaCe
         return OmegaCertificate((), (cycle_block,))
     _, hx = _units(m, sx.head)
     _, hy = _units(m, sy.head)
+    # each multiple and each right-hand side is computed once, on first use
+    mult = functools.cache(lambda k: m.scalar(fin(k), block_sum))
+    right = functools.cache(lambda ky: m.add(hy, mult(ky)))
     for kx in range(SCALE_CAP + 1):
-        left = m.add(hx, m.scalar(fin(kx), block_sum))
+        left = m.add(hx, mult(kx))
         for ky in range(SCALE_CAP + 1):
-            if m.eq(left, m.add(hy, m.scalar(fin(ky), block_sum))).is_yes:
+            if m.eq(left, right(ky)).is_yes:
                 prefix = BraidBlock(
                     Family.of(
                         [(e, FIN1) for e in sx.head]

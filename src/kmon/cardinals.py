@@ -96,7 +96,11 @@ class ExtCard(Frozen):
         return self._key > other._key
 
     def __add__(self, other: "ExtCard") -> "ExtCard":
-        return card_sum([(self, FIN1), (other, FIN1)])
+        # card_sum of the two, in closed form: the larger aleph absorbs
+        a, b = self.aleph_level, other.aleph_level
+        if a is None:
+            return fin(self.n + other.n) if b is None else _ALEPHS[b]
+        return _ALEPHS[a if b is None or b < a else b]
 
     def __mul__(self, other: "ExtCard") -> "ExtCard":
         return card_mul(self, other)

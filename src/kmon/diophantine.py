@@ -14,6 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from .cardinals import (
@@ -109,6 +110,25 @@ def satisfies_int(sys: ConstraintSystem, x: tuple[int, ...]) -> bool:
     return True
 
 
+def render_linear(coeffs: tuple[int, ...]) -> str:
+    terms = [
+        (f"{c} x{i}" if c != 1 else f"x{i}") for i, c in enumerate(coeffs) if c
+    ]
+    return " + ".join(terms) if terms else "0 x0"
+
+
+def render_dio(sys: ConstraintSystem) -> str:
+    """The system in the DSL's `dio` syntax."""
+    parts = []
+    for a, b in sys.equations:
+        parts.append(f"eq: {render_linear(a)} = {render_linear(b)};")
+    for a, b in sys.inequalities:
+        parts.append(f"ineq: {render_linear(a)} <= {render_linear(b)};")
+    for a, d in sys.congruences:
+        parts.append(f"cong: {render_linear(a)} in {d}N;")
+    return f"dio n={sys.n} {{ " + " ".join(parts) + " }"
+
+
 class DioMonoid(VecMonoid):
     """The solution set of a constraint system inside a vector monoid; closed
     under summation within the bound."""
@@ -116,8 +136,11 @@ class DioMonoid(VecMonoid):
     def __init__(self, system: ConstraintSystem, bound: Optional[CardBoundMode] = None):
         super().__init__(system.n, bound)
         self.system = system
-        self.name = f"dio(n={system.n})@{self.bound}"
         self._gens: Optional[list[CardVec]] = None
+
+    @cached_property
+    def name(self) -> str:
+        return f"{render_dio(self.system)}@{self.bound}"
 
     def member(self, x: CardVec) -> bool:
         if self.bound.mode == "below" and self.bound.card == ALEPH0:

@@ -23,7 +23,7 @@ from .braiding import (
 )
 from .cardinals import ALEPH0, ExtCard, aleph, below, fin, render_card
 from .core import CyclicExtensionMonoid, CyclicMonoid, Family, KappaMonoid
-from .diophantine import ConstraintSystem, DioMonoid
+from .diophantine import ConstraintSystem, DioMonoid, render_dio
 from .errors import CardBoundError, ParseError
 from .free_vectors import CardVec, VecMonoid
 from .gallery import (
@@ -568,24 +568,6 @@ def render_form(f: Form) -> str:
 
 def render_family(fam: Family) -> str:
     return "fam " + _render_blockset(fam)
-
-
-def render_linear(coeffs: tuple[int, ...]) -> str:
-    terms = [
-        (f"{c} x{i}" if c != 1 else f"x{i}") for i, c in enumerate(coeffs) if c
-    ]
-    return " + ".join(terms) if terms else "0 x0"
-
-
-def render_dio(sys: ConstraintSystem) -> str:
-    parts = []
-    for a, b in sys.equations:
-        parts.append(f"eq: {render_linear(a)} = {render_linear(b)};")
-    for a, b in sys.inequalities:
-        parts.append(f"ineq: {render_linear(a)} <= {render_linear(b)};")
-    for a, d in sys.congruences:
-        parts.append(f"cong: {render_linear(a)} in {d}N;")
-    return f"dio n={sys.n} {{ " + " ".join(parts) + " }"
 
 
 def render_presentation(p: TwoGenPresentation) -> str:

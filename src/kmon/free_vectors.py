@@ -84,7 +84,10 @@ class VecMonoid(KappaMonoid):
     def __init__(self, n: int, bound: Optional[CardBoundMode] = None):
         self.n = n
         self.bound = bound if bound is not None else at_most(kappa_card())
-        self.name = f"vec({n})@{self.bound}"
+
+    @cached_property
+    def name(self) -> str:
+        return f"vec({self.n})@{self.bound}"
 
     @cached_property
     def zero(self) -> CardVec:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kmon.braiding import (
+    SCALE_CAP,
     BraidBlock,
     CollapsedCertificate,
     LayeredCertificate,
@@ -573,6 +575,38 @@ def test_cycle_counts_first_positive_solution(m, xs, ys):
     first = next(c for c in itertools.product(range(1, 9), repeat=len(vals)) if balanced(c))
     want = (dict(zip(sx.cycle, first)), dict(zip(sy.cycle, first[len(sx.cycle):])))
     assert _cycle_counts(m, sx, sy, 12) == want
+
+
+class _CountingVec(VecMonoid):
+    """vec(2) that counts its ``scalar`` calls per multiplied value."""
+
+    def __init__(self):
+        super().__init__(2, at_most(W))
+        self.scalars = collections.Counter()
+
+    def scalar(self, a, x):
+        self.scalars[x] += 1
+        return super().scalar(a, x)
+
+
+def test_uniform_tier_computes_each_multiple_once():
+    # cycles (3,w) vs (2,w) balance at counts 2 and 3 (block sum (6,w)); the
+    # aleph0 coordinate absorbs, so the heads 0 and (6,0) first balance at
+    # kx=2, ky=1.  Each k*s is computed once per call: at most SCALE_CAP + 1
+    # scalar calls per value
+    m = _CountingVec()
+    x = Family.of([(CardVec((fin(3), W)), W)])
+    y = Family.of([(CardVec.fins(6, 0), fin(1)), (CardVec((fin(2), W)), W)])
+    r = braid_find(m, x, y)
+    assert r.is_yes
+    assert render_certificate(r.witness) == "\n".join([
+        "PREFIX",
+        "B i={(3, aleph0)*4} j={(2, aleph0)*3, (6, 0)*1} u=(12, aleph0) v'=(0, 0)",
+        "CYCLE",
+        "B i={(3, aleph0)*2} j={(2, aleph0)*3} u=(6, aleph0) v'=(0, 0)",
+    ])
+    assert m.scalars[CardVec((fin(6), W))] == SCALE_CAP + 1
+    assert max(m.scalars.values()) <= SCALE_CAP + 1
 
 
 def test_transitivity_can_exit_the_periodic_class():

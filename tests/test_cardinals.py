@@ -56,6 +56,15 @@ def test_mul_matches_sum_of_copies():
         assert card_mul(a, b) == card_sum([(a, b)])
 
 
+def test_two_term_add_is_card_sum():
+    # the closed-form add returns the very instance card_sum interns, also
+    # for operands built afresh rather than interned
+    small = [fin(n) for n in range(6)] + [aleph(k) for k in range(4)]
+    fresh = [ExtCard(n=n.n) if n.is_finite else ExtCard(aleph_level=n.aleph_level) for n in small]
+    for a, b in itertools.product(small + fresh, repeat=2):
+        assert a + b is card_sum([(a, fin(1)), (b, fin(1))])
+
+
 def test_exhaustive_pairs_against_oracle():
     cases = 0
     for v1, c1 in itertools.product(GRID, repeat=2):

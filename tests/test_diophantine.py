@@ -39,6 +39,16 @@ def test_member_worked_examples():
     assert not m_eq.member(vec(W, 3))
 
 
+def test_dio_monoid_name_carries_its_system():
+    # two systems over the same n and bound get different names, built on
+    # first access
+    parity = ConstraintSystem.make(2, congruences=[((1, 1), 2)])
+    m_eq, m_par = DioMonoid(EQ_XY), DioMonoid(parity)
+    assert "name" not in vars(m_eq)
+    assert m_eq.name == "dio n=2 { eq: x0 = x1; }@at_most(aleph3)"
+    assert m_par.name == "dio n=2 { cong: x0 + x1 in 2N; }@at_most(aleph3)"
+
+
 def test_membership_tables_match_expected_sets():
     # the two systems agree on finite diagonals but differ at (aleph0, n)
     m_eq = DioMonoid(EQ_XY, at_most(W))
