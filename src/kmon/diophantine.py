@@ -30,7 +30,7 @@ from .cardinals import (
     fin,
     infinite_levels,
 )
-from .core import Family
+from .core import Family, KappaMonoid
 from .errors import DimensionError, PreconditionError
 from .free_vectors import CardVec, VecMonoid
 from .tribool import TriBool, no, unknown, yes
@@ -172,6 +172,11 @@ class DioMonoid(VecMonoid):
         )
         return self.raw_ksum(fam)
 
+    @staticmethod
+    def _slack(a: CardVec, b: CardVec) -> list[int]:
+        """The coordinates where a - b is not unique: a_i = b_i infinite."""
+        return [i for i in range(len(a)) if a[i].is_infinite and a[i] == b[i]]
+
     def sub(self, a: CardVec, b: CardVec) -> Optional[CardVec]:
         # the coordinatewise least difference is not always a member; try it
         # and a few aleph-slack variants before giving up
@@ -180,7 +185,7 @@ class DioMonoid(VecMonoid):
             return None
         if self.member(base):
             return base
-        slack = [i for i in range(self.n) if a[i].is_infinite and a[i] == b[i]]
+        slack = self._slack(a, b)
         for pat in itertools.product((False, True), repeat=len(slack)):
             coords = list(base.coords)
             for flag, i in zip(pat, slack):
@@ -196,7 +201,19 @@ class DioMonoid(VecMonoid):
             return yes(witness=c)
         if super().sub(b, a) is None:
             return no()  # not even coordinatewise
+        if not self._slack(b, a):
+            return no(note="the only complement is not a member")
         return unknown(note="no member complement found among canonical candidates")
+
+    def finite_multiple_leq(self, u: CardVec, x: CardVec) -> TriBool:
+        # the coordinatewise closed form is exact for saturated systems
+        # (equations and congruences); with inequalities, x <= n*u also
+        # needs a complement of x in n*u that is a member
+        r = super().finite_multiple_leq(u, x)
+        if r.is_no or not self.system.inequalities:
+            return r
+        r = KappaMonoid.finite_multiple_leq(self, u, x)
+        return r if r.is_yes else unknown(note="no n*u with a member complement of x found")
 
     def canonical_order_unit(self) -> Optional[CardVec]:
         gens = self._generators()

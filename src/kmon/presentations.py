@@ -16,6 +16,7 @@ class and no rewrite changes a form's image under a respecting homomorphism.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -344,53 +345,48 @@ def forms_equal(
     rules = s.rules()
     memo = s.succ_memo
     seen = {f: None}
-    frontier = [f]
+    queue = deque([f])
     expanded = 0
     pruned = False
-    while frontier and expanded < budget:
-        nxt = []
-        for pos, cur in enumerate(frontier):
-            if expanded >= budget:
-                nxt.extend(frontier[pos:])
-                break
-            expanded += 1
-            was_pruned = pruned
-            succs = memo.get(cur) if memo is not None else None
-            if succs is None:
-                succs, lossy = _successors(rules, cur, g)
-                succs.sort(key=lambda e: e[0].sort_key())
-                if lossy:
-                    pruned = True
-                elif memo is not None:
-                    memo[cur] = succs
-            for succ, step in succs:
-                if any(c.is_finite and c.n > coord_cap for c in (succ.a, succ.b)):
-                    pruned = True
-                    continue
-                if succ in seen:
-                    continue
-                seen[succ] = (cur, step)
-                if succ == g:
-                    chain = []
-                    node = succ
-                    while seen[node] is not None:
-                        prev, st = seen[node]
-                        chain.append((prev, st, node))
-                        node = prev
-                    chain.reverse()
-                    assert replay_chain(p, f, g, chain)
-                    return yes(witness=chain)
-                nxt.append(succ)
-            if pruned and not was_pruned:
-                # a pruned search can no longer exhaust the class, and every
-                # rewrite keeps the images under respecting homomorphisms, so
-                # one that separates f from g settles the answer now
-                hom = find_separating_hom(s, f, g)
-                if hom is not None:
-                    return no(witness=hom, note="separating homomorphism")
-        frontier = nxt
+    while queue and expanded < budget:
+        cur = queue.popleft()
+        expanded += 1
+        was_pruned = pruned
+        succs = memo.get(cur) if memo is not None else None
+        if succs is None:
+            succs, lossy = _successors(rules, cur, g)
+            succs.sort(key=lambda e: e[0].sort_key())
+            if lossy:
+                pruned = True
+            elif memo is not None:
+                memo[cur] = succs
+        for succ, step in succs:
+            if any(c.is_finite and c.n > coord_cap for c in (succ.a, succ.b)):
+                pruned = True
+                continue
+            if succ in seen:
+                continue
+            seen[succ] = (cur, step)
+            if succ == g:
+                chain = []
+                node = succ
+                while seen[node] is not None:
+                    prev, st = seen[node]
+                    chain.append((prev, st, node))
+                    node = prev
+                chain.reverse()
+                assert replay_chain(p, f, g, chain)
+                return yes(witness=chain)
+            queue.append(succ)
+        if pruned and not was_pruned:
+            # a pruned search can no longer exhaust the class, and every
+            # rewrite keeps the images under respecting homomorphisms, so
+            # one that separates f from g settles the answer now
+            hom = find_separating_hom(s, f, g)
+            if hom is not None:
+                return no(witness=hom, note="separating homomorphism")
     if not pruned:
-        if not frontier:
+        if not queue:
             # the whole equivalence class was enumerated and g is not in it
             return no(note="equivalence class exhausted without reaching the target")
         hom = find_separating_hom(s, f, g)  # not yet tried: nothing was pruned
@@ -413,29 +409,17 @@ def in_add(
         return yes(witness=(0, FORM_ZERO, []))
     s = _saturation(p)
     p = s.p
-    # exact closed forms first
-    if not p.relations:
-        ok = True
-        for i in (1, 2):
-            tc, bc = target.coeff(i), base.coeff(i)
-            if bc.is_zero and not tc.is_zero:
-                ok = False
-            if tc.is_infinite and not bc.is_infinite:
-                ok = False
-        if not ok:
-            return no(note="free presentation: a coordinate can never be covered")
-    if (
-        s.rigid
-        and s.preserving
-        and not base.is_infinite
-        and p.relations
+    # exact closed forms first: a coordinate the multiples of base never
+    # cover (zero there, or finite where target is infinite) is fatal when
+    # nothing rewrites, and when n*base stays a rigid finite form
+    if any(
+        (base.coeff(i).is_zero and not target.coeff(i).is_zero)
+        or (target.coeff(i).is_infinite and not base.coeff(i).is_infinite)
+        for i in (1, 2)
     ):
-        # n*base stays a rigid finite form, so target + t must match exactly
-        ok = not target.is_infinite and all(
-            not (base.coeff(i).is_zero and not target.coeff(i).is_zero)
-            for i in (1, 2)
-        )
-        if not ok:
+        if not p.relations:
+            return no(note="free presentation: a coordinate can never be covered")
+        if s.rigid and s.preserving and not base.is_infinite:
             return no(note="rigid finite multiples cannot absorb the target")
 
     per_try = max(200, budget // (NCAP * 8))
@@ -495,20 +479,31 @@ class RealizabilityReport:
         return None
 
 
-def _cyclic_witness(s: _Saturation, budget: int):
-    """A generator expressible through the other one, if that is decidable."""
+def _cyclic_witness(s: _Saturation, budget: int) -> tuple:
+    """("cyclic", i, j, beta) when X_i = beta*X_j, else ("undecided", i, j)
+    for the first pair left open, else ("non-cyclic",)."""
     per = max(200, budget // 24)
-    open_pair = None
+    open_pair = ()
     for i, j in ((1, 2), (2, 1)):
         for beta in [fin(k) for k in range(NCAP + 1)] + [ALEPH0]:
             r = forms_equal(s, gen(i), gen(j).scale(beta), per)
             if r.is_yes:
-                return ("cyclic", i, j, beta, r.witness)
-            if r.is_unknown and open_pair is None:
+                return ("cyclic", i, j, beta)
+            if r.is_unknown and not open_pair:
                 open_pair = (i, j)
-    if open_pair is not None:
-        return ("undecided", open_pair[0], open_pair[1], None, None)
-    return ("non-cyclic", None, None, None, None)
+    return ("undecided", *open_pair) if open_pair else ("non-cyclic",)
+
+
+def _shadow(s: _Saturation, c: int, f: Form, g: Form, cap: int, per: int) -> bool:
+    """Do finite X_c coefficients k, l < cap, put in place of f's and g's,
+    make them equal?  This is the finite equality that an infinite one
+    f = g must reduce to."""
+    put = lambda h, k: Form(fin(k), h.b) if c == 1 else Form(h.a, fin(k))
+    return any(
+        forms_equal(s, put(f, k), put(g, l), per).is_yes
+        for k in range(cap)
+        for l in range(cap)
+    )
 
 
 def _adds(s: _Saturation, budget: int) -> dict:
@@ -533,8 +528,9 @@ def _three_conditions(
     """realizable_two_gen with the ``_adds`` answers taken from ``get_adds()``,
     which is called only once the presentation is not known to be cyclic."""
     rep = RealizabilityReport(verdict=unknown())
-    kind, ci, cj, cbeta, cchain = _cyclic_witness(s, budget)
+    kind, *pair = _cyclic_witness(s, budget)
     if kind == "cyclic":
+        ci, cj, cbeta = pair
         rep.notes.append(
             f"presentation is cyclic: X{ci} = {cbeta}*X{cj};"
             " using the one-generator criterion"
@@ -545,7 +541,7 @@ def _three_conditions(
         # cyclic criterion: realizable iff aleph0*x != n*x for every finite n
         x = gen(cj)
         per = max(200, budget // (NCAP + 2))
-        if s.preserving and not x.is_zero:
+        if s.preserving:
             rep.verdict = yes(note="cyclic with aleph0*x distinct from all n*x")
             rep.conditions.append(
                 ConditionStatus(
@@ -556,20 +552,24 @@ def _three_conditions(
                 )
             )
             return rep
-        for n in range(NCAP + 1):
-            r = forms_equal(s, x.scale(ALEPH0), x.scale(fin(n)), per)
-            if r.is_yes:
-                rep.verdict = no(witness=n, note=f"aleph0*x = {n}*x")
-                rep.conditions.append(
-                    ConditionStatus("cyclic-criterion", "violated", True, n)
-                )
-                return rep
-        rep.verdict = unknown(note="cyclic; criterion checked only on a range")
-        rep.conditions.append(ConditionStatus("cyclic-criterion", "holds", False))
+        n = next(
+            (
+                n
+                for n in range(NCAP + 1)
+                if forms_equal(s, x.scale(ALEPH0), x.scale(fin(n)), per).is_yes
+            ),
+            None,
+        )
+        if n is not None:
+            rep.verdict = no(witness=n, note=f"aleph0*x = {n}*x")
+            rep.conditions.append(ConditionStatus("cyclic-criterion", "violated", True, n))
+        else:
+            rep.verdict = unknown(note="cyclic; criterion checked only on a range")
+            rep.conditions.append(ConditionStatus("cyclic-criterion", "holds", False))
         return rep
     if kind == "undecided":
         rep.notes.append(
-            f"non-cyclicity unverified (X{ci} vs multiples of X{cj} undecided)"
+            "non-cyclicity unverified (X{} vs multiples of X{} undecided)".format(*pair)
         )
     else:
         rep.conditions.append(ConditionStatus("non-cyclic", "holds", True))
@@ -618,12 +618,13 @@ def _three_conditions(
     for i, j in ((1, 2), (2, 1)):
         inf_j = gen(j).scale(ALEPH0)
         both_inf = gen(i).scale(ALEPH0) + inf_j
+        at = lambda n: gen(i).scale(fin(n)) + inf_j  # n*x_i + w*x_j
 
         # (i): n x_i + w x_j = w x_i + w x_j forces absorption and membership
         name_i = f"(i) i={i},j={j}"
         status = None
         for n in range(NCAP + 1):
-            prem = forms_equal(s, gen(i).scale(fin(n)) + inf_j, both_inf, per)
+            prem = forms_equal(s, at(n), both_inf, per)
             if prem.is_yes:
                 concl1 = forms_equal(s, inf_j, both_inf, per)
                 concl2 = adds[(i, j)]
@@ -650,7 +651,7 @@ def _three_conditions(
         if status is None:
             # if aleph0*x_j absorbs one copy of x_i, the premise does not
             # depend on n, so the n = 0 verdict settles every n
-            exact = not s.p.relations or forms_equal(s, gen(i) + inf_j, inf_j, per).is_yes
+            exact = not s.p.relations or forms_equal(s, at(1), inf_j, per).is_yes
             status = ConditionStatus(
                 name_i,
                 "holds",
@@ -680,22 +681,8 @@ def _three_conditions(
                 (mth, nth)
                 for mth in range(NCAP + 1)
                 for nth in range(mth + 1, NCAP + 1)
-                if forms_equal(
-                    s,
-                    gen(i).scale(fin(mth)) + inf_j,
-                    gen(i).scale(fin(nth)) + inf_j,
-                    per,
-                ).is_yes
-                and not any(
-                    forms_equal(
-                        s,
-                        gen(i).scale(fin(mth)) + gen(j).scale(fin(k)),
-                        gen(i).scale(fin(nth)) + gen(j).scale(fin(kp)),
-                        per,
-                    ).is_yes
-                    for k in range(NCAP + 1)
-                    for kp in range(NCAP + 1)
-                )
+                if forms_equal(s, at(mth), at(nth), per).is_yes
+                and not _shadow(s, j, at(mth), at(nth), NCAP + 1, per)
             ),
             None,
         )
@@ -771,35 +758,27 @@ def _corollary_cases(s: _Saturation, budget: int, adds: dict) -> RealizabilityRe
 
     if a12.is_no and a21.is_no:
         rep.notes.append("case: incomparable generators")
-        ok = True
-        exact = not s.p.relations
-        witness = None
         coeffs = [fin(k) for k in range(4)] + [ALEPH0]
-        for i, j in ((1, 2), (2, 1)):
-            for a1, b1, a2, b2 in itertools.product(coeffs, repeat=4):
-                f1 = gen(i).scale(a1) + gen(j).scale(b1)
-                f2 = gen(i).scale(a2) + gen(j).scale(b2)
-                if not forms_equal(s, f1, f2, per).is_yes:
-                    continue
-                if a1.is_finite != a2.is_finite:
-                    ok, witness = False, (i, j, f1, f2)
-                    break
-                if a1.is_infinite and a2.is_infinite:
-                    found = any(
-                        forms_equal(
-                            s,
-                            gen(i).scale(fin(m1)) + gen(j).scale(b1),
-                            gen(i).scale(fin(m2)) + gen(j).scale(b2),
-                            per,
-                        ).is_yes
-                        for m1 in range(4)
-                        for m2 in range(4)
-                    )
-                    if not found:
-                        ok, witness = False, (i, j, f1, f2)
-                        break
-            if not ok:
-                break
+        # equal forms must agree on X_i's finiteness, and an infinite
+        # equality must reduce to a finite one
+        witness = next(
+            (
+                (i, j, f1, f2)
+                for i, j in ((1, 2), (2, 1))
+                for f1, f2 in itertools.product(
+                    [gen(i).scale(a) + gen(j).scale(b) for a in coeffs for b in coeffs],
+                    repeat=2,
+                )
+                if forms_equal(s, f1, f2, per).is_yes
+                and (
+                    f1.coeff(i).is_finite != f2.coeff(i).is_finite
+                    or (f1.coeff(i).is_infinite and not _shadow(s, i, f1, f2, 4, per))
+                )
+            ),
+            None,
+        )
+        ok = witness is None
+        exact = not s.p.relations
         rep.conditions.append(
             ConditionStatus(
                 "incomparable case: coefficient classes align",
@@ -839,11 +818,10 @@ def _corollary_cases(s: _Saturation, budget: int, adds: dict) -> RealizabilityRe
     else:
         i, j = (1, 2) if a12.is_yes else (2, 1)
         rep.notes.append(f"case: X{i} in add(X{j}) only")
+        big = gen(j).scale(ALEPH0)
         # aleph0 x_j absorbs every multiple of x_i
         absorb = all(
-            forms_equal(
-                s, gen(j).scale(ALEPH0) + gen(i).scale(b), gen(j).scale(ALEPH0), per
-            ).is_yes
+            forms_equal(s, big + gen(i).scale(b), big, per).is_yes
             for b in [fin(1), fin(2), ALEPH0]
         )
         rep.conditions.append(
@@ -853,36 +831,20 @@ def _corollary_cases(s: _Saturation, budget: int, adds: dict) -> RealizabilityRe
                 False,
             )
         )
-        ok = True
-        witness = None
-        for nn in range(3):
-            for beta in [fin(k) for k in range(3)] + [ALEPH0]:
-                prem = forms_equal(
-                    s,
-                    gen(i).scale(ALEPH0) + gen(j).scale(fin(nn)),
-                    gen(i).scale(ALEPH0) + gen(j).scale(beta),
-                    per,
-                ).is_yes
-                if not prem:
-                    continue
-                if beta.is_infinite:
-                    ok, witness = False, (nn, beta)
-                    break
-                found = any(
-                    forms_equal(
-                        s,
-                        gen(i).scale(fin(m1)) + gen(j).scale(beta),
-                        gen(i).scale(fin(m2)) + gen(j).scale(fin(nn)),
-                        per,
-                    ).is_yes
-                    for m1 in range(4)
-                    for m2 in range(4)
-                )
-                if not found:
-                    ok, witness = False, (nn, beta)
-                    break
-            if not ok:
-                break
+        # aleph0 x_i + n x_j = aleph0 x_i + beta x_j needs a finite beta and
+        # a finite equality to reduce to
+        at = lambda b: gen(i).scale(ALEPH0) + gen(j).scale(b)  # w*x_i + b*x_j
+        witness = next(
+            (
+                (nn, beta)
+                for nn in range(3)
+                for beta in [fin(k) for k in range(3)] + [ALEPH0]
+                if forms_equal(s, at(fin(nn)), at(beta), per).is_yes
+                and (beta.is_infinite or not _shadow(s, i, at(beta), at(fin(nn)), 4, per))
+            ),
+            None,
+        )
+        ok = witness is None
         sep = s.preserving
         rep.conditions.append(
             ConditionStatus(

@@ -17,8 +17,9 @@ from kmon.diophantine import (
     solutions,
     universal_extend,
 )
-from kmon.errors import PreconditionError
-from kmon.free_vectors import CardVec
+from kmon.core import size_of
+from kmon.errors import PreconditionError, SearchExhausted
+from kmon.free_vectors import CardVec, VecMonoid
 from kmon.laws import check_axioms
 
 W = ALEPH0
@@ -238,3 +239,59 @@ def test_aleph0_extension_description():
     ext = aleph0_extend_finite(DioMonoid(EQ_XY, below(W)))
     text = ext.describe(radius=3)
     assert "(1, 1)" in text and "aleph0" in text
+
+
+X0_LEQ_X1 = ConstraintSystem.make(2, inequalities=[((1, 0), (0, 1))])  # x0 <= x1
+VALUES = [fin(k) for k in range(4)] + [W]
+
+
+def test_inequality_preorder_needs_a_member_complement():
+    # x = (0, 1) lies below n*(1, 1) coordinatewise, but its only complement
+    # (n, n - 1) breaks x0 <= x1 for every n
+    m = DioMonoid(X0_LEQ_X1, at_most(W))
+    u, x = vec(1, 1), vec(0, 1)
+    for n in (1, 2, 3):
+        r = m.leq(x, vec(n, n))
+        assert r.is_no and r.note == "the only complement is not a member"
+    assert not m.finite_multiple_leq(u, x).is_yes
+    with pytest.raises(SearchExhausted):
+        size_of(m, u, x)
+    assert m.finite_multiple_leq(vec(1, 2), x).witness == 1  # (1, 2) = x + (1, 1)
+    # infinite slack: (W, W) - (W, W) may be 0, W or anything between
+    assert m.leq(vec(W, W), vec(W, W)).is_yes
+
+
+def _complements(x: CardVec, t: CardVec):
+    """Every c with x + c = t, slack coordinates (x_i = t_i infinite) drawn
+    from 0..3 and aleph0."""
+    opts = [
+        [fin(ti.n - xi.n)] if ti.is_finite else [ti] if xi.is_finite else VALUES
+        for ti, xi in zip(t.coords, x.coords)
+    ]
+    return (CardVec(c) for c in itertools.product(*opts))
+
+
+def test_finite_multiple_yes_has_a_member_complement():
+    rng = random.Random(314)
+    f2 = VecMonoid(2, at_most(W))
+    grid = [CardVec(c) for c in itertools.product(VALUES, repeat=2)]
+    answers = set()
+    for _ in range(300):
+        kind = rng.choice(("eq", "ineq", "cong"))
+        a, b = (tuple(rng.randrange(4) for _ in range(2)) for _ in range(2))
+        system = ConstraintSystem.make(
+            2,
+            equations=[(a, b)] if kind == "eq" else (),
+            inequalities=[(a, b)] if kind == "ineq" else (),
+            congruences=[(a, rng.randrange(1, 4))] if kind == "cong" else (),
+        )
+        m = DioMonoid(system, at_most(W))
+        members = [v for v in grid if m.member(v)]
+        for _ in range(4):
+            u, x = rng.choice(members), rng.choice(members)
+            r = m.finite_multiple_leq(u, x)
+            answers.add((kind, r.kind))
+            if r.is_yes:
+                t = f2.scalar(fin(r.witness), u)
+                assert any(m.member(c) for c in _complements(x, t)), (system, u, x, r)
+    assert ("ineq", "yes") in answers and ("ineq", "no") in answers
