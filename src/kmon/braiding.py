@@ -52,27 +52,15 @@ class OmegaCertificate:
     prefix: tuple[BraidBlock, ...] = ()
     cycle: tuple[BraidBlock, ...] = ()
 
-    @property
-    def kind(self) -> str:
-        return "omega"
-
 
 @dataclass(frozen=True)
 class LayeredCertificate:
     layers: tuple[tuple[ExtCard, OmegaCertificate], ...]  # (weight, layer)
 
-    @property
-    def kind(self) -> str:
-        return "layered"
-
 
 @dataclass(frozen=True)
 class CollapsedCertificate:
     blocks: tuple[tuple[Family, Family, ExtCard], ...]  # (iblock, jblock, weight)
-
-    @property
-    def kind(self) -> str:
-        return "collapsed"
 
 
 Certificate = Any  # OmegaCertificate | LayeredCertificate | CollapsedCertificate
@@ -320,7 +308,9 @@ def _compose_walk(
     """Align the two chains along the shared middle family.
 
     Returns (superblocks, cycle_start, cycle_period) with period 0 for the
-    finite case; None when alignment fails within the budget."""
+    finite case; a periodic walk stops at the first repeated state, after
+    the A-step that closes its last superblock.  None when alignment fails
+    within the budget."""
     diff: dict[Any, int] = {}  # middle-family counts: chain1 minus chain2
 
     def bump(fam: Family, sign: int):
@@ -353,9 +343,8 @@ def _compose_walk(
 
     pos1 = pos2 = 0
     supers: list[_Super] = []
-    seen: dict = {}
+    seen: dict = {}  # state key -> superblocks before the first visit
     steps = 0
-    pending_cycle: Optional[tuple[int, int]] = None
     drift_cap = 256  # incompatible consumption ratios buffer without bound
 
     while True:
@@ -365,26 +354,15 @@ def _compose_walk(
         if sum(abs(k) for k in diff.values()) > drift_cap:
             return None  # aperiodic alignment; the caller falls back
         if c1.done(pos1) and c2.done(pos2) and not diff:
-            if pending_cycle:
-                start, period = pending_cycle
-                return supers, start, period
             return supers, len(supers), 0
-        if pending_cycle is None and c1.end is None and c2.end is None:
-            if pos1 >= c1.head and pos2 >= c2.head:
-                key = (
-                    c1.fold(pos1),
-                    c2.fold(pos2),
-                    tuple(sorted((sort_key(e), k) for e, k in diff.items())),
-                )
-                if key in seen:
-                    start = seen[key]
-                    pending_cycle = (start, len(supers) - start)
-                else:
-                    seen[key] = len(supers)
-        if pending_cycle and len(supers) >= pending_cycle[0] + pending_cycle[1] + 1:
-            # one extra superblock computed so every t_val in the unit is set
-            start, period = pending_cycle
-            return supers, start, period
+        start = len(supers)
+        if c1.end is None and c2.end is None and pos1 >= c1.head and pos2 >= c2.head:
+            key = (
+                c1.fold(pos1),
+                c2.fold(pos2),
+                tuple(sorted((sort_key(e), k) for e, k in diff.items())),
+            )
+            start = seen.setdefault(key, start)
 
         # A-step: advance chain1 to cover chain2's overshoot
         s1 = pos1
@@ -394,6 +372,8 @@ def _compose_walk(
         if supers:
             shortfall = Family.of((e, fin(k)) for e, k in diff.items() if k > 0)
             supers[-1].t_val = m.ksum(shortfall)
+        if start < len(supers):  # the state repeats: the cycle is closed
+            return supers, start, len(supers) - start
 
         # B-step: advance chain2 to cover chain1
         s2 = pos2
@@ -411,11 +391,15 @@ def _compose_walk(
         )
 
 
-def _compose_blocks(
-    m: KappaMonoid, supers: list[_Super], start: int, period: int, count: int
-) -> list[BraidBlock]:
-    """Composite blocks: the limit block plus three superblocks per step;
-    past the end of a finite walk, every superblock is empty."""
+def _assemble_composite(
+    m: KappaMonoid, supers: list[_Super], start: int, period: int
+) -> OmegaCertificate:
+    """Composite blocks: the limit block, then three superblocks per block;
+    block l >= 1 reads superblocks 3l-2 to 3l+1.  Past the end of a finite
+    walk of n superblocks every superblock is empty, so its blocks end at
+    (n+1)//3.  A periodic walk repeats every pc = period/gcd(3, period)
+    blocks from block ceil(start/3)+1 on, and the prefix is cut back to the
+    first block from which they repeat."""
     z = m.zero
     pad = _Super(Family.empty(), z, z, Family.empty(), z, z, z, z)
 
@@ -424,24 +408,25 @@ def _compose_blocks(
             return supers[_fold(idx, start, period)]
         return supers[idx] if idx < len(supers) else pad
 
-    def d(l: int):
+    def block(l: int) -> BraidBlock:
+        s3, nxt = S(3 * l), S(3 * l + 1)
+        v_next = m.add(s3.s_val, m.add(nxt.h2_in, nxt.v1_in))
         if l == 0:
-            return m.zero
-        a, b = S(3 * (l - 1)), S(3 * (l - 1) + 1)
-        return m.add(a.s_val, m.add(b.h2_in, b.v1_in))
-
-    blocks = []
-    for l in range(count):
-        if l == 0:
-            s0 = S(0)
-            blocks.append(BraidBlock(s0.x, s0.z, s0.u1, d(1)))
-            continue
-        s1, s2, s3 = S(3 * (l - 1) + 1), S(3 * (l - 1) + 2), S(3 * (l - 1) + 3)
+            return BraidBlock(s3.x, s3.z, s3.u1, v_next)
+        s1, s2 = S(3 * l - 2), S(3 * l - 1)
         ib = s1.x.add(s2.x).add(s3.x)
         jb = s1.z.add(s2.z).add(s3.z)
-        c_l = m.add(s1.g2, m.add(s1.t_val, s3.u1))
-        blocks.append(BraidBlock(ib, jb, c_l, d(l + 1)))
-    return blocks
+        return BraidBlock(ib, jb, m.add(s1.g2, m.add(s1.t_val, s3.u1)), v_next)
+
+    if period == 0:
+        count = (len(supers) + 1) // 3 + 1
+        return OmegaCertificate(tuple(block(l) for l in range(count)), ())
+    pc = period // math.gcd(3, period)
+    head = -(-start // 3) + 1
+    blocks = [block(l) for l in range(head + pc)]
+    while head > 1 and blocks[head - 1] == blocks[head - 1 + pc]:
+        head -= 1
+    return OmegaCertificate(tuple(blocks[:head]), tuple(blocks[head : head + pc]))
 
 
 def compose(
@@ -456,7 +441,8 @@ def compose(
 ) -> TriBool:
     """Certificate for (xfam, zfam) from certificates through a shared middle
     family: align the two chains on the middle family, then group three
-    aligned runs per composite block.  Falls back to a fresh search when the
+    aligned runs per composite block; the alignment walk gives the
+    composite's period and prefix.  Falls back to a fresh search when the
     periodic structures refuse to align.
 
     The composite of two periodically certified braidings need not admit a
@@ -468,43 +454,13 @@ def compose(
         except ValueError:
             walk = None
         if walk is not None:
-            supers, start, period = walk
-            cert = _assemble_composite(m, supers, start, period)
-            if cert is not None:
-                r = verify(m, xfam, zfam, cert, lam)
-                if r.is_yes:
-                    return yes(witness=cert)
+            cert = _assemble_composite(m, *walk)
+            if verify(m, xfam, zfam, cert, lam).is_yes:
+                return yes(witness=cert)
     found = braid_find(m, xfam, zfam, lam, budget)
     if found.is_yes:
         return yes(witness=found.witness, note="via re-search")
     return unknown(note="composition alignment failed and re-search exhausted")
-
-
-def _assemble_composite(
-    m: KappaMonoid, supers: list[_Super], start: int, period: int
-) -> Optional[OmegaCertificate]:
-    if period == 0:
-        nblocks = 1 + (max(len(supers), 1) + 1) // 3 + 1
-        blocks = _compose_blocks(m, supers, start, period, nblocks)
-        while blocks and len(blocks) > 1 and _is_trivial_block(m, blocks[-1]):
-            blocks.pop()
-        return OmegaCertificate(tuple(blocks), ())
-    pc = period // math.gcd(3, period)
-    count = start // 3 + 3 + 3 * pc
-    blocks = _compose_blocks(m, supers, start, period, count)
-    for l0 in range(1, len(blocks) - 2 * pc):
-        if blocks[l0 : l0 + pc] == blocks[l0 + pc : l0 + 2 * pc]:
-            return OmegaCertificate(tuple(blocks[:l0]), tuple(blocks[l0 : l0 + pc]))
-    return None
-
-
-def _is_trivial_block(m: KappaMonoid, b: BraidBlock) -> bool:
-    return (
-        len(b.iblock) == 0
-        and len(b.jblock) == 0
-        and m.eq(b.u, m.zero).is_yes
-        and m.eq(b.v_next, m.zero).is_yes
-    )
 
 
 # -- search ---------------------------------------------------------------------

@@ -13,6 +13,7 @@ from typing import Optional
 
 from .braiding import braid_find, verify
 from .cardinals import ALEPH0, at_most, below, render_card
+from .core import KappaMonoid
 from .diophantine import DioMonoid, aleph0_extend_finite, decompose, recombine, universal_extend
 from .dsl import (
     parse_card,
@@ -183,29 +184,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _bound(args):
-    return at_most(parse_card(args.kappa))
-
-
-def _monoid(args):
-    """The --monoid of a subcommand that computes in it; an hnp(c=...)
+def _monoid(args, kind: type | tuple = KappaMonoid, bound=None):
+    """The --monoid of a subcommand, summed at ``bound`` (default: at most
+    --kappa); a precondition error unless it is a ``kind``.  An hnp(c=...)
     predicate is no monoid, and only member reads it."""
-    m = parse_monoid(args.monoid, _bound(args))
-    if isinstance(m, HNPPredicate):
-        raise PreconditionError(f"{args.cmd} requires a monoid; hnp(c=...) is read only by member")
+    m = parse_monoid(args.monoid, at_most(parse_card(args.kappa)) if bound is None else bound)
+    if not isinstance(m, kind):
+        what = {
+            KappaMonoid: "a monoid; hnp(c=...) is read only by member",
+            DioMonoid: "a constraint-defined monoid",
+            (DioMonoid, HNPPredicate): "a constraint-defined monoid or hnp(c=...)",
+        }[kind]
+        raise PreconditionError(f"{args.cmd} requires {what}")
     return m
 
 
 def _cmd_member(args, rep: Report) -> int:
-    m = parse_monoid(args.monoid, _bound(args))
+    m = _monoid(args, (DioMonoid, HNPPredicate))
     v = parse_vec(args.vec)
-    if isinstance(m, HNPPredicate):
-        ok = m.member(v, parse_card(args.kappa))
-    elif isinstance(m, DioMonoid):
-        ok = m.member(v)
-    else:
-        rep.say("member requires a constraint-defined monoid or hnp(c=...)")
-        return rep.emit(EXIT_USAGE)
+    ok = m.member(v, parse_card(args.kappa)) if isinstance(m, HNPPredicate) else m.member(v)
     rep.say(
         f"{render_elem(v)} is {'a member' if ok else 'not a member'} of {args.monoid.strip()}",
         member=ok,
@@ -215,10 +212,7 @@ def _cmd_member(args, rep: Report) -> int:
 
 
 def _cmd_extend(args, rep: Report) -> int:
-    m = parse_monoid(args.monoid, at_most(ALEPH0))
-    if not isinstance(m, DioMonoid):
-        rep.say("extend requires a constraint-defined monoid")
-        return rep.emit(EXIT_USAGE)
+    m = _monoid(args, DioMonoid, at_most(ALEPH0))
     big = universal_extend(m, parse_card(args.to))
     rep.say(
         f"universal extension at {args.to}: {render_dio(big.system)} over bound {big.bound}",
@@ -234,11 +228,8 @@ def _cmd_extend(args, rep: Report) -> int:
 
 
 def _cmd_decompose(args, rep: Report) -> int:
-    m = parse_monoid(args.monoid, _bound(args))
+    m = _monoid(args, DioMonoid)
     v = parse_vec(args.vec)
-    if not isinstance(m, DioMonoid):
-        rep.say("decompose requires a constraint-defined monoid")
-        return rep.emit(EXIT_USAGE)
     if not m.member(v):
         rep.say(f"{render_elem(v)} is not a member", member=False)
         return rep.emit(EXIT_NO)
@@ -323,11 +314,8 @@ def _cmd_gallery_eval(args, rep: Report) -> int:
 
 
 def _cmd_aleph0_extend(args, rep: Report) -> int:
-    m = parse_monoid(args.monoid, below(ALEPH0))
+    m = _monoid(args, DioMonoid, below(ALEPH0))
     v = parse_vec(args.vec)
-    if not isinstance(m, DioMonoid):
-        rep.say("aleph0-extend requires a constraint-defined monoid")
-        return rep.emit(EXIT_USAGE)
     ext = aleph0_extend_finite(m, args.radius)
     r = ext.member(v)
     rep.say(f"{render_elem(v)} in H + aleph0*H: {r}", vec=render_elem(v))

@@ -143,10 +143,8 @@ class DioMonoid(VecMonoid):
         return f"{render_dio(self.system)}@{self.bound}"
 
     def member(self, x: CardVec) -> bool:
-        if self.bound.mode == "below" and self.bound.card == ALEPH0:
-            if any(c.is_infinite for c in x.coords):
-                return False
-        return satisfies_card(self.system, x)
+        # the bound admits every coordinate iff it admits the largest
+        return self.bound.admits(max(x.coords, default=ZERO)) and satisfies_card(self.system, x)
 
     def _generators(self) -> list[CardVec]:
         # small finite solutions plus admissible all-or-nothing aleph patterns

@@ -89,7 +89,7 @@ class TrivialExtensionMonoid(KappaMonoid):
 
     def finite_multiple_leq(self, u, x) -> TriBool:
         if isinstance(u, Inf):
-            return yes(witness=1)
+            return yes(witness=0 if self.leq(x, self.zero).is_yes else 1)
         if isinstance(x, Inf):
             return no(note="the top element exceeds every finite multiple")
         return self.base.finite_multiple_leq(u, x)
@@ -202,12 +202,12 @@ class RationalLineMonoid(KappaMonoid):
 
     def finite_multiple_leq(self, u: QPoint, x: QPoint) -> TriBool:
         # exact by rational arithmetic
+        if x == self.zero:
+            return yes(witness=0)
         if u.tag == "inf":
             return yes(witness=1)
         if x.tag == "inf":
             return no(note="top exceeds every finite multiple")
-        if x == self.zero:
-            return yes(witness=0)
         if u.q == 0:
             return no(note="u is zero")
         if x.tag == "tilde":
@@ -320,7 +320,7 @@ class DedekindVMonoid(KappaMonoid):
                 return yes(witness=1)
             return no(note="infinite rank exceeds every finite multiple")
         if u.rank.is_zero:
-            return from_bool(x.rank.is_zero, witness=0)
+            return yes(witness=0) if x.rank.is_zero else no(note="u is zero")
         bound = 2 if u.rank.is_infinite else x.rank.n + 2
         acc = self.zero
         for n in range(bound):

@@ -893,6 +893,14 @@ class TwoGenMonoid(KappaMonoid):
                 return t
         return None
 
+    def leq(self, a: Form, b: Form) -> TriBool:
+        """Yes with a complement from ``sub``; without one, No only for the
+        free monoid, since a relation may need a slack off the grid."""
+        c = self.sub(b, a)
+        if c is not None:
+            return yes(witness=c)
+        return unknown(note="no complement on the slack grid") if self.p.relations else no()
+
     def sample_element(self, rng) -> Form:
         coords = [fin(k) for k in range(4)] + [ALEPH0]
         return Form(rng.choice(coords), rng.choice(coords))

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance and bound is pinned here.
 """
 
+import hashlib
 import io
 import itertools
 import random
@@ -26,6 +27,7 @@ from kmon.diophantine import (
     recombine,
     universal_extend,
 )
+from kmon.dsl import render_certificate
 from kmon.free_vectors import CardVec, VecMonoid
 from kmon.gallery import DedekindVMonoid, RationalLineMonoid, TrivialExtensionMonoid, plain_n0
 from kmon.laws import check_axioms
@@ -259,6 +261,7 @@ def test_acceptance_6_n0_completeness():
 def test_acceptance_7_certificate_algebra():
     rng = random.Random(70707)
     chains = 0
+    renders = []
     while chains < 200:
         if chains % 3 == 0:
             total = rng.randrange(2, 7)
@@ -282,9 +285,14 @@ def test_acceptance_7_certificate_algebra():
         assert verify(N0, y, x, fl).is_yes, (x, y)
         assert verify(N0, x, y, flip(N0, fl)).is_yes, (x, y)
         comp = compose(N0, x, y, z, r1.witness, r2.witness, budget=4000)
-        assert comp.is_yes, (x, y, z, comp.note)
+        assert comp.is_yes and comp.note == "", (x, y, z, comp.note)  # aligned, not re-searched
         assert verify(N0, x, z, comp.witness).is_yes
+        renders.append(render_certificate(comp.witness))
         chains += 1
+    # the sha256 was computed before compose read the composite's period and
+    # prefix off its alignment walk: every composite must render the same
+    digest = hashlib.sha256("\n\n".join(renders).encode()).hexdigest()
+    assert digest == "8748aa4eec6bb5b62291a3d88c4b5ab28ae2bbb028eddeeeb62943dc51e85fdd"
     _ok(7, f"{chains} seeded chains: flip, flip-of-flip, and compositions all verify")
 
 

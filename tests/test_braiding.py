@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -35,6 +36,16 @@ F2 = VecMonoid(2, at_most(W))
 
 def fam(*pairs):
     return Family.of([(fin(v) if isinstance(v, int) else v, fin(m) if isinstance(m, int) else m) for v, m in pairs])
+
+
+def _digest(certs):
+    """sha256 of the rendered certificates, blank-line separated."""
+    return hashlib.sha256("\n\n".join(map(render_certificate, certs)).encode()).hexdigest()
+
+
+def _aligned(comp):
+    """A composite built from the alignment walk, not re-searched."""
+    return comp.is_yes and comp.note == ""
 
 
 def blk(i, j, u, v):
@@ -331,8 +342,11 @@ def test_compose_chain_worked_example():
     r2 = braid_find(N0, b, c)
     assert r1.is_yes and r2.is_yes
     comp = compose(N0, a, b, c, r1.witness, r2.witness)
-    assert comp.is_yes
+    assert _aligned(comp)
     assert verify(N0, a, c, comp.witness).is_yes
+    # the sha256s in the compose tests were computed before compose read the
+    # composite's period and prefix off its alignment walk
+    assert _digest([comp.witness]) == "b55b92cd047bce1d2732815d19fa62afc6d46a35a1b481a0879922003b4e65de"
 
 
 def test_compose_with_reflexive_certificate():
@@ -341,8 +355,9 @@ def test_compose_with_reflexive_certificate():
     assert refl.is_yes
     other = braid_find(N0, a, fam((2, W)))
     comp = compose(N0, a, a, fam((2, W)), refl.witness, other.witness)
-    assert comp.is_yes
+    assert _aligned(comp)
     assert verify(N0, a, fam((2, W)), comp.witness).is_yes
+    assert _digest([comp.witness]) == "55dde314577aaeafed9e7c818bedc3e2358c99c7a08ed6f58995d3069a2e2f22"
 
 
 def test_compose_finite_chains():
@@ -350,13 +365,27 @@ def test_compose_finite_chains():
     r1 = braid_find(N0, a, b)
     r2 = braid_find(N0, b, c)
     comp = compose(N0, a, b, c, r1.witness, r2.witness)
-    assert comp.is_yes and not comp.witness.cycle
+    assert _aligned(comp) and not comp.witness.cycle
     assert verify(N0, a, c, comp.witness).is_yes
+    assert _digest([comp.witness]) == "9c8f7ce4cb1467e37ed15a4d03fe2094d367a3d371c0d5dc2c708ad07892ef00"
+
+
+def test_compose_falls_back_to_a_fresh_search():
+    # these two chains do not align on the middle family, so compose
+    # searches the outer pair afresh
+    x = Family.of([(CardVec.fins(0, 1), W), (CardVec.fins(1, 0), W)])
+    z = Family.of([(CardVec.fins(1, 0), W), (CardVec.fins(1, 1), W)])
+    r1, r2 = braid_find(F2, x, x), braid_find(F2, x, z)
+    assert r1.is_yes and r2.is_yes
+    comp = compose(F2, x, x, z, r1.witness, r2.witness)
+    assert comp.is_yes and comp.note == "via re-search"
+    assert verify(F2, x, z, comp.witness).is_yes
 
 
 def test_certificate_algebra_seeded_chains():
     rng = random.Random(202)
     done = 0
+    certs = []
     while done < 40:
         vals = [rng.randrange(1, 4) for _ in range(3)]
         x = fam((vals[0], W))
@@ -366,8 +395,10 @@ def test_certificate_algebra_seeded_chains():
         assert r1.is_yes and r2.is_yes
         assert verify(N0, y, x, flip(N0, r1.witness)).is_yes
         comp = compose(N0, x, y, z, r1.witness, r2.witness)
-        assert comp.is_yes
+        assert _aligned(comp)
+        certs.append(comp.witness)
         done += 1
+    assert _digest(certs) == "2cb6142a6b7b863f146d8b4881bc84e19794feed08208bd8ce4f5d1871e8c73d"
 
 
 def test_layered_certificates():
@@ -533,8 +564,9 @@ def test_compose_across_different_cycle_lengths():
     assert r1.is_yes and r2.is_yes
     c1, c2 = r1.witness, r2.witness
     comp = compose(N0, x, y, z, c1, c2, budget=4000)
-    assert comp.is_yes
+    assert _aligned(comp)
     assert verify(N0, x, z, comp.witness).is_yes
+    assert _digest([comp.witness]) == "d85812f96f3ac69441c80d1d32626a5d9235cefc087d839e1d33a2dc7bbc7edb"
 
 
 def test_balanced_cycle_counts_beyond_uniform_scaling():

@@ -179,6 +179,37 @@ def test_hnp_predicate_outside_member_exits_3(argv):
     assert out.startswith(f"error: {argv[0]} requires a monoid")
 
 
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (["member", "--vec", "(1)"], "a constraint-defined monoid or hnp(c=...)"),
+        (["extend", "--to", "aleph1"], "a constraint-defined monoid"),
+        (["decompose", "--vec", "(1)"], "a constraint-defined monoid"),
+        (["aleph0-extend", "--vec", "(1)"], "a constraint-defined monoid"),
+    ],
+)
+def test_dio_subcommands_reject_other_monoids_exit_3(argv, what):
+    argv = argv + ["--monoid", "N0"]
+    error = f"{argv[0]} requires {what}"
+    assert invoke(argv) == (3, f"error: {error}\n")
+    code, out = invoke(argv + ["--format", "json"])
+    assert code == 3
+    assert json.loads(out) == {"command": argv[0], "error": error, "exit": 3}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member", "--kappa", "aleph0"],
+        ["decompose", "--kappa", "aleph1"],
+    ],
+)
+def test_coordinates_above_the_bound_are_not_members(argv):
+    code, out = invoke(argv + ["--monoid", "dio n=1 { }", "--vec", "(aleph3)"])
+    assert code == 1
+    assert "(aleph3) is not a member" in out
+
+
 def test_family_members_of_a_dio_monoid_are_accepted():
     code, out = invoke(["gallery-eval", "--monoid", DIAGONAL, "--fam", "fam {(2,2)*aleph0, (1,1)*3}"])
     assert code == 0 and "(aleph0, aleph0)" in out

@@ -17,6 +17,7 @@ from kmon.core import (
     flatten,
 )
 from kmon.diophantine import ConstraintSystem, DioMonoid
+from kmon.dsl import parse_monoid
 from kmon.errors import BoundExceededError, PreconditionError
 from kmon.free_vectors import CardVec, VecMonoid
 from kmon.gallery import (
@@ -168,6 +169,31 @@ def test_free_n0_finite_multiples_are_exact():
                 assert (r.kind, r.witness) == (scan.kind, scan.witness), (u, x)
                 if u.is_zero and x.is_finite and not x.is_zero:
                     assert r.note == scan.note
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["qline", "dedekind(2)", "dedekind(2,3)", "trivial(N0)", "trivial(cmn(1,2))", "N0",
+     "cmn(2,3)", "vec(2)"],
+)
+def test_finite_multiple_closed_forms_agree_with_the_scan(name):
+    # wherever the generic scan of multiples decides, the monoid's own
+    # closed form gives the same answer and the same least n
+    rng = random.Random(sum(map(ord, name)))
+    decided = 0
+    for bound in (at_most(ALEPH0), at_most(aleph(1))):
+        m = parse_monoid(name, bound)
+        pairs = [(m.sample_element(rng), m.sample_element(rng)) for _ in range(150)]
+        if name.startswith(("qline", "trivial")):
+            top = QINF if name == "qline" else INF
+            pairs.append((top, m.zero))  # the least n is 0, not 1
+        for u, x in pairs:
+            scan = KappaMonoid.finite_multiple_leq(m, u, x)
+            if scan.decided:
+                decided += 1
+                r = m.finite_multiple_leq(u, x)
+                assert (r.kind, r.witness) == (scan.kind, scan.witness), (bound, u, x)
+    assert decided >= 150
 
 
 def test_absorb_big():

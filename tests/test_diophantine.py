@@ -40,6 +40,16 @@ def test_member_worked_examples():
     assert not m_eq.member(vec(W, 3))
 
 
+def test_member_respects_the_bound():
+    free1 = ConstraintSystem.make(1)
+    for bound, top in ((below(W), 5), (at_most(W), W), (at_most(aleph(1)), aleph(1))):
+        m = DioMonoid(free1, bound)
+        above = [c for c in (W, aleph(1), aleph(2), aleph(3)) if not bound.admits(c)]
+        assert m.member(vec(top))
+        assert above and not any(m.member(vec(c)) for c in above)
+    assert DioMonoid(ConstraintSystem.make(0), at_most(W)).member(CardVec(()))
+
+
 def test_dio_monoid_name_carries_its_system():
     # two systems over the same n and bound get different names, built on
     # first access

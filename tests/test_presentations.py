@@ -419,6 +419,18 @@ def test_two_gen_monoid_sub_builds_one_context(monkeypatch):
     assert len(built) == 2
 
 
+def test_two_gen_monoid_leq_is_no_only_without_relations():
+    # 6*X1 = X2 puts X1 below X2 with slack 5*X1, off the slack grid of sub:
+    # with relations a missing complement is Unknown, never No
+    m = TwoGenMonoid(parse_presentation("twogen { rel: 6*X1 = 1*X2; }"))
+    assert forms_equal(m.p, X1 + Form.of(5, 0), X2).is_yes
+    assert m.leq(X1, X2).is_unknown
+    assert m.leq(X1, Form.of(2, 0)).is_yes
+    free = TwoGenMonoid(FREE)
+    assert free.leq(X2, X1).is_no
+    assert free.leq(X1, Form.of(1, 1)).is_yes
+
+
 def test_form_contract():
     with pytest.raises(ValueError):
         Form(aleph(1), ZERO)
