@@ -214,14 +214,15 @@ def _cmd_member(args, rep: Report) -> int:
 def _cmd_extend(args, rep: Report) -> int:
     m = _monoid(args, DioMonoid, at_most(ALEPH0))
     big = universal_extend(m, parse_card(args.to))
+    if args.vec:
+        v = parse_vec(args.vec)
+        ok = big.member(v)  # a bad vector raises here, before anything is reported
     rep.say(
         f"universal extension at {args.to}: {render_dio(big.system)} over bound {big.bound}",
         system=render_dio(big.system),
         bound=str(big.bound),
     )
     if args.vec:
-        v = parse_vec(args.vec)
-        ok = big.member(v)
         rep.say(f"{render_elem(v)} member: {ok}", member=ok)
         return rep.emit(EXIT_YES if ok else EXIT_NO)
     return rep.emit(EXIT_YES)

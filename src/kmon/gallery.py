@@ -333,11 +333,9 @@ class DedekindVMonoid(KappaMonoid):
         r = rng.random()
         if r < 0.15:
             return self.zero
-        if r < 0.35:
-            return RankClass(
-                rng.choice(self.bound.admissible_levels()),
-                tuple(0 for _ in self.factors),
-            )
+        levels = self.bound.admissible_levels()  # none under below(aleph0)
+        if r < 0.35 and levels:
+            return RankClass(rng.choice(levels), self.zero.cls)
         return self.elem(
             rng.randrange(1, 5), [rng.randrange(f) for f in self.factors]
         )

@@ -164,20 +164,29 @@ def _slacks(fc: ExtCard, lc: ExtCard, rc: ExtCard, gc: ExtCard):
     return _T_COORDS, True
 
 
+def _multiples(c: ExtCard) -> tuple:
+    """card_mul(m, c) for each m in _MULTIPLIERS, in closed form: a form
+    coefficient c is at most aleph0, so aleph0*c is aleph0 unless c is 0."""
+    if c.is_infinite:
+        return (c, c, c, c, c)
+    n = c.n
+    return (c, fin(2 * n), fin(3 * n), fin(4 * n), ALEPH0 if n else c)
+
+
 def _successors(rules, f: Form, goal: Form):
     """Single-rewrite successors f = t + m*L -> t + m*R under the rewrites
-    (relation index, m, m*L, m*R), and whether the capped slack branching
-    lost any."""
+    (relation index, m, m*L.a, m*L.b, m*R.a, m*R.b), and whether the capped
+    slack branching lost any."""
     out = []
     lossy = False
-    for ridx, m, ml, mr in rules:
-        ta_choices, lossy_a = _slacks(f.a, ml.a, mr.a, goal.a)
-        tb_choices, lossy_b = _slacks(f.b, ml.b, mr.b, goal.b)
+    for ridx, m, la, lb, ra, rb in rules:
+        ta_choices, lossy_a = _slacks(f.a, la, ra, goal.a)
+        tb_choices, lossy_b = _slacks(f.b, lb, rb, goal.b)
         lossy = lossy or lossy_a or lossy_b
         for ta in ta_choices:
-            ga = ta + mr.a
+            ga = ta + ra
             for tb in tb_choices:
-                g = Form(ga, tb + mr.b)  # t + m*R with t = (ta, tb)
+                g = Form(ga, tb + rb)  # t + m*R with t = (ta, tb)
                 if g != f:
                     out.append((g, (ridx, m, Form(ta, tb))))
     return out, lossy
@@ -250,8 +259,9 @@ def _respecting_homs(p: TwoGenPresentation):
 class _Saturation:
     """The facts of one presentation that the queries of one public call
     share, each derived once: the presentation's structural flags, the
-    scaled rewrites, the relation-respecting homomorphisms and, in report
-    contexts, a memo of goal-free successor lists.
+    rewrite table of relation-side multiples, the relation-respecting
+    homomorphisms and, in report contexts, a memo of goal-free successor
+    lists.
 
     Every public entry builds one from a bare presentation, and the private
     helpers pass it down in the presentation's place; it never outlives the
@@ -272,12 +282,15 @@ class _Saturation:
         self._hom_gen = _respecting_homs(p)  # runs only as far as it is read
 
     def rules(self) -> list:
-        """The rewrites (relation index, m, m*L, m*R), built on first use."""
+        """The rewrites (relation index, m, m*L.a, m*L.b, m*R.a, m*R.b),
+        relation index outer and m inner, built on first use."""
         if self._rules is None:
             self._rules = [
-                (ridx, m, l.scale(m), r.scale(m))
+                (ridx, m, la, lb, ra, rb)
                 for ridx, (l, r) in enumerate(self.p.relations)
-                for m in _MULTIPLIERS
+                for m, la, lb, ra, rb in zip(
+                    _MULTIPLIERS, _multiples(l.a), _multiples(l.b), _multiples(r.a), _multiples(r.b)
+                )
             ]
         return self._rules
 

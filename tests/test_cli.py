@@ -250,6 +250,22 @@ def test_axioms_subcommand():
     assert all(l.startswith(("PASS", "FAIL")) for l in out.splitlines())
 
 
+def test_axioms_on_dedekind_without_infinite_ranks():
+    # trivial(...) sums its base below aleph0, where no infinite rank is
+    # admissible, so sampling must stay on finite ranks
+    code, out = invoke(["axioms", "--monoid", "trivial(dedekind(2))", "--samples", "20"])
+    assert code == 0
+    assert out.splitlines() and all(l.startswith("PASS") for l in out.splitlines())
+
+
+def test_extend_rejects_bad_vector_before_reporting():
+    argv = ["extend", "--monoid", "dio n=1 { }", "--to", "aleph1", "--vec", "(1,2)"]
+    assert invoke(argv) == (3, "error: vector length 2 != 1\n")
+    code, out = invoke(argv + ["--format", "json"])
+    assert code == 3
+    assert json.loads(out) == {"command": "extend", "error": "vector length 2 != 1", "exit": 3}
+
+
 def test_extend_and_aleph0_extend_disagree_on_noncancellative_system():
     sysname = "dio n=2 { eq: 2 x0 = x0 + x1; }"
     code, _ = invoke(["extend", "--monoid", sysname, "--to", "aleph0", "--vec", "(aleph0, 3)"])

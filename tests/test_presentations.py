@@ -388,6 +388,48 @@ def test_query_stream_answers_are_pinned():
     assert digest == "01c01875cdd2d25d4b831d37b5b5bb1a84f16f1f3e7ce7d6b1a7359cfa3f981d"
 
 
+def _multi_query_stream(n=120, seed=20261019):
+    """One-shot queries on presentations with two or three relations, so
+    that the order of the rewrites across relations shows in the chains."""
+    rng = random.Random(seed)
+    cards = [fin(0), fin(1), fin(2), fin(3), W]
+
+    def form():
+        return Form(rng.choice(cards), rng.choice(cards))
+
+    out = []
+    for _ in range(n):
+        p = TwoGenPresentation.of([(form(), form()) for _ in range(rng.choice((2, 3)))])
+        out.append((p, form(), form()))
+    return out
+
+
+def test_multi_relation_query_stream_answers_are_pinned():
+    # the sha256 was computed before the rewrite table was built in closed
+    # form: every kind, note and witness must stay the same
+    qs = _multi_query_stream()
+    answers = [forms_equal(p, f, g, 2000) for p, f, g in qs]
+    answers += [in_add(p, a, b, 2000) for p, _, _ in qs[:4] for a, b in ((X1, X2), (X2, X1))]
+    assert sum(len(p.relations) > 2 for p, _, _ in qs) > 100
+    digest = hashlib.sha256("\n".join(map(repr, answers)).encode()).hexdigest()
+    assert digest == "0e9630ed41db2927de0cd8b59b932779701185ae37cd19d334883ba7fc984f89"
+
+
+def test_rewrite_table_matches_scaled_relations():
+    coeffs = [fin(0), fin(1), fin(2), fin(3), fin(4), fin(255), fin(256), W]
+    p = TwoGenPresentation(tuple((Form(a, b), Form(b, a)) for a in coeffs for b in coeffs))
+    want = [
+        (ridx, m, l.scale(m), r.scale(m))
+        for ridx, (l, r) in enumerate(p.relations)
+        for m in presentations._MULTIPLIERS
+    ]
+    got = [
+        (ridx, m, Form(la, lb), Form(ra, rb))
+        for ridx, m, la, lb, ra, rb in presentations._Saturation(p, False).rules()
+    ]
+    assert got == want
+
+
 def test_separating_hom_answers_name_the_first_separating_hom():
     seen = 0
     for p, f, g in _query_stream():
