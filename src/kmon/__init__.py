@@ -39,7 +39,6 @@ from .diophantine import (
     aleph0_extend_finite,
     decompose,
     enumerate_solutions,
-    is_saturated,
     recombine,
     universal_extend,
 )

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .cardinals import ALEPH0, ExtCard, FIN1, card_mul, card_sum, fin
+from .cardinals import ALEPH0, ExtCard, FIN1, aleph, card_mul, card_sum, fin
 from .core import Family, KappaMonoid, sort_key
 from .diophantine import ConstraintSystem, solutions
 from .errors import PreconditionError
@@ -212,44 +212,46 @@ def verify(
 # -- symmetry -------------------------------------------------------------------
 
 
-def _fold(i: int, head: int, period: int) -> int:
-    """Position i itself within a head of that length; past it, the position
-    in the first period at which the same periodic suffix starts."""
-    return i if i < head else head + (i - head) % period
+class _Periodic:
+    """An eventually periodic sequence: ``head``, then ``cycle`` repeated
+    forever.  A head with no cycle is followed by ``pad`` forever."""
+
+    def __init__(self, head, cycle, pad=None):
+        self.head, self.cycle, self.pad = head, cycle, pad
+        self.items = head + cycle
+
+    def done(self, i: int) -> bool:
+        return not self.cycle and i >= len(self.head)
+
+    def fold(self, i: int) -> int:
+        """Position i itself within the head; past it, the position in the
+        first period at which the same periodic suffix starts."""
+        h = len(self.head)
+        return i if i < h else h + (i - h) % len(self.cycle)
+
+    def __getitem__(self, i: int):
+        return self.pad if self.done(i) else self.items[self.fold(i)]
 
 
-class _Chain:
-    """Position-indexed view of an omega certificate; past the end of a
-    finite prefix every position holds an empty block with zero carries."""
+def _chain(m: KappaMonoid, cert: OmegaCertificate) -> _Periodic:
+    """An omega certificate's blocks, padded with empty zero-carry blocks."""
+    pad = BraidBlock(Family.empty(), Family.empty(), m.zero, m.zero)
+    return _Periodic(cert.prefix, cert.cycle, pad)
 
-    def __init__(self, m: KappaMonoid, cert: OmegaCertificate):
-        self.zero = m.zero
-        self.blocks = cert.prefix + cert.cycle
-        self.head, self.period = len(cert.prefix), len(cert.cycle)
-        self.end = None if cert.cycle else self.head  # None: periodic
-        self.pad = BraidBlock(Family.empty(), Family.empty(), m.zero, m.zero)
 
-    def done(self, pos: int) -> bool:
-        return self.end is not None and pos >= self.end
-
-    def fold(self, mu: int) -> int:
-        return _fold(mu, self.head, self.period)
-
-    def __getitem__(self, mu: int) -> BraidBlock:
-        return self.pad if self.done(mu) else self.blocks[self.fold(mu)]
-
-    def v_in(self, mu: int):
-        return self.zero if mu == 0 else self[mu - 1].v_next
+def _v_in(m: KappaMonoid, ch: _Periodic, mu: int):
+    """The carry entering position ``mu`` of a chain."""
+    return m.zero if mu == 0 else ch[mu - 1].v_next
 
 
 def flip(m: KappaMonoid, cert: OmegaCertificate) -> OmegaCertificate:
     """Certificate for the swapped pair, by the index shift: the new block at
     a position reuses the old j-chunk as its i-chunk and pulls the next old
     i-chunk over, with the limit position absorbing the extra block."""
-    ch = _Chain(m, cert)
-    p_new = max(ch.head, 1)
+    ch = _chain(m, cert)
+    p_new = max(len(ch.head), 1)
     blocks = []
-    for mu in range(p_new + ch.period):
+    for mu in range(p_new + len(ch.cycle)):
         b, nxt = ch[mu], ch[mu + 1]
         if mu == 0:
             jb, u = b.iblock.add(nxt.iblock), m.add(b.u, b.v_next)
@@ -286,31 +288,27 @@ class _Super:
     t_val: Any  # sum of the y-shortfall closed by the next A-step, if any
 
 
-def _merge_run(m: KappaMonoid, ch: _Chain, start: int, end: int, side: str):
+def _merge_run(m: KappaMonoid, ch: _Periodic, start: int, end: int, side: str):
     """Merged ``side`` chunk and chain data of positions start..end-1."""
-    chunk = Family.empty()
-    if start >= end:
-        return chunk, m.zero, ch.v_in(start)
-    u = ch[start].u
-    for mu in range(start + 1, end):
-        u = m.add(u, m.add(ch.v_in(mu), ch[mu].u))
+    chunk, u = Family.empty(), m.zero
     for mu in range(start, end):
         chunk = chunk.add(getattr(ch[mu], side))
-    return chunk, u, ch.v_in(start)
+        u = ch[mu].u if mu == start else m.add(u, m.add(_v_in(m, ch, mu), ch[mu].u))
+    return chunk, u, _v_in(m, ch, start)
 
 
 def _compose_walk(
     m: KappaMonoid,
-    c1: _Chain,
-    c2: _Chain,
+    c1: _Periodic,
+    c2: _Periodic,
     budget: int,
-) -> Optional[tuple[list[_Super], int, int]]:
+) -> Optional[_Periodic]:
     """Align the two chains along the shared middle family.
 
-    Returns (superblocks, cycle_start, cycle_period) with period 0 for the
-    finite case; a periodic walk stops at the first repeated state, after
-    the A-step that closes its last superblock.  None when alignment fails
-    within the budget."""
+    Returns the superblocks, whose cycle is empty for the finite case; a
+    periodic walk stops at the first repeated state, after the A-step that
+    closes its last superblock.  None when alignment fails within the
+    budget."""
     diff: dict[Any, int] = {}  # middle-family counts: chain1 minus chain2
 
     def bump(fam: Family, sign: int):
@@ -323,7 +321,7 @@ def _compose_walk(
             else:
                 diff[e] = k
 
-    def advance(ch: _Chain, pos: int, side: str, sign: int) -> Optional[int]:
+    def advance(ch: _Periodic, pos: int, side: str, sign: int) -> Optional[int]:
         """Take the ``side`` chunk at ``pos`` unless the chain is done, then
         more chunks until no middle count has sign ``-sign``; None when the
         chain ends first or the guard passes the budget."""
@@ -353,10 +351,10 @@ def _compose_walk(
             return None
         if sum(abs(k) for k in diff.values()) > drift_cap:
             return None  # aperiodic alignment; the caller falls back
-        if c1.done(pos1) and c2.done(pos2) and not diff:
-            return supers, len(supers), 0
         start = len(supers)
-        if c1.end is None and c2.end is None and pos1 >= c1.head and pos2 >= c2.head:
+        if c1.done(pos1) and c2.done(pos2) and not diff:
+            break
+        if c1.cycle and c2.cycle and pos1 >= len(c1.head) and pos2 >= len(c2.head):
             key = (
                 c1.fold(pos1),
                 c2.fold(pos2),
@@ -373,7 +371,7 @@ def _compose_walk(
             shortfall = Family.of((e, fin(k)) for e, k in diff.items() if k > 0)
             supers[-1].t_val = m.ksum(shortfall)
         if start < len(supers):  # the state repeats: the cycle is closed
-            return supers, start, len(supers) - start
+            break
 
         # B-step: advance chain2 to cover chain1
         s2 = pos2
@@ -389,37 +387,32 @@ def _compose_walk(
                 t_val=m.zero,
             )
         )
+    z = m.zero
+    pad = _Super(Family.empty(), z, z, Family.empty(), z, z, z, z)
+    return _Periodic(supers[:start], supers[start:], pad)
 
 
-def _assemble_composite(
-    m: KappaMonoid, supers: list[_Super], start: int, period: int
-) -> OmegaCertificate:
+def _assemble_composite(m: KappaMonoid, supers: _Periodic) -> OmegaCertificate:
     """Composite blocks: the limit block, then three superblocks per block;
     block l >= 1 reads superblocks 3l-2 to 3l+1.  Past the end of a finite
     walk of n superblocks every superblock is empty, so its blocks end at
-    (n+1)//3.  A periodic walk repeats every pc = period/gcd(3, period)
-    blocks from block ceil(start/3)+1 on, and the prefix is cut back to the
-    first block from which they repeat."""
-    z = m.zero
-    pad = _Super(Family.empty(), z, z, Family.empty(), z, z, z, z)
-
-    def S(idx: int) -> _Super:
-        if period:
-            return supers[_fold(idx, start, period)]
-        return supers[idx] if idx < len(supers) else pad
+    (n+1)//3.  A periodic walk with a head of length start repeats every
+    pc = period/gcd(3, period) blocks from block ceil(start/3)+1 on, and the
+    prefix is cut back to the first block from which they repeat."""
+    start, period = len(supers.head), len(supers.cycle)
 
     def block(l: int) -> BraidBlock:
-        s3, nxt = S(3 * l), S(3 * l + 1)
+        s3, nxt = supers[3 * l], supers[3 * l + 1]
         v_next = m.add(s3.s_val, m.add(nxt.h2_in, nxt.v1_in))
         if l == 0:
             return BraidBlock(s3.x, s3.z, s3.u1, v_next)
-        s1, s2 = S(3 * l - 2), S(3 * l - 1)
+        s1, s2 = supers[3 * l - 2], supers[3 * l - 1]
         ib = s1.x.add(s2.x).add(s3.x)
         jb = s1.z.add(s2.z).add(s3.z)
         return BraidBlock(ib, jb, m.add(s1.g2, m.add(s1.t_val, s3.u1)), v_next)
 
     if period == 0:
-        count = (len(supers) + 1) // 3 + 1
+        count = (start + 1) // 3 + 1
         return OmegaCertificate(tuple(block(l) for l in range(count)), ())
     pc = period // math.gcd(3, period)
     head = -(-start // 3) + 1
@@ -450,11 +443,11 @@ def compose(
     family in incompatible ratios); Unknown is then the honest outcome."""
     if isinstance(cert_xy, OmegaCertificate) and isinstance(cert_yz, OmegaCertificate):
         try:
-            walk = _compose_walk(m, _Chain(m, cert_xy), _Chain(m, cert_yz), budget)
+            walk = _compose_walk(m, _chain(m, cert_xy), _chain(m, cert_yz), budget)
         except ValueError:
             walk = None
         if walk is not None:
-            cert = _assemble_composite(m, *walk)
+            cert = _assemble_composite(m, walk)
             if verify(m, xfam, zfam, cert, lam).is_yes:
                 return yes(witness=cert)
     found = braid_find(m, xfam, zfam, lam, budget)
@@ -466,27 +459,17 @@ def compose(
 # -- search ---------------------------------------------------------------------
 
 
-class _Stream:
+def _stream(fam: Family) -> _Periodic:
     """Eventually-periodic enumeration of a family: finite-multiplicity
     entries first (canonical order), then one copy of each aleph0-entry per
     period."""
-
-    def __init__(self, fam: Family):
-        self.head: list = []
-        self.cycle: list = []
-        for e, mult in fam:
-            if mult.is_finite:
-                self.head.extend([e] * mult.n)
-            else:
-                self.cycle.append(e)
-
-    def at(self, i: int):
-        if i < len(self.head):
-            return self.head[i]
-        return self.cycle[(i - len(self.head)) % len(self.cycle)]
-
-    def fold(self, i: int) -> int:
-        return _fold(i, len(self.head), len(self.cycle))
+    head, cycle = [], []
+    for e, mult in fam:
+        if mult.is_finite:
+            head += [e] * mult.n
+        else:
+            cycle.append(e)
+    return _Periodic(head, cycle)
 
 
 def _units(m: KappaMonoid, elems: list) -> tuple[Family, Any]:
@@ -505,7 +488,7 @@ class _Chunks:
 
     def __init__(self, m: KappaMonoid, xfam: Family, yfam: Family):
         self.m = m
-        self.streams = (_Stream(xfam), _Stream(yfam))
+        self.streams = (_stream(xfam), _stream(yfam))
         self.table: dict = {}  # (side, folded start, length) -> (chunk, sum)
 
     def chunk(self, side: int, pos: int, k: int) -> tuple[Family, Any]:
@@ -514,7 +497,7 @@ class _Chunks:
         key = (side, s.fold(pos), k)
         got = self.table.get(key)
         if got is None:
-            got = self.table[key] = _units(self.m, [s.at(key[1] + t) for t in range(k)])
+            got = self.table[key] = _units(self.m, [s[key[1] + t] for t in range(k)])
         return got
 
     def _take(self, side: int, pos: int, carry: Any):
@@ -558,7 +541,7 @@ class _Chunks:
                     yield BraidBlock(ichunk, jchunk, u, vn), i + kx, j + ky, vn
 
 
-def _cycle_counts(m: KappaMonoid, sx: "_Stream", sy: "_Stream", cap: int):
+def _cycle_counts(m: KappaMonoid, sx: _Periodic, sy: _Periodic, cap: int):
     """Positive per-value counts making one x-block sum equal one y-block
     sum.  Uniform whole-cycle scaling first; for finite vector values the
     balance condition is itself a homogeneous linear system over the counts,
@@ -594,7 +577,7 @@ def _cycle_counts(m: KappaMonoid, sx: "_Stream", sy: "_Stream", cap: int):
     return None
 
 
-def _uniform_omega(m: KappaMonoid, sx: _Stream, sy: _Stream) -> Optional[OmegaCertificate]:
+def _uniform_omega(m: KappaMonoid, sx: _Periodic, sy: _Periodic) -> Optional[OmegaCertificate]:
     """Periodic certificate from balanced whole blocks: one cycle block with
     per-value counts chosen so its two sums agree, plus one prefix block
     padding the finite heads with extra cycle copies until they balance."""
@@ -705,22 +688,27 @@ def braid_find(
     return unknown(note=f"no certificate within budget {budget}")
 
 
+def _split(xf: Family, yf: Family, big: ExtCard):
+    """The canonical level split: for each multiplicity of at least ``big``,
+    in ascending order, the level and one copy of each element that each
+    family holds at that level; then each family's entries below ``big``."""
+    levels = sorted({mult for _, mult in itertools.chain(xf, yf) if not mult < big})
+    parts = [
+        (lvl, *(Family.of((e, FIN1) for e, mult in f if mult == lvl) for f in (xf, yf)))
+        for lvl in levels
+    ]
+    return parts, [Family.of((e, mult) for e, mult in f if mult < big) for f in (xf, yf)]
+
+
 def _layered_find(m: KappaMonoid, xf: Family, yf: Family, budget: int) -> TriBool:
     """Canonical level split: one weighted layer per multiplicity level above
     aleph0, plus a weight-one base layer for the rest.  The whole sums are
     equal here, and another split may succeed where this one fails, so a
     failing part gives Unknown, never No."""
-    levels = sorted(
-        {mult for _, mult in itertools.chain(xf, yf) if mult.is_infinite and mult != ALEPH0},
-        key=lambda c: c.sort_key(),
-    )
+    parts, (base_x, base_y) = _split(xf, yf, aleph(1))
     layers: list[tuple[ExtCard, OmegaCertificate]] = []
-    base_x = Family.of((e, mult) for e, mult in xf if mult.is_finite or mult == ALEPH0)
-    base_y = Family.of((e, mult) for e, mult in yf if mult.is_finite or mult == ALEPH0)
-    for lvl in levels:
-        lx = Family.of((e, ALEPH0) for e, mult in xf if mult == lvl)
-        ly = Family.of((e, ALEPH0) for e, mult in yf if mult == lvl)
-        sub = braid_find(m, lx, ly, ALEPH0, budget)
+    for lvl, ib, jb in parts:
+        sub = braid_find(m, ib.scale(ALEPH0), jb.scale(ALEPH0), ALEPH0, budget)
         if not sub.is_yes:
             return unknown(note=f"level {lvl} layer failed: {sub.note}")
         layers.append((lvl, sub.witness))
@@ -739,20 +727,16 @@ def _layered_find(m: KappaMonoid, xf: Family, yf: Family, budget: int) -> TriBoo
 def _collapsed_find(
     m: KappaMonoid, xf: Family, yf: Family, lam: ExtCard, budget: int
 ) -> TriBool:
-    big_levels = sorted(
-        {mult for _, mult in itertools.chain(xf, yf) if not mult < lam},
-        key=lambda c: c.sort_key(),
-    )
+    """Canonical level split: one block per multiplicity level of at least
+    lam, plus a weight-one block for the rest; as in the layered split, a
+    failing part gives Unknown, never No."""
+    parts, (rx, ry) = _split(xf, yf, lam)
     blocks: list[tuple[Family, Family, ExtCard]] = []
-    for lvl in big_levels:
-        ib = Family.of((e, FIN1) for e, mult in xf if mult == lvl)
-        jb = Family.of((e, FIN1) for e, mult in yf if mult == lvl)
+    for lvl, ib, jb in parts:
         r = m.eq(m.ksum(ib), m.ksum(jb))
         if not r.is_yes:
             return unknown(note=f"level {lvl} blocks do not balance")
         blocks.append((ib, jb, lvl))
-    rx = Family.of((e, mult) for e, mult in xf if mult < lam)
-    ry = Family.of((e, mult) for e, mult in yf if mult < lam)
     if len(rx) or len(ry):
         r = m.eq(m.ksum(rx), m.ksum(ry))
         if r.is_no:  # the whole sums are equal: another split may balance

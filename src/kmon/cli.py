@@ -14,7 +14,14 @@ from typing import Optional
 from .braiding import braid_find, verify
 from .cardinals import ALEPH0, at_most, below, render_card
 from .core import KappaMonoid
-from .diophantine import DioMonoid, aleph0_extend_finite, decompose, recombine, universal_extend
+from .diophantine import (
+    DEFAULT_RADIUS,
+    DioMonoid,
+    aleph0_extend_finite,
+    decompose,
+    recombine,
+    universal_extend,
+)
 from .dsl import (
     parse_card,
     parse_certificate,
@@ -179,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = add("aleph0-extend", "membership in H + aleph0*H")
     s.add_argument("--monoid", required=True)
     s.add_argument("--vec", required=True)
-    s.add_argument("--radius", type=_at_least(0), default=32, help="enumeration cap")
+    s.add_argument("--radius", type=_at_least(0), default=DEFAULT_RADIUS, help="enumeration cap")
 
     return ap
 
@@ -268,10 +275,8 @@ def _cmd_braid_find(args, rep: Report) -> int:
     r = braid_find(m, x, y, parse_card(args.lam), args.budget)
     if r.is_yes:
         rep.say(render_certificate(r.witness), certificate=render_certificate(r.witness))
-    elif r.is_no:
-        rep.say(f"reason: {r.note}", reason=r.note)
     else:
-        rep.say(f"budget {args.budget} consumed: {r.note}", budget=args.budget)
+        rep.say(f"reason: {r.note}", reason=r.note)
     return _verdict(rep, r)
 
 

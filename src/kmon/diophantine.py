@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .cardinals import (
     ALEPH0,
@@ -438,26 +438,3 @@ def aleph0_extend_finite(m: DioMonoid, radius: int = DEFAULT_RADIUS) -> Aleph0Ex
         raise PreconditionError("source must be a plain monoid: bound below(aleph0)")
     return Aleph0Extension(m.system, radius)
 
-
-def is_saturated(
-    m: DioMonoid,
-    radius: int,
-    member_fn: Optional[Callable[[tuple[int, ...]], bool]] = None,
-) -> TriBool:
-    """Check s = t + h with s, t in H implies h in H, over the box 0..radius.
-    A constraint-defined submonoid is always saturated; the oracle hook lets
-    the harness exercise deliberately non-saturated generated monoids."""
-    inside = member_fn if member_fn is not None else (
-        lambda v: satisfies_int(m.system, v)
-    )
-    sols = [
-        x for x in itertools.product(range(radius + 1), repeat=m.n) if inside(x)
-    ]
-    for s in sols:
-        for t in sols:
-            h = tuple(si - ti for si, ti in zip(s, t))
-            if any(v < 0 for v in h):
-                continue
-            if not inside(h):
-                return no(witness=(s, t, h))
-    return yes(note=f"saturated up to radius {radius}")

@@ -95,6 +95,37 @@ def test_exit_unknown():
     assert code == 2
 
 
+# the canonical level split fails on its base layer before any budget is spent
+SPLIT_UNKNOWN = [
+    "braid-find", "--monoid", "vec(2)", "--x", "fam {(1,1)*aleph1, (1,0)*1}",
+    "--y", "fam {(1,1)*aleph1}", "--kappa", "aleph1", "--budget", "1",
+]
+
+
+def test_braid_find_unknown_names_its_reason():
+    code, out = invoke(SPLIT_UNKNOWN)
+    assert code == 2
+    assert out == (
+        "reason: base layer: sums differ\n"
+        "verdict: UNKNOWN (base layer: sums differ)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,kind,reason",
+    [
+        (SPLIT_UNKNOWN, "unknown", "base layer: sums differ"),
+        (["braid-find", "--monoid", "N0", "--x", "fam {1*aleph0}", "--y", "fam {3*1}"],
+         "no", "finite vs infinite form"),
+    ],
+)
+def test_braid_find_json_reason(argv, kind, reason):
+    code, out = invoke(argv + ["--format", "json"])
+    data = json.loads(out)
+    assert data["verdict"] == kind and data["reason"] == reason
+    assert "budget" not in data
+
+
 def test_parse_error_reports_position():
     code, out = invoke(["member", "--monoid", "dio n=2 { eq x0 = x1; }", "--vec", "(1,1)"])
     assert code == 3

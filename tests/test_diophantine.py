@@ -11,7 +11,6 @@ from kmon.diophantine import (
     aleph0_extend_finite,
     decompose,
     enumerate_solutions,
-    is_saturated,
     rational_feasible,
     recombine,
     solutions,
@@ -201,21 +200,6 @@ def test_rational_feasibility():
     assert rational_feasible(EQ_XY, {1: 3})
     assert not rational_feasible(EQ_XY, {1: 0}, lower_one=0)
     assert rational_feasible(ConstraintSystem.make(1), {}, lower_one=0)
-
-
-def test_is_saturated():
-    assert is_saturated(DioMonoid(EQ_XY, below(W)), radius=6).is_yes
-    assert is_saturated(DioMonoid(ConstraintSystem.make(2), below(W)), radius=4).is_yes
-    # harness self-test: the numerical monoid generated by 2 and 3 is not
-    # saturated (3 = 2 + 1 but 1 is not a member)
-    gen23 = {0}
-    for _ in range(10):
-        gen23 |= {g + 2 for g in gen23} | {g + 3 for g in gen23}
-    oracle = lambda v: v[0] in gen23 or v[0] > 20
-    r = is_saturated(DioMonoid(ConstraintSystem.make(1), below(W)), 6, member_fn=oracle)
-    assert r.is_no
-    s, t, h = r.witness
-    assert oracle(s) and oracle(t) and not oracle(h)
 
 
 def test_solution_closure_under_ksum():
