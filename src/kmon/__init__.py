@@ -65,12 +65,10 @@ from .presentations import (
 )
 from .gallery import (
     DedekindVMonoid,
-    HNPInfiniteVec,
     HNPPredicate,
     QPoint,
     RationalLineMonoid,
     TrivialExtensionMonoid,
-    hnp_member,
 )
 from .dsl import parse_card, parse_dsl, render_dsl
 from .tribool import TriBool, no, unknown, yes

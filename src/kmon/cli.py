@@ -209,7 +209,7 @@ def _monoid(args, kind: type | tuple = KappaMonoid, bound=None):
 def _cmd_member(args, rep: Report) -> int:
     m = _monoid(args, (DioMonoid, HNPPredicate))
     v = parse_vec(args.vec)
-    ok = m.member(v, parse_card(args.kappa)) if isinstance(m, HNPPredicate) else m.member(v)
+    ok = m.member(v)
     rep.say(
         f"{render_elem(v)} is {'a member' if ok else 'not a member'} of {args.monoid.strip()}",
         member=ok,

@@ -171,7 +171,9 @@ class KappaMonoid:
     """
 
     name: str = "monoid"
-    bound: CardBoundMode
+
+    def __init__(self, bound: Optional[CardBoundMode] = None):
+        self.bound = bound if bound is not None else at_most(kappa_card())
 
     @property
     def zero(self) -> Any:
@@ -381,8 +383,8 @@ class CyclicExtensionMonoid(KappaMonoid):
             raise ValueError(
                 "faithful extension needs a reduced cyclic monoid (m >= 1 or free)"
             )
+        super().__init__(bound)
         self.cyc = cyc
-        self.bound = bound if bound is not None else at_most(kappa_card())
         self.name = f"cyclic-ext({cyc})"
 
     @property

@@ -136,7 +136,6 @@ class DioMonoid(VecMonoid):
     def __init__(self, system: ConstraintSystem, bound: Optional[CardBoundMode] = None):
         super().__init__(system.n, bound)
         self.system = system
-        self._gens: Optional[list[CardVec]] = None
 
     @cached_property
     def name(self) -> str:
@@ -146,24 +145,22 @@ class DioMonoid(VecMonoid):
         # the bound admits every coordinate iff it admits the largest
         return self.bound.admits(max(x.coords, default=ZERO)) and satisfies_card(self.system, x)
 
+    @cached_property
     def _generators(self) -> list[CardVec]:
         # small finite solutions plus admissible all-or-nothing aleph patterns
-        if self._gens is None:
-            nonzero = (s for s in solutions(self.system, [range(4)] * self.n) if any(s))
-            gens = [CardVec(tuple(fin(c) for c in sol)) for sol in itertools.islice(nonzero, 12)]
-            for pat in itertools.product((ZERO, ALEPH0), repeat=self.n):
-                v = CardVec(pat)
-                if not v.is_zero and self.member(v):
-                    gens.append(v)
-            self._gens = gens
-        return self._gens
+        nonzero = (s for s in solutions(self.system, [range(4)] * self.n) if any(s))
+        gens = [CardVec(tuple(fin(c) for c in sol)) for sol in itertools.islice(nonzero, 12)]
+        for pat in itertools.product((ZERO, ALEPH0), repeat=self.n):
+            v = CardVec(pat)
+            if not v.is_zero and self.member(v):
+                gens.append(v)
+        return gens
 
     def sample_element(self, rng: random.Random) -> CardVec:
-        gens = self._generators()
+        gens = self._generators
         if not gens:
             return self.zero
-        levels = self.bound.admissible_levels()
-        mults = [FIN1, fin(2), fin(3)] + levels
+        mults = self.sample_mults()
         k = rng.randrange(0, 3)
         fam = Family.of(
             (rng.choice(gens), rng.choice(mults)) for _ in range(k)
@@ -210,11 +207,25 @@ class DioMonoid(VecMonoid):
         r = super().finite_multiple_leq(u, x)
         if r.is_no or not self.system.inequalities:
             return r
+        if all(c.is_finite for c in u.coords + x.coords):
+            # for members u and x, c = n*u - x >= 0 meets every equation and
+            # congruence, and a.c <= b.c reads n*alpha <= beta with
+            # alpha = (a-b).u <= 0 and beta = (a-b).x <= 0
+            need = r.witness
+            ui, xi = [c.n for c in u.coords], [c.n for c in x.coords]
+            for k, (a, b) in enumerate(self.system.inequalities):
+                alpha = _dot_int(a, ui) - _dot_int(b, ui)
+                beta = _dot_int(a, xi) - _dot_int(b, xi)
+                if alpha < 0:
+                    need = max(need, -(beta // -alpha))  # ceil(beta / alpha)
+                elif beta < 0:
+                    return no(note=f"every complement breaks inequality {k}")
+            return yes(witness=need)
         r = KappaMonoid.finite_multiple_leq(self, u, x)
         return r if r.is_yes else unknown(note="no n*u with a member complement of x found")
 
     def canonical_order_unit(self) -> Optional[CardVec]:
-        gens = self._generators()
+        gens = self._generators
         if not gens:
             return None
         return self.raw_ksum(Family.of((g, FIN1) for g in gens))

@@ -30,7 +30,6 @@ from .gallery import (
     INF,
     DedekindVMonoid,
     HNPPredicate,
-    Inf,
     QPoint,
     RankClass,
     RationalLineMonoid,
@@ -227,8 +226,6 @@ class Parser:
             if not self.at(")"):
                 cls = self.commas(self.nat)
         self.expect(")")
-        if rank.is_infinite or rank.is_zero:
-            return RankClass(rank, tuple(0 for _ in d.factors))
         return d.elem(rank, cls or None)
 
     # -- forms ---------------------------------------------------------------
@@ -380,7 +377,7 @@ class Parser:
             self.expect(")")
             return DedekindVMonoid(tuple(factors), bound)
         if low == "hnp":
-            return HNPPredicate(tuple(self.parens(self.field, "c", self.commas, self._fraction)))
+            return HNPPredicate(self.parens(self.field, "c", self.commas, self._fraction), bound)
         return TrivialExtensionMonoid(self.parens(self.monoid, below(ALEPH0)), bound)
 
     # -- certificates ----------------------------------------------------------------
@@ -540,30 +537,8 @@ def render_dsl(x) -> str:
 
 
 def render_elem(e) -> str:
-    if isinstance(e, ExtCard):
-        return render_card(e)
-    if isinstance(e, CardVec):
-        return "(" + ", ".join(render_card(c) for c in e.coords) + ")"
-    if isinstance(e, Inf):
-        return "inf"
-    if isinstance(e, QPoint):
-        if e.tag == "inf":
-            return "inf"
-        body = str(e.q.numerator) if e.q.denominator == 1 else f"{e.q.numerator}/{e.q.denominator}"
-        return ("~" if e.tag == "tilde" else "") + body
-    if isinstance(e, RankClass):
-        if e.rank.is_zero:
-            return "0"
-        if e.rank.is_infinite:
-            return f"({render_card(e.rank)};)"
-        return f"({render_card(e.rank)}; {', '.join(map(str, e.cls))})"
-    if isinstance(e, Form):
-        return f"({render_form(e)})"
-    raise TypeError(f"no renderer for {type(e).__name__}")
-
-
-def render_form(f: Form) -> str:
-    return f"{render_card(f.a)}*X1 + {render_card(f.b)}*X2"
+    """An element's DSL literal: its own text, with a form in parentheses."""
+    return f"({e})" if isinstance(e, Form) else str(e)
 
 
 def render_family(fam: Family) -> str:
@@ -577,7 +552,7 @@ def render_presentation(p: TwoGenPresentation) -> str:
         if (r, l) in seen:
             continue
         seen.add((l, r))
-        parts.append(f"rel: {render_form(l)} = {render_form(r)};")
+        parts.append(f"rel: {l} = {r};")
     return "twogen { " + " ".join(parts) + " }"
 
 
@@ -589,13 +564,9 @@ def render_monoid(m: KappaMonoid) -> str:
     if isinstance(m, VecMonoid):
         return f"vec({m.n})"
     if isinstance(m, CyclicExtensionMonoid):
-        return "N0" if m.cyc.is_free else f"cmn({m.cyc.m},{m.cyc.n})"
-    if isinstance(m, RationalLineMonoid):
-        return "qline"
-    if isinstance(m, DedekindVMonoid):
-        return "dedekind(" + ",".join(map(str, m.factors)) + ")"
-    if isinstance(m, HNPPredicate):
-        return m.name
+        return str(m.cyc)
+    if isinstance(m, (RationalLineMonoid, DedekindVMonoid, HNPPredicate)):
+        return m.name  # already the DSL name
     if isinstance(m, TwoGenMonoid):
         return render_presentation(m.p)
     raise TypeError(f"no renderer for {type(m).__name__}")

@@ -13,11 +13,9 @@ from .cardinals import (
     FIN1,
     Frozen,
     ZERO,
-    at_most,
     card_sub_least,
     card_sum,
     fin,
-    kappa_card,
 )
 from .core import Family, KappaMonoid
 from .errors import DimensionError
@@ -82,8 +80,8 @@ class VecMonoid(KappaMonoid):
     bound (Below(aleph0) gives the plain finite-vector monoid)."""
 
     def __init__(self, n: int, bound: Optional[CardBoundMode] = None):
+        super().__init__(bound)
         self.n = n
-        self.bound = bound if bound is not None else at_most(kappa_card())
 
     @cached_property
     def name(self) -> str:

@@ -54,8 +54,8 @@ class TrivialExtensionMonoid(KappaMonoid):
     def __init__(self, base: KappaMonoid, bound: Optional[CardBoundMode] = None):
         if base.bound.admissible_levels():
             raise ValueError("trivial extension takes a plain (finite-sum) base")
+        super().__init__(bound)
         self.base = base
-        self.bound = bound if bound is not None else at_most(kappa_card())
         self.name = f"trivial({base.name})"
 
     @property
@@ -160,9 +160,6 @@ class RationalLineMonoid(KappaMonoid):
 
     name = "qline"
 
-    def __init__(self, bound: Optional[CardBoundMode] = None):
-        self.bound = bound if bound is not None else at_most(kappa_card())
-
     @cached_property
     def zero(self) -> QPoint:
         return QPoint.plain(0)
@@ -246,11 +243,12 @@ class RankClass:
         return (self.rank.sort_key(), self.cls)
 
     def __str__(self):
+        # the DSL literal: 0, (aleph1;) or (3; 1, 0)
         if self.rank.is_zero:
             return "0"
         if self.rank.is_infinite:
-            return f"({self.rank})"
-        return f"({self.rank},{'+'.join(map(str, self.cls))})"
+            return f"({self.rank};)"
+        return f"({self.rank}; {', '.join(map(str, self.cls))})"
 
 
 class DedekindVMonoid(KappaMonoid):
@@ -261,8 +259,8 @@ class DedekindVMonoid(KappaMonoid):
     def __init__(self, factors: tuple[int, ...], bound: Optional[CardBoundMode] = None):
         if not all(f >= 1 for f in factors):
             raise ValueError("invariant factors are positive")
+        super().__init__(bound)
         self.factors = tuple(factors)
-        self.bound = bound if bound is not None else at_most(kappa_card())
         self.name = f"dedekind({','.join(map(str, factors))})"
 
     @cached_property
@@ -272,8 +270,8 @@ class DedekindVMonoid(KappaMonoid):
     def elem(self, rank, cls=None) -> RankClass:
         rank = fin(rank) if isinstance(rank, int) else rank
         if rank.is_zero or rank.is_infinite:
-            return RankClass(rank, tuple(0 for _ in self.factors))
-        cls = tuple(cls) if cls is not None else tuple(0 for _ in self.factors)
+            return RankClass(rank, self.zero.cls)
+        cls = tuple(cls) if cls is not None else self.zero.cls
         return RankClass(rank, tuple(c % f for c, f in zip(cls, self.factors)))
 
     def _gsum(self, items) -> tuple[int, ...]:
@@ -354,48 +352,31 @@ class DedekindVMonoid(KappaMonoid):
 # -- hereditary noetherian prime rings: the infinite part ------------------------
 
 
-@dataclass(frozen=True)
-class HNPInfiniteVec:
-    """A candidate infinite stable class over a finite index set with
-    distinguished index 0 and positive local ranks."""
-
-    x: CardVec
-    c: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.x) != len(self.c):
-            raise ValueError("rank vector and local ranks differ in length")
-        if any(ci <= 0 for ci in self.c):
-            raise ValueError("local ranks are positive")
-
-
-@dataclass(frozen=True)
 class HNPPredicate:
-    """CLI-addressable membership predicate for the infinite part; not a
-    summation structure."""
+    """Membership of the infinite part over a finite index set with
+    distinguished index 0 and positive local ranks ``c``, at kappa = the
+    bound's cardinal; a CLI-addressable predicate, not a summation
+    structure."""
 
-    c: tuple[Fraction, ...]
+    def __init__(self, c: tuple[Fraction, ...], bound: Optional[CardBoundMode] = None):
+        self.c = tuple(c)
+        self.bound = bound if bound is not None else at_most(kappa_card())
 
     @property
     def name(self) -> str:
         return f"hnp(c={','.join(str(q) for q in self.c)})"
 
-    def member(self, x: CardVec, kappa: ExtCard) -> bool:
-        return hnp_member(HNPInfiniteVec(x, self.c), kappa)
-
-
-def hnp_member(v: HNPInfiniteVec, kappa: ExtCard) -> bool:
-    """Membership of the infinite part: the distinguished coordinate must be
-    infinite and dominate the others, and (with positive local ranks over a
-    finite index set) every coordinate must be infinite."""
-    x0 = v.x[0]
-    if not x0.is_infinite:
-        raise PreconditionError("the distinguished coordinate must be infinite")
-    if not x0 <= kappa:
-        return False
-    for i in range(len(v.x)):
-        if not v.x[i] <= x0:
-            return False
-    # finitely many indices: a finite coordinate would sit below n*c_i for
-    # large n ever after, which the defining condition forbids
-    return all(v.x[i].is_infinite for i in range(len(v.x)))
+    def member(self, x: CardVec) -> bool:
+        """The distinguished coordinate must be infinite and dominate the
+        others, and (with positive local ranks over a finite index set)
+        every coordinate must be infinite."""
+        if len(x) != len(self.c):
+            raise ValueError("rank vector and local ranks differ in length")
+        if any(ci <= 0 for ci in self.c):
+            raise ValueError("local ranks are positive")
+        x0 = x[0]
+        if not x0.is_infinite:
+            raise PreconditionError("the distinguished coordinate must be infinite")
+        # finitely many indices: a finite coordinate would sit below n*c_i for
+        # large n ever after, which the defining condition forbids
+        return x0 <= self.bound.card and all(c.is_infinite and c <= x0 for c in x.coords)

@@ -18,9 +18,19 @@ from .core import Family, KappaMonoid, _top_multiple, flatten
 @dataclass
 class LawResult:
     law: str
-    passed: bool
+    passed: bool = True
     cases: int = 0
     witness: str = ""
+
+    def check(self, ok_tri, witness) -> None:
+        # ok_tri: TriBool or bool; Unknowns are skipped, not failures.
+        # witness is a thunk so passing cases never pay for formatting.
+        if not self.passed or getattr(ok_tri, "is_unknown", False):
+            return
+        self.cases += 1
+        if not ok_tri:
+            self.passed = False
+            self.witness = witness() if callable(witness) else witness
 
     def line(self) -> str:
         if self.passed:
@@ -45,44 +55,20 @@ class LawReport:
         return [r for r in self.results if not r.passed]
 
 
-class _Law:
-    def __init__(self, name: str):
-        self.name = name
-        self.cases = 0
-        self.failed: str | None = None
-
-    def check(self, ok_tri, witness) -> None:
-        # ok_tri: TriBool or bool; Unknowns are skipped, not failures.
-        # witness is a thunk so passing cases never pay for formatting.
-        if self.failed is not None:
-            return
-        if hasattr(ok_tri, "is_unknown") and ok_tri.is_unknown:
-            return
-        ok = bool(ok_tri)
-        self.cases += 1
-        if not ok:
-            self.failed = witness() if callable(witness) else witness
-
-    def result(self) -> LawResult:
-        if self.failed is None:
-            return LawResult(self.name, True, self.cases)
-        return LawResult(self.name, False, self.cases, self.failed)
-
-
 def check_axioms(m: KappaMonoid, samples: int = 500, seed: int = 0) -> LawReport:
     """Randomized verification of the monoid laws on sampled families."""
     rng = random.Random(seed)
-    a1 = _Law("A1-singleton")
-    a1e = _Law("A1-empty")
-    a2 = _Law("A2-flatten")
-    a4 = _Law("A4-split-merge")
-    sc0 = _Law("scalar-zero-one")
-    sc1 = _Law("scalar-distributes-over-cardinal-sum")
-    sc2 = _Law("scalar-distributes-over-element-sum")
-    absb = _Law("infinite-absorption")
-    sw1 = _Law("swindle-reduced")
-    sw2 = _Law("swindle-split")
-    big = _Law("sum-with-big-multiple")
+    a1 = LawResult("A1-singleton")
+    a1e = LawResult("A1-empty")
+    a2 = LawResult("A2-flatten")
+    a4 = LawResult("A4-split-merge")
+    sc0 = LawResult("scalar-zero-one")
+    sc1 = LawResult("scalar-distributes-over-cardinal-sum")
+    sc2 = LawResult("scalar-distributes-over-element-sum")
+    absb = LawResult("infinite-absorption")
+    sw1 = LawResult("swindle-reduced")
+    sw2 = LawResult("swindle-split")
+    big = LawResult("sum-with-big-multiple")
 
     zero = m.zero
     mults = m.sample_mults()
@@ -176,8 +162,5 @@ def check_axioms(m: KappaMonoid, samples: int = 500, seed: int = 0) -> LawReport
             t = m.add(ku, x)
             big.check(m.eq(t, ku), lambda x=x: f"kappa*u + {x} != kappa*u")
 
-    report = LawReport(m.name)
-    for law in (a1e, a1, a2, a4, sc0, sc1, sc2, absb, sw1, sw2, big):
-        report.results.append(law.result())
-    report.results.sort(key=lambda r: r.law)
-    return report
+    laws = [a1e, a1, a2, a4, sc0, sc1, sc2, absb, sw1, sw2, big]
+    return LawReport(m.name, sorted(laws, key=lambda r: r.law))

@@ -878,9 +878,9 @@ class TwoGenMonoid(KappaMonoid):
     three-valued equality."""
 
     def __init__(self, p: TwoGenPresentation, budget: int = 2000):
+        super().__init__(at_most(ALEPH0))
         self.p = p
         self.budget = budget
-        self.bound = at_most(ALEPH0)
         self.name = f"twogen({len(p.relations)} rels)"
 
     @property

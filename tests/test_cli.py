@@ -1,6 +1,8 @@
 import io
 import json
+import shlex
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -344,3 +346,92 @@ def test_json_usage_error(argv, command, error, capsys):
     code, out = invoke(argv)
     assert code == 3 and out == ""
     assert capsys.readouterr().err.endswith(f"error: {error}\n")
+
+
+# -- pinned text of the hnp predicate, presented monoids and dedekind elements --
+
+HNP = "hnp(c=1,1/2)"
+
+
+@pytest.mark.parametrize(
+    "vec,kappa,expected",
+    [
+        ("(aleph1, aleph0)", "aleph2", (0, f"(aleph1, aleph0) is a member of {HNP}\n")),
+        ("(aleph2, aleph0)", "aleph1", (1, f"(aleph2, aleph0) is not a member of {HNP}\n")),
+        ("(3, aleph0)", "aleph3", (3, "error: the distinguished coordinate must be infinite\n")),
+        ("(aleph0)", "aleph3", (3, "error: rank vector and local ranks differ in length\n")),
+    ],
+)
+def test_hnp_member_reads_kappa_from_the_bound(vec, kappa, expected):
+    assert invoke(["member", "--monoid", HNP, "--vec", vec, "--kappa", kappa]) == expected
+
+
+def test_hnp_member_json_error():
+    code, out = invoke(["member", "--monoid", "hnp(c=0)", "--vec", "(aleph0)", "--format", "json"])
+    assert code == 3
+    assert json.loads(out) == {"command": "member", "error": "local ranks are positive", "exit": 3}
+
+
+TWOGEN = "twogen { rel: 2*X1 = 1*X2; }"
+
+
+def test_gallery_eval_on_a_presented_monoid():
+    code, out = invoke(
+        ["gallery-eval", "--monoid", TWOGEN, "--fam",
+         "fam {(1*X1 + 0*X2)*2, (0*X1 + 1*X2)*aleph0}"]
+    )
+    assert code == 0
+    assert out.endswith("= (2*X1 + aleph0*X2)\n")
+
+
+def test_braid_find_then_check_on_a_presented_monoid():
+    common = ["--monoid", TWOGEN, "--x", "fam {(1*X1 + 0*X2)*aleph0}",
+              "--y", "fam {(0*X1 + 1*X2)*aleph0}"]
+    block = "B i={(1*X1 + 0*X2)*2} j={(0*X1 + 1*X2)*1} u=(2*X1 + 0*X2) v'=(0*X1 + 0*X2)"
+    cert = f"PREFIX\nCYCLE\n{block}"
+    assert invoke(["braid-find", *common]) == (0, f"{cert}\nverdict: YES\n")
+    code, out = invoke(["braid-check", *common, "--cert", cert])
+    assert code == 0 and out.endswith("verdict: YES\n")
+
+
+def test_braid_find_on_dedekind_prints_dsl_literals():
+    code, out = invoke(
+        ["braid-find", "--monoid", "dedekind(2)", "--x", "fam {(1; 1)*aleph0}",
+         "--y", "fam {(2; 0)*aleph0}"]
+    )
+    assert code == 0
+    assert "B i={(1; 1)*2} j={(2; 0)*1} u=(2; 0) v'=0\n" in out
+
+
+def test_braid_check_note_prints_dedekind_elements_as_dsl_literals(tmp_path):
+    cert = tmp_path / "c.txt"
+    cert.write_text("PREFIX\nB i={(1; 1)*3} j={(3; 1)*1} u=(3; 1) v'=0\n")
+    code, out = invoke(
+        ["braid-check", "--monoid", "dedekind(2)", "--x", "fam {(1; 1)*3}",
+         "--y", "fam {(3; 1)*2}", "--cert", f"@{cert}"]
+    )
+    assert (code, out) == (1, "verdict: NO (consumption of (3; 1): 1 != 2)\n")
+
+
+def _readme_cli_examples() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli = readme.split("\n## CLI\n", 1)[1]
+    block = cli.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("kmon ")]
+
+
+def test_readme_cli_examples_run(tmp_path):
+    examples = _readme_cli_examples()
+    assert len(examples) >= 10
+    for line in examples:
+        argv = shlex.split(line)[1:]
+        if argv[0] == "braid-check":
+            # the certificate comes from the braid-find example on the same families
+            find = ["braid-find", *argv[1:argv.index("--cert")]]
+            code, out = invoke(find)
+            assert code == 0, find
+            cert = tmp_path / "cert.txt"
+            cert.write_text(out.rsplit("verdict:", 1)[0])
+            argv[argv.index("@cert.txt")] = f"@{cert}"
+        code, out = invoke(argv)
+        assert code in (0, 1, 2), (line, out)

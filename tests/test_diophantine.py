@@ -17,7 +17,7 @@ from kmon.diophantine import (
     universal_extend,
 )
 from kmon.core import size_of
-from kmon.errors import PreconditionError, SearchExhausted
+from kmon.errors import PreconditionError
 from kmon.free_vectors import CardVec, VecMonoid
 from kmon.laws import check_axioms
 
@@ -247,9 +247,9 @@ def test_inequality_preorder_needs_a_member_complement():
     for n in (1, 2, 3):
         r = m.leq(x, vec(n, n))
         assert r.is_no and r.note == "the only complement is not a member"
-    assert not m.finite_multiple_leq(u, x).is_yes
-    with pytest.raises(SearchExhausted):
-        size_of(m, u, x)
+    r = m.finite_multiple_leq(u, x)
+    assert r.is_no and r.note == "every complement breaks inequality 0"
+    assert size_of(m, u, x) == W  # (aleph0, aleph0) = x + (aleph0, aleph0)
     assert m.finite_multiple_leq(vec(1, 2), x).witness == 1  # (1, 2) = x + (1, 1)
     # infinite slack: (W, W) - (W, W) may be 0, W or anything between
     assert m.leq(vec(W, W), vec(W, W)).is_yes
@@ -288,4 +288,17 @@ def test_finite_multiple_yes_has_a_member_complement():
             if r.is_yes:
                 t = f2.scalar(fin(r.witness), u)
                 assert any(m.member(c) for c in _complements(x, t)), (system, u, x, r)
+            if all(c.is_finite for c in u.coords + x.coords):
+                # exact on finite inputs: the least n whose only complement
+                # n*u - x is a member, or No when no n below 40 has one
+                assert r.kind == ("no" if _least_multiple(m, u, x) is None else "yes")
+                assert not r.is_yes or r.witness == _least_multiple(m, u, x)
     assert ("ineq", "yes") in answers and ("ineq", "no") in answers
+
+
+def _least_multiple(m: DioMonoid, u: CardVec, x: CardVec):
+    for n in range(40):
+        c = [n * ui.n - xi.n for ui, xi in zip(u.coords, x.coords)]
+        if min(c) >= 0 and m.member(CardVec.fins(*c)):
+            return n
+    return None

@@ -12,12 +12,11 @@ from kmon.free_vectors import CardVec, VecMonoid
 from kmon.gallery import (
     INF,
     DedekindVMonoid,
-    HNPInfiniteVec,
+    HNPPredicate,
     QPoint,
     QINF,
     RationalLineMonoid,
     TrivialExtensionMonoid,
-    hnp_member,
     plain_n0,
 )
 from kmon.laws import check_axioms
@@ -155,15 +154,12 @@ def test_gallery_monoids_pass_laws(monoid):
 
 
 def test_hnp_member_worked_examples():
-    c = (Fraction(1), Fraction(1))
-    v = HNPInfiniteVec(CardVec.of(aleph(1), W), c)
-    assert hnp_member(v, aleph(2))
-    v = HNPInfiniteVec(CardVec.of(W, fin(5)), c)
-    assert not hnp_member(v, aleph(2))
-    v = HNPInfiniteVec(CardVec.of(W, aleph(1)), c)
-    assert not hnp_member(v, aleph(2))
+    h = HNPPredicate((Fraction(1), Fraction(1)), at_most(aleph(2)))
+    assert h.member(CardVec.of(aleph(1), W))
+    assert not h.member(CardVec.of(W, fin(5)))
+    assert not h.member(CardVec.of(W, aleph(1)))
 
 
 def test_hnp_member_precondition():
     with pytest.raises(PreconditionError):
-        hnp_member(HNPInfiniteVec(CardVec.fins(3, 1), (Fraction(1), Fraction(1))), aleph(2))
+        HNPPredicate((Fraction(1), Fraction(1)), at_most(aleph(2))).member(CardVec.fins(3, 1))
