@@ -218,8 +218,7 @@ class CardBoundMode:
         return list(_ALEPHS[: k + 1])
 
     def __str__(self) -> str:
-        name = "at_most" if self.mode == "at_most" else "below"
-        return f"{name}({self.card})"
+        return f"{self.mode}({self.card})"
 
 
 def at_most(card: ExtCard) -> CardBoundMode:

@@ -12,7 +12,7 @@ import sys
 from typing import Optional
 
 from .braiding import braid_find, verify
-from .cardinals import ALEPH0, at_most, below, render_card
+from .cardinals import ALEPH0, at_most, below
 from .core import KappaMonoid
 from .diophantine import (
     DEFAULT_RADIUS,
@@ -31,8 +31,6 @@ from .dsl import (
     parse_vec,
     render_certificate,
     render_dio,
-    render_elem,
-    render_family,
     render_monoid,
 )
 from .errors import KmonError, ParseError, PreconditionError
@@ -57,8 +55,7 @@ class Report:
 
     def say(self, text: str, **fields):
         self.lines.append(text)
-        for k, v in fields.items():
-            self.data[k] = v
+        self.data.update(fields)
 
     def emit(self, exit_code: int) -> int:
         self.data["exit"] = exit_code
@@ -128,12 +125,20 @@ def _at_least(low: int):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def options(*names: str, **kw) -> argparse.ArgumentParser:
+        """A parent parser holding ``names``, each added with ``kw``."""
+        parent = argparse.ArgumentParser(add_help=False)
+        for name in names:
+            parent.add_argument(name, **kw)
+        return parent
+
     common = argparse.ArgumentParser(add_help=False)
     _add_format(common)
-    kappa = argparse.ArgumentParser(add_help=False)
-    kappa.add_argument("--kappa", default="aleph3", help="summation bound, e.g. aleph2")
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=_at_least(1), default=10_000, help="search steps")
+    kappa = options("--kappa", default="aleph3", help="summation bound, e.g. aleph2")
+    budget = options("--budget", type=_at_least(1), default=10_000, help="search steps")
+    monoid = options("--monoid", required=True)
+    vec = options("--vec", required=True)
+    pair = options("--x", "--y", required=True)
 
     ap = _Parser(
         prog="kmon",
@@ -141,51 +146,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add(name: str, help: str, *options: argparse.ArgumentParser):
-        return sub.add_parser(name, help=help, parents=[common, *options])
+    def add(name: str, help: str, run, *parents: argparse.ArgumentParser):
+        s = sub.add_parser(name, help=help, parents=[common, *parents])
+        s.set_defaults(run=run)
+        return s
 
-    s = add("member", "constraint-system membership", kappa)
-    s.add_argument("--monoid", required=True)
-    s.add_argument("--vec", required=True)
+    add("member", "constraint-system membership", _cmd_member, kappa, monoid, vec)
 
-    s = add("extend", "universal extension of a countable system")
-    s.add_argument("--monoid", required=True)
+    s = add("extend", "universal extension of a countable system", _cmd_extend, monoid)
     s.add_argument("--to", required=True)
     s.add_argument("--vec")
 
-    s = add("decompose", "split a member into level parts", kappa)
-    s.add_argument("--monoid", required=True)
-    s.add_argument("--vec", required=True)
+    add("decompose", "split a member into level parts", _cmd_decompose, kappa, monoid, vec)
 
-    s = add("braid-check", "verify a braiding certificate", kappa)
-    s.add_argument("--monoid", required=True)
-    s.add_argument("--x", required=True)
-    s.add_argument("--y", required=True)
+    s = add("braid-check", "verify a braiding certificate", _cmd_braid_check, kappa, monoid, pair)
     s.add_argument("--cert", required=True, help="certificate text or @file")
     s.add_argument("--lam", default="aleph0")
 
-    s = add("braid-find", "search for a braiding certificate", kappa, budget)
-    s.add_argument("--monoid", required=True)
-    s.add_argument("--x", required=True)
-    s.add_argument("--y", required=True)
+    s = add(
+        "braid-find", "search for a braiding certificate", _cmd_braid_find,
+        kappa, budget, monoid, pair,
+    )
     s.add_argument("--lam", default="aleph0")
 
-    s = add("realizable2", "two-generator realizability", budget)
+    s = add("realizable2", "two-generator realizability", _cmd_realizable2, budget)
     s.add_argument("--pres", required=True)
     s.add_argument("--corollary", action="store_true", help="case-by-case report")
 
-    s = add("axioms", "randomized law check for a monoid", kappa)
-    s.add_argument("--monoid", required=True)
+    s = add("axioms", "randomized law check for a monoid", _cmd_axioms, kappa, monoid)
     s.add_argument("--samples", type=_at_least(1), default=500)
     s.add_argument("--seed", type=int, default=0)
 
-    s = add("gallery-eval", "evaluate a family sum in a monoid", kappa)
-    s.add_argument("--monoid", required=True)
+    s = add("gallery-eval", "evaluate a family sum in a monoid", _cmd_gallery_eval, kappa, monoid)
     s.add_argument("--fam", required=True)
 
-    s = add("aleph0-extend", "membership in H + aleph0*H")
-    s.add_argument("--monoid", required=True)
-    s.add_argument("--vec", required=True)
+    s = add("aleph0-extend", "membership in H + aleph0*H", _cmd_aleph0_extend, monoid, vec)
     s.add_argument("--radius", type=_at_least(0), default=DEFAULT_RADIUS, help="enumeration cap")
 
     return ap
@@ -211,9 +206,9 @@ def _cmd_member(args, rep: Report) -> int:
     v = parse_vec(args.vec)
     ok = m.member(v)
     rep.say(
-        f"{render_elem(v)} is {'a member' if ok else 'not a member'} of {args.monoid.strip()}",
+        f"{v} is {'a member' if ok else 'not a member'} of {args.monoid.strip()}",
         member=ok,
-        vec=render_elem(v),
+        vec=str(v),
     )
     return rep.emit(EXIT_YES if ok else EXIT_NO)
 
@@ -230,7 +225,7 @@ def _cmd_extend(args, rep: Report) -> int:
         bound=str(big.bound),
     )
     if args.vec:
-        rep.say(f"{render_elem(v)} member: {ok}", member=ok)
+        rep.say(f"{v} member: {ok}", member=ok)
         return rep.emit(EXIT_YES if ok else EXIT_NO)
     return rep.emit(EXIT_YES)
 
@@ -239,14 +234,14 @@ def _cmd_decompose(args, rep: Report) -> int:
     m = _monoid(args, DioMonoid)
     v = parse_vec(args.vec)
     if not m.member(v):
-        rep.say(f"{render_elem(v)} is not a member", member=False)
+        rep.say(f"{v} is not a member", member=False)
         return rep.emit(EXIT_NO)
     beta, gammas = decompose(m, v)
-    rep.say(f"beta = {render_elem(beta)}", beta=render_elem(beta))
+    rep.say(f"beta = {beta}", beta=str(beta))
     gout = {}
     for lam in sorted(gammas, key=lambda c: c.sort_key()):
-        rep.say(f"gamma[{render_card(lam)}] = {render_elem(gammas[lam])}")
-        gout[render_card(lam)] = render_elem(gammas[lam])
+        rep.say(f"gamma[{lam}] = {gammas[lam]}")
+        gout[str(lam)] = str(gammas[lam])
     ok = recombine(beta, gammas) == v
     rep.say(f"recombination exact: {ok}", gammas=gout, recombines=ok)
     return rep.emit(EXIT_YES if ok else EXIT_INTERNAL)
@@ -264,7 +259,7 @@ def _cmd_braid_check(args, rep: Report) -> int:
     r = verify(m, x, y, cert, parse_card(args.lam))
     if r.is_yes:
         a, b = m.ksum(x), m.ksum(y)
-        rep.say(f"telescope: {render_elem(a)} = {render_elem(b)}", telescope=render_elem(a))
+        rep.say(f"telescope: {a} = {b}", telescope=str(a))
     return _verdict(rep, r)
 
 
@@ -287,24 +282,22 @@ def _cmd_realizable2(args, rep: Report) -> int:
         if args.corollary
         else realizable_two_gen(p, args.budget)
     )
-    for line in result.render().splitlines():
-        rep.say(line)
-    rep.data["conditions"] = [
-        {"name": c.name, "status": c.status, "exact": c.exact, "witness": str(c.witness)}
-        for c in result.conditions
-    ]
-    rep.data["notes"] = result.notes
-    rep.data["verdict"] = result.verdict.kind
+    rep.say(
+        result.render(),
+        conditions=[
+            {"name": c.name, "status": c.status, "exact": c.exact, "witness": str(c.witness)}
+            for c in result.conditions
+        ],
+        notes=result.notes,
+        verdict=result.verdict.kind,
+    )
     return rep.emit(_tri_exit(result.verdict))
 
 
 def _cmd_axioms(args, rep: Report) -> int:
     m = _monoid(args)
     report = check_axioms(m, samples=args.samples, seed=args.seed)
-    for line in report.render().splitlines():
-        rep.say(line)
-    rep.data["monoid"] = m.name
-    rep.data["all_passed"] = report.all_passed
+    rep.say(report.render(), monoid=m.name, all_passed=report.all_passed)
     return rep.emit(EXIT_YES if report.all_passed else EXIT_NO)
 
 
@@ -312,10 +305,7 @@ def _cmd_gallery_eval(args, rep: Report) -> int:
     m = _monoid(args)
     fam = parse_family(args.fam, m)
     val = m.ksum(fam)
-    rep.say(
-        f"{render_monoid(m)}: {render_family(fam)} = {render_elem(val)}",
-        value=render_elem(val),
-    )
+    rep.say(f"{render_monoid(m)}: fam {fam} = {val}", value=str(val))
     return rep.emit(EXIT_YES)
 
 
@@ -324,21 +314,8 @@ def _cmd_aleph0_extend(args, rep: Report) -> int:
     v = parse_vec(args.vec)
     ext = aleph0_extend_finite(m, args.radius)
     r = ext.member(v)
-    rep.say(f"{render_elem(v)} in H + aleph0*H: {r}", vec=render_elem(v))
+    rep.say(f"{v} in H + aleph0*H: {r}", vec=str(v))
     return _verdict(rep, r)
-
-
-_DISPATCH = {
-    "member": _cmd_member,
-    "extend": _cmd_extend,
-    "decompose": _cmd_decompose,
-    "braid-check": _cmd_braid_check,
-    "braid-find": _cmd_braid_find,
-    "realizable2": _cmd_realizable2,
-    "axioms": _cmd_axioms,
-    "gallery-eval": _cmd_gallery_eval,
-    "aleph0-extend": _cmd_aleph0_extend,
-}
 
 
 def run(argv: list[str]) -> int:
@@ -353,7 +330,7 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE if e.code else EXIT_YES
     rep = Report(args.cmd, args.format)
     try:
-        return _DISPATCH[args.cmd](args, rep)
+        return args.run(args, rep)
     except ParseError as e:
         rep.say(f"parse error at {e.line}:{e.col}: {e.message}", error=str(e))
         return rep.emit(EXIT_USAGE)

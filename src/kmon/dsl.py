@@ -21,7 +21,7 @@ from .braiding import (
     LayeredCertificate,
     OmegaCertificate,
 )
-from .cardinals import ALEPH0, ExtCard, aleph, below, fin, render_card
+from .cardinals import ALEPH0, ExtCard, aleph, below, fin
 from .core import CyclicExtensionMonoid, CyclicMonoid, Family, KappaMonoid
 from .diophantine import ConstraintSystem, DioMonoid, render_dio
 from .errors import CardBoundError, ParseError
@@ -481,9 +481,7 @@ def parse_family(src: str, m: KappaMonoid) -> Family:
             t = p.peek()
             v = vec()
             if not m.member(v):
-                raise ParseError(
-                    f"{render_elem(v)} is not a member of {render_monoid(m)}", t.line, t.col
-                )
+                raise ParseError(f"{v} is not a member of {render_monoid(m)}", t.line, t.col)
             return v
 
     return p.whole(p.family, elem)
@@ -523,7 +521,7 @@ def parse_dsl(src: str):
 def render_dsl(x) -> str:
     """Inverse of parse_dsl for the values it produces."""
     if isinstance(x, CardVec):
-        return render_elem(x)
+        return str(x)
     if isinstance(x, Family):
         return render_family(x)
     if isinstance(x, ConstraintSystem):
@@ -534,15 +532,11 @@ def render_dsl(x) -> str:
 
 
 # -- rendering ------------------------------------------------------------------
-
-
-def render_elem(e) -> str:
-    """An element's DSL literal: its own text, with a form in parentheses."""
-    return f"({e})" if isinstance(e, Form) else str(e)
+# Every element, cardinal and family prints its own DSL literal through str.
 
 
 def render_family(fam: Family) -> str:
-    return "fam " + _render_blockset(fam)
+    return f"fam {fam}"
 
 
 def render_presentation(p: TwoGenPresentation) -> str:
@@ -552,7 +546,7 @@ def render_presentation(p: TwoGenPresentation) -> str:
         if (r, l) in seen:
             continue
         seen.add((l, r))
-        parts.append(f"rel: {l} = {r};")
+        parts.append(f"rel: {str(l)[1:-1]} = {str(r)[1:-1]};")  # sides without parentheses
     return "twogen { " + " ".join(parts) + " }"
 
 
@@ -575,15 +569,8 @@ def render_monoid(m: KappaMonoid) -> str:
 # -- certificates ---------------------------------------------------------------
 
 
-def _render_blockset(fam: Family) -> str:
-    return "{" + ", ".join(f"{render_elem(e)}*{render_card(m)}" for e, m in fam) + "}"
-
-
 def _render_block(b: BraidBlock) -> str:
-    return (
-        f"B i={_render_blockset(b.iblock)} j={_render_blockset(b.jblock)}"
-        f" u={render_elem(b.u)} v'={render_elem(b.v_next)}"
-    )
+    return f"B i={b.iblock} j={b.jblock} u={b.u} v'={b.v_next}"
 
 
 def render_certificate(cert: Certificate) -> str:
@@ -592,14 +579,9 @@ def render_certificate(cert: Certificate) -> str:
             ["PREFIX", *map(_render_block, cert.prefix), "CYCLE", *map(_render_block, cert.cycle)]
         )
     if isinstance(cert, LayeredCertificate):
-        return "\n".join(
-            f"LAYER w={render_card(w)}\n{render_certificate(layer)}" for w, layer in cert.layers
-        )
+        return "\n".join(f"LAYER w={w}\n{render_certificate(layer)}" for w, layer in cert.layers)
     if isinstance(cert, CollapsedCertificate):
-        return "\n".join(
-            f"C i={_render_blockset(ib)} j={_render_blockset(jb)} w={render_card(w)}"
-            for ib, jb, w in cert.blocks
-        )
+        return "\n".join(f"C i={ib} j={jb} w={w}" for ib, jb, w in cert.blocks)
     raise TypeError(f"no renderer for {type(cert).__name__}")
 
 

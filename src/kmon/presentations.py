@@ -86,7 +86,7 @@ class Form(Frozen):
         return (self.a.sort_key(), self.b.sort_key())
 
     def __str__(self):
-        return f"{self.a}*X1 + {self.b}*X2"
+        return f"({self.a}*X1 + {self.b}*X2)"
 
 
 X1 = Form.of(1, 0)

@@ -383,6 +383,20 @@ def test_compose_falls_back_to_a_fresh_search():
     assert verify(F2, x, z, comp.witness).is_yes
 
 
+
+def test_compose_searches_afresh_past_an_infinite_block():
+    # a one-block omega certificate whose blocks are the whole families:
+    # verify rejects it, and the alignment walk cannot count its aleph0
+    # middle block, so compose searches the outer pair instead
+    x, y = fam((1, W)), fam((2, W))
+    whole = OmegaCertificate((BraidBlock(x, y, W, ZERO),), ())
+    assert verify(N0, x, y, whole).note == "block size aleph0 not below aleph0"
+    r2 = braid_find(N0, y, x)
+    assert r2.is_yes
+    comp = compose(N0, x, y, x, whole, r2.witness)
+    assert comp.is_yes and comp.note == "via re-search"
+    assert verify(N0, x, x, comp.witness).is_yes
+
 def test_certificate_algebra_seeded_chains():
     rng = random.Random(202)
     done = 0

@@ -1,12 +1,14 @@
+import argparse
 import io
 import json
+import re
 import shlex
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from kmon.cli import run
+from kmon.cli import build_parser, run
 
 
 def invoke(argv):
@@ -413,10 +415,25 @@ def test_braid_check_note_prints_dedekind_elements_as_dsl_literals(tmp_path):
     assert (code, out) == (1, "verdict: NO (consumption of (3; 1): 1 != 2)\n")
 
 
-def _readme_cli_examples() -> list[str]:
+
+def test_braid_check_note_prints_forms_as_dsl_literals(tmp_path):
+    cert = tmp_path / "c.txt"
+    cert.write_text(
+        "PREFIX\nB i={(1*X1 + 0*X2)*2} j={(0*X1 + 1*X2)*1} u=(0*X1 + 1*X2) v'=(0*X1 + 0*X2)\n"
+    )
+    code, out = invoke(
+        ["braid-check", "--monoid", TWOGEN,
+         "--x", "fam {(1*X1 + 0*X2)*2}", "--y", "fam {(0*X1 + 1*X2)*2}", "--cert", f"@{cert}"]
+    )
+    assert (code, out) == (1, "verdict: NO (consumption of (0*X1 + 1*X2): 1 != 2)\n")
+
+def _readme_cli() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    cli = readme.split("\n## CLI\n", 1)[1]
-    block = cli.split("```sh\n", 1)[1].split("```", 1)[0]
+    return readme.split("\n## CLI\n", 1)[1]
+
+
+def _readme_cli_examples() -> list[str]:
+    block = _readme_cli().split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("kmon ")]
 
 
@@ -435,3 +452,25 @@ def test_readme_cli_examples_run(tmp_path):
             argv[argv.index("@cert.txt")] = f"@{cert}"
         code, out = invoke(argv)
         assert code in (0, 1, 2), (line, out)
+
+
+def test_readme_shared_option_bullets_match_the_parser():
+    # each bullet reads "- `--opt` (...) [and `--opt2` (...)]: `cmd`, ... and `cmd`;"
+    (text,) = [p for p in _readme_cli().split("\n\n") if p.startswith("- `--")]
+    bullets = [" ".join(b.split()) for b in text.split("\n- ")]
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    seen = set()
+    for bullet in bullets:
+        head, tail = bullet.rsplit("): ", 1)
+        commands = set(re.findall(r"`([a-z0-9-]+)`", tail))
+        for option in re.findall(r"`(--[a-z]+)`", head):
+            taking = {
+                name
+                for name, p in subparsers.choices.items()
+                if any(option in a.option_strings for a in p._actions)
+            }
+            assert commands == taking, option
+            seen.add(option)
+    assert seen == {"--kappa", "--budget", "--radius", "--seed", "--samples"}

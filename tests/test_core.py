@@ -10,6 +10,7 @@ from kmon.core import (
     CyclicMonoid,
     Family,
     KappaMonoid,
+    _top_multiple,
     absorb_big,
     is_reduced_witness,
     order_unit_check,
@@ -108,6 +109,23 @@ def test_size_of():
     f2big = VecMonoid(2, at_most(aleph(2)))
     assert size_of(f2big, u, CardVec.of(aleph(1), ZERO)) == aleph(1)
 
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_derived_operations_below_an_uncountable_bound(k):
+    # under below(aleph_k) the largest admissible multiple is aleph_(k-1)
+    m = VecMonoid(2, below(aleph(k)))
+    top = aleph(k - 1)
+    assert _top_multiple(m) == top
+    u = CardVec.fins(1, 1)
+    assert order_unit_check(m, u, [CardVec.of(top, fin(3)), CardVec.of(ALEPH0, top)]).is_yes
+    assert order_unit_check(m, CardVec.fins(1, 0), [CardVec.fins(0, 1)]).is_no
+    assert size_of(m, u, CardVec.fins(3, 5)) == ZERO
+    assert size_of(m, u, CardVec.of(ALEPH0, fin(2))) == ALEPH0
+    assert size_of(m, u, CardVec.of(top, ZERO)) == top
+    for law_m in (m, CyclicExtensionMonoid(CyclicMonoid(), below(aleph(k)))):
+        rep = check_axioms(law_m, samples=150, seed=42)
+        assert rep.all_passed, rep.render()
 
 TRIV = TrivialExtensionMonoid(plain_n0())
 QLINE = RationalLineMonoid()

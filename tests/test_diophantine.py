@@ -190,6 +190,44 @@ def test_aleph0_extension_free_case():
             assert ext.member(CardVec((a, b))).is_yes
 
 
+
+INEQ_SYSTEMS = [
+    ConstraintSystem.make(2, inequalities=[((1, 0), (0, 1))]),  # x0 <= x1
+    ConstraintSystem.make(2, inequalities=[((1, 0), (0, 1))], congruences=[((1, 1), 2)]),
+    ConstraintSystem.make(2, inequalities=[((0, 1), (2, 0))], congruences=[((0, 1), 3)]),
+    ConstraintSystem.make(3, inequalities=[((1, 1, 0), (0, 0, 1))]),  # x0 + x1 <= x2
+    ConstraintSystem.make(
+        3,
+        equations=[((0, 0, 1), (1, 1, 0))],
+        inequalities=[((1, 0, 0), (0, 1, 0))],
+        congruences=[((1, 0, 1), 2)],
+    ),
+]
+
+
+@pytest.mark.parametrize("sys", INEQ_SYSTEMS, ids=["le", "le-cong", "le2-cong", "le3", "mixed"])
+def test_aleph0_extension_with_inequalities_matches_brute_force(sys):
+    # H + aleph0*H generated from the solutions in 0..8: h + aleph0*h' keeps
+    # h off the support of h' and reads aleph0 on it
+    def holds(h):
+        dot = lambda a: sum(c * v for c, v in zip(a, h))
+        return (
+            all(dot(a) == dot(b) for a, b in sys.equations)
+            and all(dot(a) <= dot(b) for a, b in sys.inequalities)
+            and all(dot(a) % d == 0 for a, d in sys.congruences)
+        )
+
+    sols = [h for h in itertools.product(range(9), repeat=sys.n) if holds(h)]
+    supports = {frozenset(i for i, v in enumerate(h) if v) for h in sols}
+    generated = {
+        tuple(W if i in s else fin(v) for i, v in enumerate(h)) for s in supports for h in sols
+    }
+    ext = aleph0_extend_finite(DioMonoid(sys, below(W)), radius=8)
+    for x in itertools.product([fin(k) for k in range(4)] + [W], repeat=sys.n):
+        r = ext.member(CardVec(x))
+        assert not r.is_unknown, x
+        assert r.is_yes == (x in generated), x
+
 def test_aleph0_extension_rejects_higher_alephs():
     ext = aleph0_extend_finite(DioMonoid(ConstraintSystem.make(1), below(W)))
     assert ext.member(CardVec((aleph(1),))).is_no

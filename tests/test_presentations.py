@@ -480,7 +480,7 @@ def test_form_contract():
         X1.scale(aleph(1))
     f = Form.of(3, W)
     assert repr(f) == "Form(a=fin(3), b=aleph(0))"
-    assert str(f) == "3*X1 + aleph0*X2"
+    assert str(f) == "(3*X1 + aleph0*X2)"
     assert f == Form(fin(3), ALEPH0) and hash(f) == hash(Form(fin(3), ALEPH0))
     assert f != Form.of(W, 3) and f != (fin(3), ALEPH0)
     assert pickle.loads(pickle.dumps(f)) == f
