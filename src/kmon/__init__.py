@@ -7,6 +7,7 @@ and search, and realizability deciders for two-generated monoids.
 
 from .cardinals import (
     ALEPH0,
+    DEFAULT_BOUND,
     CardBoundMode,
     ExtCard,
     ZERO,
@@ -16,7 +17,6 @@ from .cardinals import (
     card_mul,
     card_sum,
     fin,
-    kappa_card,
     render_card,
 )
 from .core import (

@@ -83,11 +83,9 @@ def _chain_check(m: KappaMonoid, cert: OmegaCertificate) -> TriBool:
     """Block equations, threading v through the chain; a finite chain must end
     at zero and a cycle must return to the carry it was entered with."""
     blocks = cert.prefix + cert.cycle
-    memfn = getattr(m, "member", None)
-    if memfn is not None:
-        for b in blocks:
-            if not memfn(b.u) or not memfn(b.v_next):
-                return no(note="carry element outside the monoid", witness=b)
+    for b in blocks:
+        if not m.member(b.u) or not m.member(b.v_next):
+            return no(note="carry element outside the monoid", witness=b)
     v = entry = m.zero
     for k, b in enumerate(blocks):
         if k == len(cert.prefix):

@@ -133,11 +133,6 @@ FIN1 = fin(1)
 ALEPH0 = aleph(0)
 
 
-def kappa_card() -> ExtCard:
-    """The bound kappa = aleph3."""
-    return aleph(MAX_ALEPH_LEVEL)
-
-
 def infinite_levels(upto: ExtCard) -> list[ExtCard]:
     """All alephs aleph0 <= a <= upto, ascending."""
     if upto.is_finite:
@@ -217,6 +212,13 @@ class CardBoundMode:
             k -= 1
         return list(_ALEPHS[: k + 1])
 
+    @property
+    def top(self) -> Optional[ExtCard]:
+        """The largest admissible multiplicity, the kappa of kappa*u; None
+        for below(aleph0), the bound of a plain monoid."""
+        levels = self.admissible_levels()
+        return levels[-1] if levels else None
+
     def __str__(self) -> str:
         return f"{self.mode}({self.card})"
 
@@ -227,6 +229,9 @@ def at_most(card: ExtCard) -> CardBoundMode:
 
 def below(card: ExtCard) -> CardBoundMode:
     return CardBoundMode("below", card)
+
+
+DEFAULT_BOUND = at_most(aleph(MAX_ALEPH_LEVEL))  # a monoid's bound unless one is given
 
 
 def render_card(c: ExtCard) -> str:

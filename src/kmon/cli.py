@@ -30,7 +30,6 @@ from .dsl import (
     parse_presentation,
     parse_vec,
     render_certificate,
-    render_dio,
     render_monoid,
 )
 from .errors import KmonError, ParseError, PreconditionError
@@ -220,8 +219,8 @@ def _cmd_extend(args, rep: Report) -> int:
         v = parse_vec(args.vec)
         ok = big.member(v)  # a bad vector raises here, before anything is reported
     rep.say(
-        f"universal extension at {args.to}: {render_dio(big.system)} over bound {big.bound}",
-        system=render_dio(big.system),
+        f"universal extension at {args.to}: {big.system} over bound {big.bound}",
+        system=str(big.system),
         bound=str(big.bound),
     )
     if args.vec:

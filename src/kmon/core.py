@@ -14,19 +14,16 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from .cardinals import (
-    ALEPH0,
+    DEFAULT_BOUND,
     CardBoundMode,
     ExtCard,
     FIN1,
     Frozen,
     ZERO,
-    at_most,
     card_mul,
     card_sub_least,
     card_sum,
     fin,
-    infinite_levels,
-    kappa_card,
 )
 from .errors import BoundExceededError, PreconditionError, SearchExhausted
 from .tribool import TriBool, from_bool, no, unknown, yes
@@ -173,7 +170,7 @@ class KappaMonoid:
     name: str = "monoid"
 
     def __init__(self, bound: Optional[CardBoundMode] = None):
-        self.bound = bound if bound is not None else at_most(kappa_card())
+        self.bound = bound if bound is not None else DEFAULT_BOUND
 
     @property
     def zero(self) -> Any:
@@ -188,6 +185,11 @@ class KappaMonoid:
     def canon(self, e: Any) -> Any:
         """The representative of ``e``'s class; elements are canonical by default."""
         return e
+
+    def member(self, x: Any) -> bool:
+        """Is ``x`` an element of this monoid?  Every value of the element
+        type is, unless the monoid says otherwise."""
+        return True
 
     def support_card(self, fam: Family) -> ExtCard:
         z = self.zero
@@ -284,24 +286,17 @@ def is_reduced_witness(m: KappaMonoid, a: Any, b: Any) -> bool:
     return m.eq(a, m.zero).is_yes and m.eq(b, m.zero).is_yes
 
 
-def _top_multiple(m: KappaMonoid) -> ExtCard:
-    """The scalar used for 'kappa times u' under the monoid's bound."""
-    if m.bound.mode == "at_most":
-        return m.bound.card
-    levels = m.bound.admissible_levels()
-    return levels[-1] if levels else ALEPH0  # Below(aleph0): no top; caller guards
-
-
 def order_unit_check(m: KappaMonoid, u: Any, probes: Iterable[Any]) -> TriBool:
     """True iff every probe x admits x' with x + x' = kappa*u."""
-    if m.bound.mode == "below" and not m.bound.admissible_levels():
+    kappa = m.bound.top
+    if kappa is None:
         # plain monoid: classic order-unit, bounded search over finite multiples
         for x in probes:
             r = m.finite_multiple_leq(u, x)
             if not r.is_yes:
                 return r
         return yes()
-    top = m.scalar(_top_multiple(m), u)
+    top = m.scalar(kappa, u)
     for x in probes:
         r = m.leq(x, top)
         if not r.is_yes:
@@ -318,16 +313,18 @@ def size_of(m: KappaMonoid, u: Any, x: Any) -> ExtCard:
         return ZERO
     if r.is_unknown:
         raise SearchExhausted(str(r.note))
-    if m.bound.admissible_levels():
-        for a in infinite_levels(_top_multiple(m)):
-            if m.leq(x, m.scalar(a, u)).is_yes:
-                return a
+    for a in m.bound.admissible_levels():
+        if m.leq(x, m.scalar(a, u)).is_yes:
+            return a
     raise PreconditionError("u is not an order-unit for x")
 
 
 def absorb_big(m: KappaMonoid, u: Any, t: Any, l: Any) -> bool:
     """Precondition t = kappa*u + l; asserts t = kappa*u."""
-    top = m.scalar(_top_multiple(m), u)
+    kappa = m.bound.top
+    if kappa is None:
+        raise PreconditionError("a plain monoid has no kappa*u")
+    top = m.scalar(kappa, u)
     if not m.eq(t, m.add(top, l)).is_yes:
         raise PreconditionError("t = kappa*u + l does not hold")
     return m.eq(t, top).is_yes
@@ -395,6 +392,9 @@ class CyclicExtensionMonoid(KappaMonoid):
         if x.is_finite:
             return fin(self.cyc.canon(x.n))
         return x
+
+    def member(self, x: ExtCard) -> bool:
+        return self.bound.admits(x)  # every finite value is a class representative
 
     def raw_ksum(self, fam: Family) -> ExtCard:
         ents = [(c, m) for e, m in fam.entries if not (c := self.canon(e)).is_zero]

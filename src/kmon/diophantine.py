@@ -25,7 +25,6 @@ from .cardinals import (
     ZERO,
     aleph,
     at_most,
-    below,
     card_sum,
     fin,
     infinite_levels,
@@ -68,6 +67,17 @@ class ConstraintSystem:
             tuple((tuple(a), tuple(b)) for a, b in inequalities),
             tuple((tuple(a), int(d)) for a, d in congruences),
         )
+
+    def __str__(self) -> str:
+        """The system in the DSL's `dio` syntax."""
+        parts = []
+        for a, b in self.equations:
+            parts.append(f"eq: {render_linear(a)} = {render_linear(b)};")
+        for a, b in self.inequalities:
+            parts.append(f"ineq: {render_linear(a)} <= {render_linear(b)};")
+        for a, d in self.congruences:
+            parts.append(f"cong: {render_linear(a)} in {d}N;")
+        return f"dio n={self.n} {{ " + " ".join(parts) + " }"
 
 
 def _dot_card(coeffs: tuple[int, ...], x: CardVec) -> ExtCard:
@@ -117,18 +127,6 @@ def render_linear(coeffs: tuple[int, ...]) -> str:
     return " + ".join(terms) if terms else "0 x0"
 
 
-def render_dio(sys: ConstraintSystem) -> str:
-    """The system in the DSL's `dio` syntax."""
-    parts = []
-    for a, b in sys.equations:
-        parts.append(f"eq: {render_linear(a)} = {render_linear(b)};")
-    for a, b in sys.inequalities:
-        parts.append(f"ineq: {render_linear(a)} <= {render_linear(b)};")
-    for a, d in sys.congruences:
-        parts.append(f"cong: {render_linear(a)} in {d}N;")
-    return f"dio n={sys.n} {{ " + " ".join(parts) + " }"
-
-
 class DioMonoid(VecMonoid):
     """The solution set of a constraint system inside a vector monoid; closed
     under summation within the bound."""
@@ -139,11 +137,10 @@ class DioMonoid(VecMonoid):
 
     @cached_property
     def name(self) -> str:
-        return f"{render_dio(self.system)}@{self.bound}"
+        return f"{self.system}@{self.bound}"
 
     def member(self, x: CardVec) -> bool:
-        # the bound admits every coordinate iff it admits the largest
-        return self.bound.admits(max(x.coords, default=ZERO)) and satisfies_card(self.system, x)
+        return super().member(x) and satisfies_card(self.system, x)
 
     @cached_property
     def _generators(self) -> list[CardVec]:
@@ -445,7 +442,7 @@ class Aleph0Extension:
 
 def aleph0_extend_finite(m: DioMonoid, radius: int = DEFAULT_RADIUS) -> Aleph0Extension:
     """The countable extension H + aleph0*H of a plain (finite-sum) monoid."""
-    if m.bound != below(ALEPH0):
+    if m.bound.top is not None:
         raise PreconditionError("source must be a plain monoid: bound below(aleph0)")
     return Aleph0Extension(m.system, radius)
 

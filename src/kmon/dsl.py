@@ -23,7 +23,7 @@ from .braiding import (
 )
 from .cardinals import ALEPH0, ExtCard, aleph, below, fin
 from .core import CyclicExtensionMonoid, CyclicMonoid, Family, KappaMonoid
-from .diophantine import ConstraintSystem, DioMonoid, render_dio
+from .diophantine import ConstraintSystem, DioMonoid
 from .errors import CardBoundError, ParseError
 from .free_vectors import CardVec, VecMonoid
 from .gallery import (
@@ -470,21 +470,19 @@ def parse_card(src: str) -> ExtCard:
 
 
 def parse_family(src: str, m: KappaMonoid) -> Family:
-    """A family of elements of ``m``; in a constraint-defined monoid an
-    element that is not a member is a parse error at that element."""
+    """A family of elements of ``m``; an element that is not a member of
+    ``m`` is a parse error at that element."""
     p = Parser(src)
     elem = element_parser(p, m)
-    if isinstance(m, DioMonoid):
-        vec = elem
 
-        def elem():
-            t = p.peek()
-            v = vec()
-            if not m.member(v):
-                raise ParseError(f"{v} is not a member of {render_monoid(m)}", t.line, t.col)
-            return v
+    def member():
+        t = p.peek()
+        x = elem()
+        if not m.member(x):
+            raise ParseError(f"{x} is not a member of {render_monoid(m)}", t.line, t.col)
+        return x
 
-    return p.whole(p.family, elem)
+    return p.whole(p.family, member)
 
 
 def parse_monoid(src: str, bound=None) -> KappaMonoid:
@@ -520,41 +518,21 @@ def parse_dsl(src: str):
 
 def render_dsl(x) -> str:
     """Inverse of parse_dsl for the values it produces."""
-    if isinstance(x, CardVec):
-        return str(x)
-    if isinstance(x, Family):
-        return render_family(x)
-    if isinstance(x, ConstraintSystem):
-        return render_dio(x)
-    if isinstance(x, TwoGenPresentation):
-        return render_presentation(x)
-    return render_monoid(x)
+    if isinstance(x, (KappaMonoid, HNPPredicate)):
+        return render_monoid(x)
+    return f"fam {x}" if isinstance(x, Family) else str(x)
 
 
 # -- rendering ------------------------------------------------------------------
-# Every element, cardinal and family prints its own DSL literal through str.
-
-
-def render_family(fam: Family) -> str:
-    return f"fam {fam}"
-
-
-def render_presentation(p: TwoGenPresentation) -> str:
-    seen = set()
-    parts = []
-    for l, r in p.relations:
-        if (r, l) in seen:
-            continue
-        seen.add((l, r))
-        parts.append(f"rel: {str(l)[1:-1]} = {str(r)[1:-1]};")  # sides without parentheses
-    return "twogen { " + " ".join(parts) + " }"
+# Every element, cardinal, family, constraint system and presentation prints
+# its own DSL text through str; a family literal adds the ``fam`` prefix.
 
 
 def render_monoid(m: KappaMonoid) -> str:
     if isinstance(m, TrivialExtensionMonoid):
         return f"trivial({render_monoid(m.base)})"
     if isinstance(m, DioMonoid):
-        return render_dio(m.system)
+        return str(m.system)
     if isinstance(m, VecMonoid):
         return f"vec({m.n})"
     if isinstance(m, CyclicExtensionMonoid):
@@ -562,7 +540,7 @@ def render_monoid(m: KappaMonoid) -> str:
     if isinstance(m, (RationalLineMonoid, DedekindVMonoid, HNPPredicate)):
         return m.name  # already the DSL name
     if isinstance(m, TwoGenMonoid):
-        return render_presentation(m.p)
+        return str(m.p)
     raise TypeError(f"no renderer for {type(m).__name__}")
 
 

@@ -91,6 +91,10 @@ class VecMonoid(KappaMonoid):
     def zero(self) -> CardVec:
         return vec_zero(self.n)
 
+    def member(self, x: CardVec) -> bool:
+        # the bound admits every coordinate iff it admits the largest
+        return self.bound.admits(max(x.coords, default=ZERO))
+
     def _check_dim(self, v: CardVec) -> None:
         if len(v) != self.n:
             raise DimensionError(f"expected length {self.n}, got {len(v)}")

@@ -15,14 +15,13 @@ from typing import Optional
 
 from .cardinals import (
     ALEPH0,
+    DEFAULT_BOUND,
     CardBoundMode,
     ExtCard,
     ZERO,
-    at_most,
     below,
     card_sum,
     fin,
-    kappa_card,
 )
 from .core import CyclicExtensionMonoid, CyclicMonoid, Family, KappaMonoid
 from .errors import PreconditionError
@@ -52,7 +51,7 @@ class TrivialExtensionMonoid(KappaMonoid):
     the same base."""
 
     def __init__(self, base: KappaMonoid, bound: Optional[CardBoundMode] = None):
-        if base.bound.admissible_levels():
+        if base.bound.top is not None:
             raise ValueError("trivial extension takes a plain (finite-sum) base")
         super().__init__(bound)
         self.base = base
@@ -106,6 +105,9 @@ class TrivialExtensionMonoid(KappaMonoid):
         if isinstance(e, Inf):
             return e
         return self.base.canon(e)
+
+    def member(self, x) -> bool:
+        return isinstance(x, Inf) or self.base.member(x)
 
 
 def plain_n0() -> CyclicExtensionMonoid:
@@ -341,11 +343,12 @@ class DedekindVMonoid(KappaMonoid):
     def canonical_order_unit(self) -> RankClass:
         return self.elem(1)
 
-    def member_pair(self, rank: ExtCard, cls: tuple[int, ...]) -> bool:
-        """The defining predicate: a pair is an element iff the rank is a
-        positive finite one, or the class is trivial."""
-        if rank.is_zero or rank.is_infinite:
-            return all(c % f == 0 for c, f in zip(cls, self.factors))
+    def member(self, x: RankClass) -> bool:
+        """The defining predicate: the rank is a positive finite one, or the
+        class is trivial and the bound admits the rank."""
+        if x.rank.is_zero or x.rank.is_infinite:
+            trivial = all(c % f == 0 for c, f in zip(x.cls, self.factors))
+            return trivial and self.bound.admits(x.rank)
         return True
 
 
@@ -354,13 +357,13 @@ class DedekindVMonoid(KappaMonoid):
 
 class HNPPredicate:
     """Membership of the infinite part over a finite index set with
-    distinguished index 0 and positive local ranks ``c``, at kappa = the
-    bound's cardinal; a CLI-addressable predicate, not a summation
+    distinguished index 0 and positive local ranks ``c``, with coordinates
+    the bound admits; a CLI-addressable predicate, not a summation
     structure."""
 
     def __init__(self, c: tuple[Fraction, ...], bound: Optional[CardBoundMode] = None):
         self.c = tuple(c)
-        self.bound = bound if bound is not None else at_most(kappa_card())
+        self.bound = bound if bound is not None else DEFAULT_BOUND
 
     @property
     def name(self) -> str:
@@ -379,4 +382,4 @@ class HNPPredicate:
             raise PreconditionError("the distinguished coordinate must be infinite")
         # finitely many indices: a finite coordinate would sit below n*c_i for
         # large n ever after, which the defining condition forbids
-        return x0 <= self.bound.card and all(c.is_infinite and c <= x0 for c in x.coords)
+        return self.bound.admits(x0) and all(c.is_infinite and c <= x0 for c in x.coords)

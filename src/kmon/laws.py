@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cardinals import FIN1, ZERO, card_sum, fin
-from .core import Family, KappaMonoid, _top_multiple, flatten
+from .core import Family, KappaMonoid, flatten
 
 
 @dataclass
@@ -73,7 +73,7 @@ def check_axioms(m: KappaMonoid, samples: int = 500, seed: int = 0) -> LawReport
     zero = m.zero
     mults = m.sample_mults()
     infs = m.bound.admissible_levels()
-    top = _top_multiple(m) if infs else None
+    top = m.bound.top
     unit = m.canonical_order_unit()
     ku = m.scalar(top, unit) if unit is not None and top is not None else None
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 from .cardinals import ALEPH0, ExtCard, Frozen, ZERO, at_most, card_mul, card_sub_least, card_sum, fin
@@ -116,13 +117,16 @@ class TwoGenPresentation:
                 rels.append((r, l))
         return TwoGenPresentation(tuple(rels))
 
-    @property
+    # the structural facts below are derived once per presentation: the
+    # queries of one report read them thousands of times
+
+    @cached_property
     def finite_forms_rigid(self) -> bool:
         """No relation side is a finite form, so no rewrite applies to a
         finite form and their classes are singletons."""
         return all(l.is_infinite and r.is_infinite for l, r in self.relations)
 
-    @property
+    @cached_property
     def class_preserving(self) -> bool:
         """Every rewrite preserves the finite/infinite class of a form."""
         return all(
@@ -130,6 +134,18 @@ class TwoGenPresentation:
             for l, r in self.relations
         )
 
+    def __str__(self) -> str:
+        # the DSL text, each relation once, in the direction it was given
+        seen = set()
+        parts = []
+        for l, r in self.relations:
+            if (r, l) in seen:
+                continue
+            seen.add((l, r))
+            parts.append(f"rel: {l.a}*X1 + {l.b}*X2 = {r.a}*X1 + {r.b}*X2;")
+        return "twogen { " + " ".join(parts) + " }"
+
+    @cached_property
     def max_finite_coord(self) -> int:
         out = 0
         for l, r in self.relations:
@@ -258,22 +274,18 @@ def _respecting_homs(p: TwoGenPresentation):
 
 class _Saturation:
     """The facts of one presentation that the queries of one public call
-    share, each derived once: the presentation's structural flags, the
-    rewrite table of relation-side multiples, the relation-respecting
-    homomorphisms and, in report contexts, a memo of goal-free successor
-    lists.
+    share, each derived once: the rewrite table of relation-side multiples,
+    the relation-respecting homomorphisms and, in report contexts, a memo of
+    goal-free successor lists.
 
     Every public entry builds one from a bare presentation, and the private
     helpers pass it down in the presentation's place; it never outlives the
     call that built it."""
 
-    __slots__ = ("p", "rigid", "preserving", "max_coord", "succ_memo", "_rules", "_homs", "_hom_gen")
+    __slots__ = ("p", "succ_memo", "_rules", "_homs", "_hom_gen")
 
     def __init__(self, p: TwoGenPresentation, memo: bool):
         self.p = p
-        self.rigid = p.finite_forms_rigid
-        self.preserving = p.class_preserving
-        self.max_coord = p.max_finite_coord()
         # node -> sorted successors, for expansions that were not lossy:
         # _slacks reads the goal only when it reports a loss
         self.succ_memo: Optional[dict] = {} if memo else None
@@ -340,15 +352,15 @@ def forms_equal(
     p = s.p
     if not p.relations:
         return no(note="free presentation: distinct forms differ")
-    if s.rigid and not f.is_infinite and not g.is_infinite:
+    if p.finite_forms_rigid and not f.is_infinite and not g.is_infinite:
         return no(note="finite forms are rigid under these relations")
-    if s.preserving and (f.is_infinite != g.is_infinite):
+    if p.class_preserving and (f.is_infinite != g.is_infinite):
         return no(note="rewrites preserve the finite/infinite class")
 
     # bounded congruence saturation, breadth-first, shortest chain first
     coord_cap = (
         max(
-            s.max_coord * 2,
+            p.max_finite_coord * 2,
             *(c.n for c in (f.a, f.b, g.a, g.b) if c.is_finite),
             4,
         )
@@ -432,7 +444,7 @@ def in_add(
     ):
         if not p.relations:
             return no(note="free presentation: a coordinate can never be covered")
-        if s.rigid and s.preserving and not base.is_infinite:
+        if p.finite_forms_rigid and p.class_preserving and not base.is_infinite:
             return no(note="rigid finite multiples cannot absorb the target")
 
     per_try = max(200, budget // (NCAP * 8))
@@ -554,7 +566,7 @@ def _three_conditions(
         # cyclic criterion: realizable iff aleph0*x != n*x for every finite n
         x = gen(cj)
         per = max(200, budget // (NCAP + 2))
-        if s.preserving:
+        if s.p.class_preserving:
             rep.verdict = yes(note="cyclic with aleph0*x distinct from all n*x")
             rep.conditions.append(
                 ConditionStatus(
@@ -590,7 +602,7 @@ def _three_conditions(
     per = max(200, budget // 64)
 
     # (iii) no element with both finite and infinite forms
-    if s.preserving:
+    if s.p.class_preserving:
         rep.conditions.append(
             ConditionStatus(
                 "(iii) finite/infinite separation",
@@ -703,7 +715,7 @@ def _three_conditions(
             status = ConditionStatus(
                 name_ii,
                 "violated",
-                s.rigid and s.preserving,
+                s.p.finite_forms_rigid and s.p.class_preserving,
                 unmatched,
                 detail="no finite equality matches the infinite one",
             )
@@ -816,7 +828,7 @@ def _corollary_cases(s: _Saturation, budget: int, adds: dict) -> RealizabilityRe
                 detail="infinite patterns collapse" if uniq else "",
             )
         )
-        sep = s.preserving
+        sep = s.p.class_preserving
         rep.conditions.append(
             ConditionStatus(
                 "equal-adds case: no finite/infinite clash",
@@ -858,7 +870,7 @@ def _corollary_cases(s: _Saturation, budget: int, adds: dict) -> RealizabilityRe
             None,
         )
         ok = witness is None
-        sep = s.preserving
+        sep = s.p.class_preserving
         rep.conditions.append(
             ConditionStatus(
                 "one-sided case: infinite equalities reduce and classes separate",

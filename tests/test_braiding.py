@@ -85,6 +85,37 @@ def test_verify_rejects_bad_chains():
     ).is_no
 
 
+DIAG = DioMonoid(ConstraintSystem.make(2, [((1, 0), (0, 1))]))
+BIG = fam((1, aleph(1)))
+
+
+@pytest.mark.parametrize(
+    "m,x,y,cert,lam,note",
+    [
+        # the block equations hold (1 + 1 = 1*1 + 1, 2 = 1 + 1), but the
+        # cycle leaves with carry 1 after entering with 0
+        (N0, fam((1, W)), fam((2, W)), OmegaCertificate((), (blk([1], [2], 1, 1),)),
+         W, "cycle seam mismatch"),
+        (N0, fam((1, 1)), fam((2, 1)), OmegaCertificate((blk([1], [2], 1, 1),), ()),
+         W, "prefix ends with nonzero carry"),
+        (DIAG, Family.of([(CardVec.fins(1, 1), W)]), Family.of([(CardVec.fins(1, 1), W)]),
+         OmegaCertificate((), (BraidBlock(Family.of([(CardVec.fins(1, 1), fin(1))]),
+                                          Family.of([(CardVec.fins(1, 1), fin(1))]),
+                                          CardVec.fins(1, 0), CardVec.fins(0, 1)),)),
+         W, "carry element outside the monoid"),
+        (N0, BIG, BIG, CollapsedCertificate(((BIG, BIG, fin(1)),)),
+         W, "collapsed certificates require lambda above aleph0"),
+        (N0, BIG, BIG, CollapsedCertificate(((BIG, BIG, ZERO),)),
+         aleph(2), "block weights must be >= 1"),
+        (N0, BIG, fam((2, 1)), CollapsedCertificate(((BIG, fam((2, 1)), fin(1)),)),
+         aleph(2), "collapsed block sums differ"),
+    ],
+)
+def test_verify_rejection_notes(m, x, y, cert, lam, note):
+    r = verify(m, x, y, cert, lam)
+    assert r.is_no and r.note == note
+
+
 def test_verify_totals_uses_of_one_class_named_twice():
     # in cmn(1,2) the literals 1 and 3 name one element: a block holding
     # one of each consumes it twice

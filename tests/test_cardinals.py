@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from kmon.cardinals import (
     ALEPH0,
+    DEFAULT_BOUND,
     ExtCard,
     ZERO,
     aleph,
@@ -145,6 +146,11 @@ def test_bound_modes():
     assert not below(ALEPH0).admits(ALEPH0)
     assert below(aleph(2)).admissible_levels() == [ALEPH0, aleph(1)]
     assert at_most(aleph(1)).admissible_levels() == [ALEPH0, aleph(1)]
+    # top is the kappa of kappa*u; below(aleph0), a plain monoid, has none
+    assert at_most(aleph(1)).top == aleph(1)
+    assert below(aleph(2)).top == aleph(1)
+    assert below(ALEPH0).top is None
+    assert DEFAULT_BOUND == at_most(aleph(3))
 
 
 @pytest.mark.parametrize("n", [5, 300])

@@ -245,6 +245,25 @@ def test_coordinates_above_the_bound_are_not_members(argv):
     assert "(aleph3) is not a member" in out
 
 
+@pytest.mark.parametrize(
+    "argv,elem",
+    [
+        (["gallery-eval", "--monoid", "N0", "--kappa", "aleph1", "--fam", "fam {aleph3*1}"], "aleph3"),
+        (["gallery-eval", "--monoid", "vec(2)", "--kappa", "aleph1", "--fam", "fam {(aleph3,0)*1}"],
+         "(aleph3, 0)"),
+        (["gallery-eval", "--monoid", "dedekind(2)", "--kappa", "aleph1", "--fam", "fam {(aleph3;)*1}"],
+         "(aleph3;)"),
+        # trivial(...) sums its base below aleph0, which admits no aleph0
+        (["gallery-eval", "--monoid", "trivial(N0)", "--fam", "fam {aleph0*1}"], "aleph0"),
+        (["braid-find", "--monoid", "N0", "--kappa", "aleph1", "--x", "fam {aleph3*1}",
+          "--y", "fam {aleph3*1, 1*1}"], "aleph3"),
+    ],
+)
+def test_family_elements_outside_the_bound_exit_3(argv, elem):
+    name = argv[argv.index("--monoid") + 1]
+    assert invoke(argv) == (3, f"parse error at 1:6: {elem} is not a member of {name}\n")
+
+
 def test_family_members_of_a_dio_monoid_are_accepted():
     code, out = invoke(["gallery-eval", "--monoid", DIAGONAL, "--fam", "fam {(2,2)*aleph0, (1,1)*3}"])
     assert code == 0 and "(aleph0, aleph0)" in out

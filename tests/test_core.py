@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from kmon.cardinals import ALEPH0, FIN1, ZERO, aleph, at_most, below, card_mul, fin, kappa_card
+from kmon.cardinals import ALEPH0, FIN1, ZERO, aleph, at_most, below, card_mul, fin
 from kmon.core import (
     CyclicExtensionMonoid,
     CyclicMonoid,
     Family,
     KappaMonoid,
-    _top_multiple,
     absorb_big,
     is_reduced_witness,
     order_unit_check,
@@ -116,7 +115,7 @@ def test_derived_operations_below_an_uncountable_bound(k):
     # under below(aleph_k) the largest admissible multiple is aleph_(k-1)
     m = VecMonoid(2, below(aleph(k)))
     top = aleph(k - 1)
-    assert _top_multiple(m) == top
+    assert m.bound.top == top
     u = CardVec.fins(1, 1)
     assert order_unit_check(m, u, [CardVec.of(top, fin(3)), CardVec.of(ALEPH0, top)]).is_yes
     assert order_unit_check(m, CardVec.fins(1, 0), [CardVec.fins(0, 1)]).is_no
@@ -220,6 +219,8 @@ def test_absorb_big():
     assert absorb_big(F2, u, t, CardVec.fins(2, 0))
     with pytest.raises(PreconditionError):
         absorb_big(F2, u, CardVec.fins(1, 1), CardVec.fins(0, 0))
+    with pytest.raises(PreconditionError, match="a plain monoid has no kappa"):
+        absorb_big(VecMonoid(2, below(ALEPH0)), u, u, u)
 
 
 def test_in_add_monotone():

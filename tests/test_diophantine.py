@@ -340,3 +340,14 @@ def _least_multiple(m: DioMonoid, u: CardVec, x: CardVec):
         if min(c) >= 0 and m.member(CardVec.fins(*c)):
             return n
     return None
+
+
+def test_aleph0_extension_unknown_after_the_completion_scan():
+    # s = 2x + y with s + x and y even: x = 1 makes s + x odd, which the
+    # rational relaxation cannot see, so the completion scan runs out
+    sys = ConstraintSystem.make(
+        3, equations=[((1, 0, 0), (0, 2, 1))], congruences=[((1, 1, 0), 2), ((0, 0, 1), 2)]
+    )
+    ext = aleph0_extend_finite(DioMonoid(sys, below(W)), radius=4)
+    r = ext.member(vec(W, 1, W))
+    assert r.is_unknown and r.note == "no integer completion with entries <= 4"

@@ -15,6 +15,7 @@ from kmon.gallery import (
     HNPPredicate,
     QPoint,
     QINF,
+    RankClass,
     RationalLineMonoid,
     TrivialExtensionMonoid,
     plain_n0,
@@ -104,10 +105,10 @@ def test_dedekind_sum_worked_examples():
 def test_dedekind_membership_predicate():
     d = DedekindVMonoid((2, 2))
     for rank in (fin(1), fin(3)):
-        assert d.member_pair(rank, (1, 0))
-    assert d.member_pair(W, (0, 0))
-    assert not d.member_pair(W, (1, 0))
-    assert not d.member_pair(ZERO, (0, 1))
+        assert d.member(RankClass(rank, (1, 0)))
+    assert d.member(RankClass(W, (0, 0)))
+    assert not d.member(RankClass(W, (1, 0)))
+    assert not d.member(RankClass(ZERO, (0, 1)))
 
 
 def test_dedekind_sampling_is_pinned():
@@ -158,6 +159,9 @@ def test_hnp_member_worked_examples():
     assert h.member(CardVec.of(aleph(1), W))
     assert not h.member(CardVec.of(W, fin(5)))
     assert not h.member(CardVec.of(W, aleph(1)))
+    # the bound decides which infinite coordinates are admitted
+    assert not HNPPredicate(h.c, below(aleph(2))).member(CardVec.of(aleph(2), W))
+    assert HNPPredicate(h.c, below(aleph(2))).member(CardVec.of(aleph(1), W))
 
 
 def test_hnp_member_precondition():

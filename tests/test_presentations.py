@@ -515,3 +515,25 @@ def test_report_renders_are_pinned():
         renders += [realizable_two_gen(p, 2000).render(), corollary_checks(p, 2000).render()]
     digest = hashlib.sha256("\n\n".join(renders).encode()).hexdigest()
     assert digest == "c2bd5deea5fd7682e841a0637f765622556fad172e966c1619608136e39945fd"
+
+
+def test_reports_name_their_undecided_branches():
+    # X2 in add(X1) needs 9*X2 = 9*aleph0*X1 beyond the n <= 8 range, so
+    # both reports reach their undecided branches
+    p = parse_presentation("twogen { rel: 9*X1 = aleph0*X2; }")
+    assert realizable_two_gen(p, 2000).render().splitlines() == [
+        "verdict: NO",
+        "OK   non-cyclic (exact)",
+        "??   (iii) finite/infinite separation [no clash on the grid; no preservation argument]",
+        "FAIL (i) i=1,j=2 (exact) witness=0 [X1 not a summand of multiples of X2]",
+        "FAIL (ii) i=1,j=2 witness=(0, 1) [no finite equality matches the infinite one]",
+        "??   (i) i=2,j=1 [conclusion undecided]",
+        "??   (ii) i=2,j=1 [add membership undecided]",
+    ]
+    assert corollary_checks(p, 2000).render().splitlines() == [
+        "verdict: UNKNOWN",
+        "note: X1 in add(X2): NO (homomorphism obstruction); "
+        "X2 in add(X1): UNKNOWN (no witness with n <= 8)",
+        "note: classification undecided",
+        "note: three-condition decider: NO (case analysis undecided)",
+    ]
