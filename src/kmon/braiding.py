@@ -481,22 +481,31 @@ def _units(m: KappaMonoid, elems: list) -> tuple[Family, Any]:
 class _Chunks:
     """The two streams of one braid_find call and the chunks the search cuts
     from them, each built and summed once.  Both streams have a cycle, so a
-    chunk is fixed by its side, its folded start and its length.  ``greedy``
-    and ``dfs`` are the two orders in which the walk is offered blocks."""
+    chunk is fixed by its side, its folded start and its length: one row of
+    chunks per (side, folded start), indexed by length and grown on demand.
+    ``greedy`` and ``dfs`` are the two orders in which the walk is offered
+    blocks."""
 
     def __init__(self, m: KappaMonoid, xfam: Family, yfam: Family):
         self.m = m
         self.streams = (_stream(xfam), _stream(yfam))
-        self.table: dict = {}  # (side, folded start, length) -> (chunk, sum)
+        self.rows: dict = {}  # (side, folded start) -> [(chunk, sum) by length]
+
+    def row(self, side: int, pos: int, k: int) -> list:
+        """The chunks of stream ``side`` from ``pos`` and their sums, indexed
+        by length, lengths 0..k at least."""
+        s = self.streams[side]
+        start = s.fold(pos)
+        row = self.rows.get((side, start))
+        if row is None:
+            row = self.rows[side, start] = [_units(self.m, [])]
+        while len(row) <= k:
+            row.append(_units(self.m, [s[start + t] for t in range(len(row))]))
+        return row
 
     def chunk(self, side: int, pos: int, k: int) -> tuple[Family, Any]:
         """The ``k`` elements of stream ``side`` from ``pos`` and their sum."""
-        s = self.streams[side]
-        key = (side, s.fold(pos), k)
-        got = self.table.get(key)
-        if got is None:
-            got = self.table[key] = _units(self.m, [s[key[1] + t] for t in range(k)])
-        return got
+        return self.row(side, pos, k)[k]
 
     def _take(self, side: int, pos: int, carry: Any):
         """The shortest non-empty chunk of stream ``side`` from ``pos``, at
@@ -526,15 +535,17 @@ class _Chunks:
     def dfs(self, i: int, j: int, v):
         """Every block from state (i, j, v), at most BLOCK_CAP elements a
         side, in (kx, ky) order: smallest blocks first."""
-        m = self.m
+        sub = self.m.sub
+        irow = self.row(0, i, BLOCK_CAP)
+        jrow = self.row(1, j, BLOCK_CAP)
         for kx in range(BLOCK_CAP + 1):
-            ichunk, isum = self.chunk(0, i, kx)
-            u = m.sub(isum, v)  # need u with isum = v + u
+            ichunk, isum = irow[kx]
+            u = sub(isum, v)  # need u with isum = v + u
             if u is None:
                 continue
             for ky in range(kx == 0, BLOCK_CAP + 1):
-                jchunk, jsum = self.chunk(1, j, ky)
-                vn = m.sub(jsum, u)
+                jchunk, jsum = jrow[ky]
+                vn = sub(jsum, u)
                 if vn is not None:
                     yield BraidBlock(ichunk, jchunk, u, vn), i + kx, j + ky, vn
 

@@ -176,11 +176,12 @@ def card_mul(a: ExtCard, b: ExtCard) -> ExtCard:
 
 def card_sub_least(a: ExtCard, b: ExtCard) -> Optional[ExtCard]:
     """Least c with b + c = a, or None if b > a (no such c exists)."""
-    if a < b:
+    ak, bk = a._key, b._key  # the sort keys: the search's fit test runs here
+    if ak < bk:
         return None
-    if a.is_finite:
+    if a.aleph_level is None:
         return fin(a.n - b.n)
-    if b < a:
+    if bk < ak:
         return a
     return ZERO  # a == b infinite; 0 is the least complement
 

@@ -7,6 +7,7 @@ Exit codes: 0 = yes/pass, 1 = no/fail, 2 = unknown, 3 = usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -123,7 +124,10 @@ def _at_least(low: int):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser tree of a process: argparse keeps no state between
+    parses, and building the 16 parsers costs more than most commands."""
     def options(*names: str, **kw) -> argparse.ArgumentParser:
         """A parent parser holding ``names``, each added with ``kw``."""
         parent = argparse.ArgumentParser(add_help=False)

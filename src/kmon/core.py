@@ -213,6 +213,12 @@ class KappaMonoid:
             )
 
     def ksum(self, fam: Family) -> Any:
+        """The sum of ``fam`` after the bound check on its index set.  The
+        entries are not checked for ``member``: a library caller passes
+        elements of this monoid.  Membership is checked at the boundary,
+        by ``dsl.parse_family`` on the entries of a family it reads and by
+        ``braiding.verify`` on the carries of a certificate, because a check
+        on every sum would cost a large share of the arithmetic it guards."""
         self.check_bound(fam)
         return self.raw_ksum(fam)
 

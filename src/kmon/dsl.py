@@ -24,7 +24,7 @@ from .braiding import (
 from .cardinals import ALEPH0, ExtCard, aleph, below, fin
 from .core import CyclicExtensionMonoid, CyclicMonoid, Family, KappaMonoid
 from .diophantine import ConstraintSystem, DioMonoid
-from .errors import CardBoundError, ParseError
+from .errors import CardBoundError, DimensionError, ParseError
 from .free_vectors import CardVec, VecMonoid
 from .gallery import (
     INF,
@@ -218,7 +218,7 @@ class Parser:
         if self.at("0"):
             self.next()
             return d.zero
-        self.expect("(")
+        t = self.expect("(")
         rank = self.card()
         cls = []
         if self.at(";"):
@@ -226,7 +226,10 @@ class Parser:
             if not self.at(")"):
                 cls = self.commas(self.nat)
         self.expect(")")
-        return d.elem(rank, cls or None)
+        try:
+            return d.elem(rank, cls or None)
+        except DimensionError as e:
+            raise ParseError(str(e), t.line, t.col) from None
 
     # -- forms ---------------------------------------------------------------
 

@@ -112,8 +112,8 @@ class VecMonoid(KappaMonoid):
 
     def sub(self, a: CardVec, b: CardVec) -> Optional[CardVec]:
         out = []
-        for i in range(self.n):
-            d = card_sub_least(a[i], b[i])
+        for x, y in zip(a.coords, b.coords):
+            d = card_sub_least(x, y)
             if d is None:
                 return None
             out.append(d)

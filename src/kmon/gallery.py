@@ -24,7 +24,7 @@ from .cardinals import (
     fin,
 )
 from .core import CyclicExtensionMonoid, CyclicMonoid, Family, KappaMonoid
-from .errors import PreconditionError
+from .errors import DimensionError, PreconditionError
 from .free_vectors import CardVec
 from .tribool import TriBool, from_bool, no, yes
 
@@ -270,6 +270,12 @@ class DedekindVMonoid(KappaMonoid):
         return RankClass(ZERO, tuple(0 for _ in self.factors))
 
     def elem(self, rank, cls=None) -> RankClass:
+        """The element of rank ``rank`` and class ``cls`` (default: the
+        trivial class); a class needs one entry per invariant factor."""
+        if cls is not None and len(cls) != len(self.factors):
+            raise DimensionError(
+                f"a class of {self.name} has length {len(self.factors)}, got {len(cls)}"
+            )
         rank = fin(rank) if isinstance(rank, int) else rank
         if rank.is_zero or rank.is_infinite:
             return RankClass(rank, self.zero.cls)

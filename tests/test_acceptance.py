@@ -172,8 +172,9 @@ def _random_family(rng, elems, levels):
     return Family.of((rng.choice(elems), rng.choice(mults)) for _ in range(k))
 
 
-def test_acceptance_5_braiding_soundness():
-    rng = random.Random(50505)
+def _braid_mix(seed):
+    """Acceptance 5's 520 (monoid, x, y) instances, drawn from ``seed``."""
+    rng = random.Random(seed)
     vec2 = VecMonoid(2, at_most(W))
     dio_a = DioMonoid(ConstraintSystem.make(2, equations=[((1, 0), (0, 1))]), at_most(W))
     dio_b = DioMonoid(ConstraintSystem.make(2, congruences=[((1, 1), 2)]), at_most(W))
@@ -183,15 +184,20 @@ def test_acceptance_5_braiding_soundness():
         (dio_a, [CardVec.fins(1, 1), CardVec.fins(2, 2)]),
         (dio_b, [CardVec.fins(1, 1), CardVec.fins(2, 0), CardVec.fins(0, 2)]),
     ]
-    instances = yes_count = 0
-    answers = hashlib.sha256()
-    while instances < 520:
-        m, elems = setups[instances % len(setups)]
+    for instance in range(520):
+        m, elems = setups[instance % len(setups)]
         x = _random_family(rng, elems, [W])
         if rng.random() < 0.5:
             y = _random_family(rng, elems, [W])
         else:
             y = x.scale(rng.choice([fin(1), fin(2), W]))  # usually braidable
+        yield m, x, y
+
+
+def test_acceptance_5_braiding_soundness():
+    instances = yes_count = 0
+    answers = hashlib.sha256()
+    for m, x, y in _braid_mix(50505):
         r = braid_find(m, x, y, budget=2500)
         cert = render_certificate(r.witness) if r.is_yes else ""
         answers.update(f"{r.kind}|{r.note}|{cert}\n".encode())
@@ -207,6 +213,25 @@ def test_acceptance_5_braiding_soundness():
     want = "745fe67127947c1090ec7502d3db86be156c18db575a7468c452062222d0016a"
     assert answers.hexdigest() == want
     _ok(5, f"{instances} instances, {yes_count} certificates found, all verified with equal telescopes")
+
+
+@pytest.mark.parametrize(
+    "budget,want",
+    [
+        (300, "4da1c5e3fe085e9e13697e617d056b2eb64d5abbe3f3bbbcb381133460296f31"),
+        (2500, "180d3dff50336f366fac1a927e169e779bbb2f8f655feb2832ffdc879b1ef8ea"),
+    ],
+)
+def test_braid_find_held_out_population_is_pinned(budget, want):
+    # kind, note and rendered certificate of every answer on the held-out
+    # braid-mix population, at a budget that cuts the DFS short and at
+    # acceptance 5's; pinned before the DFS read its chunks by row
+    answers = hashlib.sha256()
+    for m, x, y in _braid_mix(60606):
+        r = braid_find(m, x, y, budget=budget)
+        cert = render_certificate(r.witness) if r.is_yes else ""
+        answers.update(f"{r.kind}|{r.note}|{cert}\n".encode())
+    assert answers.hexdigest() == want
 
 
 # -- 6: completeness over the positive integers ------------------------------------

@@ -7,15 +7,18 @@ from fractions import Fraction
 import pytest
 
 from kmon.braiding import (
+    GREEDY_CAP,
     SCALE_CAP,
     BraidBlock,
     CollapsedCertificate,
     LayeredCertificate,
     OmegaCertificate,
     braid_find,
+    _Chunks,
     _cycle_counts,
     _Periodic,
     _stream,
+    _units,
     canonical_family,
     compose,
     flip,
@@ -812,3 +815,29 @@ def test_periodic_view_matches_its_expansion():
     # aleph0-entry in the cycle
     s = _stream(Family.of([(fin(2), fin(2)), (fin(1), W)]))
     assert (s.head, s.cycle) == ([fin(2), fin(2)], [fin(1)])
+
+
+@pytest.mark.parametrize(
+    "m,x,y",
+    [
+        (F2,
+         fam((CardVec.fins(1, 0), 2), (CardVec.fins(0, 1), W), (CardVec.fins(2, 1), W)),
+         fam((CardVec.fins(1, 1), 3), (CardVec.fins(2, 1), W))),
+        (N0, fam((1, 1), (3, W)), fam((2, W), (1, W), (4, W))),
+    ],
+    ids=["vec2", "N0"],
+)
+def test_chunk_rows_match_the_stream(m, x, y):
+    # every chunk of the rows, read in a shuffled order so that rows grow
+    # on demand from every length, is the chunk of the stream slice itself
+    chunks = _Chunks(m, x, y)
+    reads = [
+        (side, pos, k)
+        for side, s in enumerate(chunks.streams)
+        for pos in range(len(s.head) + 3 * len(s.cycle))
+        for k in range(GREEDY_CAP + 1)
+    ]
+    random.Random(7).shuffle(reads)
+    for side, pos, k in reads:
+        s = chunks.streams[side]
+        assert chunks.chunk(side, pos, k) == _units(m, [s[pos + t] for t in range(k)])

@@ -12,6 +12,7 @@ from kmon.cardinals import (
     at_most,
     below,
     card_mul,
+    card_sub_least,
     card_sum,
     fin,
     render_card,
@@ -191,3 +192,20 @@ def test_cardinal_repr_and_order():
         ZERO, fin(2), fin(300), ALEPH0, aleph(1)
     ]
     assert fin(300) >= fin(300) > fin(299) and not fin(300) < fin(300)
+
+
+SUB_GRID = (
+    [fin(n) for n in range(6)] + [fin(n) for n in range(255, 258)] + [aleph(k) for k in range(4)]
+)
+
+
+def test_card_sub_least_is_the_least_complement():
+    # the definition, "least c with b + c = a", searched over the grid and
+    # every finite difference of it; card_sum is the sum being inverted
+    candidates = set(SUB_GRID) | {
+        fin(a.n - b.n) for a, b in itertools.product(SUB_GRID, SUB_GRID)
+        if a.is_finite and b.is_finite and b.n <= a.n
+    }
+    for a, b in itertools.product(SUB_GRID, SUB_GRID):
+        fits = [c for c in candidates if card_sum([(b, fin(1)), (c, fin(1))]) == a]
+        assert card_sub_least(a, b) == (min(fits) if fits else None), (a, b)

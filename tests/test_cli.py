@@ -264,6 +264,20 @@ def test_family_elements_outside_the_bound_exit_3(argv, elem):
     assert invoke(argv) == (3, f"parse error at 1:6: {elem} is not a member of {name}\n")
 
 
+@pytest.mark.parametrize(
+    "monoid,fam,want",
+    [
+        ("dedekind(2)", "fam {(3; 1, 7, 9)*1}", "a class of dedekind(2) has length 1, got 3"),
+        ("dedekind(2,3)", "fam {(3; 1)*1}", "a class of dedekind(2,3) has length 2, got 1"),
+    ],
+)
+def test_dedekind_class_of_the_wrong_length_exits_3(monoid, fam, want):
+    argv = ["gallery-eval", "--monoid", monoid, "--fam", fam]
+    assert invoke(argv) == (3, f"parse error at 1:6: {want}\n")
+    code, out = invoke(argv + ["--format", "json"])
+    assert code == 3 and json.loads(out)["error"] == f"1:6: {want}"
+
+
 def test_family_members_of_a_dio_monoid_are_accepted():
     code, out = invoke(["gallery-eval", "--monoid", DIAGONAL, "--fam", "fam {(2,2)*aleph0, (1,1)*3}"])
     assert code == 0 and "(aleph0, aleph0)" in out
@@ -367,6 +381,27 @@ def test_json_usage_error(argv, command, error, capsys):
     code, out = invoke(argv)
     assert code == 3 and out == ""
     assert capsys.readouterr().err.endswith(f"error: {error}\n")
+
+
+def test_one_parser_serves_every_run(capsys):
+    # a usage error, --help, a valid command and the usage error again, all
+    # in one process and twice over: every run prints what its first did
+    argvs = [
+        ["member", "--monoid", "dio n=1 { }"],
+        ["braid-find", "--help"],
+        ["member", "--monoid", "dio n=1 { }", "--vec", "(4)"],
+        ["member", "--monoid", "dio n=1 { }"],
+    ]
+    runs = []
+    for argv in argvs + argvs:
+        code = run(argv)
+        runs.append((code, *capsys.readouterr()))
+    assert build_parser() is build_parser()
+    assert runs[:4] == runs[4:]
+    assert runs[0] == runs[3]
+    assert runs[0][0] == 3 and runs[0][2].endswith("required: --vec\n")
+    assert runs[1][0] == 0 and runs[1][1].startswith("usage: kmon braid-find")
+    assert runs[2][:2] == (0, "(4) is a member of dio n=1 { }\n")
 
 
 # -- pinned text of the hnp predicate, presented monoids and dedekind elements --

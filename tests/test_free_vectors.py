@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from kmon.cardinals import ALEPH0, ZERO, aleph, at_most, fin
+from kmon.cardinals import ALEPH0, ZERO, aleph, at_most, card_sub_least, fin
 from kmon.core import CyclicExtensionMonoid, CyclicMonoid, Family
 from kmon.errors import DimensionError
 from kmon.free_vectors import CardVec, VecMonoid, free_extend_hom, vec_ksum
@@ -59,3 +60,18 @@ def test_hom_commutes_with_ksum_randomized():
             Family.of((free_extend_hom(images, tgt, v), m) for v, m in family)
         )
         assert lhs == rhs
+
+
+def test_sub_is_coordinatewise_least_complement():
+    # every pair over a small grid, the None cases included: one coordinate
+    # without a complement leaves the vector without one
+    grid = [fin(0), fin(1), fin(3), ALEPH0, aleph(1)]
+    vecs = [CardVec(c) for c in itertools.product(grid, repeat=2)]
+    m = VecMonoid(2)
+    nones = 0
+    for a, b in itertools.product(vecs, vecs):
+        coords = [card_sub_least(x, y) for x, y in zip(a.coords, b.coords)]
+        want = None if None in coords else CardVec(tuple(coords))
+        assert m.sub(a, b) == want, (a, b)
+        nones += want is None
+    assert 0 < nones < len(vecs) ** 2

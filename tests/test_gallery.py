@@ -7,7 +7,7 @@ from kmon.braiding import braid_find, verify
 from kmon.cardinals import ALEPH0, ZERO, aleph, at_most, below, fin
 from kmon.core import CyclicExtensionMonoid, CyclicMonoid, Family
 from kmon.diophantine import ConstraintSystem, DioMonoid
-from kmon.errors import PreconditionError
+from kmon.errors import DimensionError, PreconditionError
 from kmon.free_vectors import CardVec, VecMonoid
 from kmon.gallery import (
     INF,
@@ -100,6 +100,8 @@ def test_dedekind_sum_worked_examples():
     assert d.ksum(fam([(g, fin(2))])) == d.elem(2, [0])
     assert d.ksum(fam([(g, W)])).rank == W
     assert d.ksum(Family.empty()) == d.zero
+    with pytest.raises(DimensionError, match="has length 1, got 3"):
+        d.elem(3, [1, 7, 9])
 
 
 def test_dedekind_membership_predicate():
