@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .cardinals import (
     ALEPH0,
@@ -51,11 +51,13 @@ class ConstraintSystem:
         for a, b in self.equations + self.inequalities:
             if len(a) != self.n or len(b) != self.n:
                 raise DimensionError("coefficient vector length mismatch")
-            if any(c < 0 for c in a + b):
-                raise ValueError("coefficients are non-negative")
+            _check_coefficients(a + b)
         for a, d in self.congruences:
             if len(a) != self.n:
                 raise DimensionError("coefficient vector length mismatch")
+            _check_coefficients(a)
+            if type(d) is not int:
+                raise ValueError(f"congruence modulus must be an integer, got {d!r}")
             if d < 1:
                 raise ValueError("congruence modulus must be >= 1")
 
@@ -65,7 +67,7 @@ class ConstraintSystem:
             n,
             tuple((tuple(a), tuple(b)) for a, b in equations),
             tuple((tuple(a), tuple(b)) for a, b in inequalities),
-            tuple((tuple(a), int(d)) for a, d in congruences),
+            tuple((tuple(a), d) for a, d in congruences),
         )
 
     def __str__(self) -> str:
@@ -79,13 +81,44 @@ class ConstraintSystem:
             parts.append(f"cong: {render_linear(a)} in {d}N;")
         return f"dio n={self.n} {{ " + " ".join(parts) + " }"
 
+    # The compiled form: sparse rows, each half built on first use and kept
+    # in the instance dict as plain tuples, so a used system still
+    # compares, hashes, pickles and prints as a fresh one.
 
-def _dot_card(coeffs: tuple[int, ...], x: CardVec) -> ExtCard:
-    return card_sum((x[i], fin(c)) for i, c in enumerate(coeffs) if c)
+    @cached_property
+    def _int_rows(self) -> tuple:
+        """Integer rows: ((i, a_i - b_i), ...) per equation and per
+        inequality, and ((i, a_i), ...) with its modulus per congruence."""
+
+        def diff(a, b):
+            return _sparse([ai - bi for ai, bi in zip(a, b)])
+
+        return (
+            tuple(diff(a, b) for a, b in self.equations),
+            tuple(diff(a, b) for a, b in self.inequalities),
+            tuple((_sparse(a), d) for a, d in self.congruences),
+        )
+
+    @cached_property
+    def _card_rows(self) -> tuple:
+        """Cardinal rows: ((i, fin(a_i)), ...) per side of each equation and
+        inequality, and per congruence with its modulus."""
+        return (
+            tuple((_sparse(a, fin), _sparse(b, fin)) for a, b in self.equations),
+            tuple((_sparse(a, fin), _sparse(b, fin)) for a, b in self.inequalities),
+            tuple((_sparse(a, fin), d) for a, d in self.congruences),
+        )
 
 
-def _dot_int(coeffs: tuple[int, ...], x: tuple[int, ...]) -> int:
-    return sum(c * v for c, v in zip(coeffs, x))
+def _check_coefficients(coeffs: tuple) -> None:
+    for c in coeffs:
+        if type(c) is not int or c < 0:
+            raise ValueError(f"coefficients are non-negative integers, got {c!r}")
+
+
+def _sparse(coeffs, value=int) -> tuple:
+    """The nonzero coefficients as (index, value(coefficient)) pairs."""
+    return tuple((i, value(c)) for i, c in enumerate(coeffs) if c)
 
 
 def satisfies_card(sys: ConstraintSystem, x: CardVec) -> bool:
@@ -94,30 +127,53 @@ def satisfies_card(sys: ConstraintSystem, x: CardVec) -> bool:
     of its terms, which is exactly what cardinal evaluation produces."""
     if len(x) != sys.n:
         raise DimensionError(f"vector length {len(x)} != {sys.n}")
-    for a, b in sys.equations:
-        if _dot_card(a, x) != _dot_card(b, x):
+    v = x.coords
+    eqs, ineqs, congs = sys._card_rows
+    for a, b in eqs:
+        if card_sum((v[i], c) for i, c in a) != card_sum((v[i], c) for i, c in b):
             return False
-    for a, b in sys.inequalities:
-        if not _dot_card(a, x) <= _dot_card(b, x):
+    for a, b in ineqs:
+        if not card_sum((v[i], c) for i, c in a) <= card_sum((v[i], c) for i, c in b):
             return False
-    for a, d in sys.congruences:
-        v = _dot_card(a, x)
-        if v.is_finite and v.n % d != 0:
+    for a, d in congs:
+        s = card_sum((v[i], c) for i, c in a)
+        if s.is_finite and s.n % d != 0:
             return False  # infinite values lie in every d*F
     return True
 
 
+def _int_test(sys: ConstraintSystem) -> Callable[[tuple[int, ...]], bool]:
+    """The predicate "the integer point x satisfies sys" over the compiled
+    rows: equations, then inequalities, then congruences, each in system
+    order."""
+    eqs, ineqs, congs = sys._int_rows
+
+    def holds(x: tuple[int, ...]) -> bool:
+        for row in eqs:
+            t = 0
+            for i, c in row:
+                t += c * x[i]
+            if t:
+                return False
+        for row in ineqs:
+            t = 0
+            for i, c in row:
+                t += c * x[i]
+            if t > 0:
+                return False
+        for row, d in congs:
+            t = 0
+            for i, c in row:
+                t += c * x[i]
+            if t % d:
+                return False
+        return True
+
+    return holds
+
+
 def satisfies_int(sys: ConstraintSystem, x: tuple[int, ...]) -> bool:
-    for a, b in sys.equations:
-        if _dot_int(a, x) != _dot_int(b, x):
-            return False
-    for a, b in sys.inequalities:
-        if _dot_int(a, x) > _dot_int(b, x):
-            return False
-    for a, d in sys.congruences:
-        if _dot_int(a, x) % d != 0:
-            return False
-    return True
+    return _int_test(sys)(x)
 
 
 def render_linear(coeffs: tuple[int, ...]) -> str:
@@ -210,9 +266,9 @@ class DioMonoid(VecMonoid):
             # alpha = (a-b).u <= 0 and beta = (a-b).x <= 0
             need = r.witness
             ui, xi = [c.n for c in u.coords], [c.n for c in x.coords]
-            for k, (a, b) in enumerate(self.system.inequalities):
-                alpha = _dot_int(a, ui) - _dot_int(b, ui)
-                beta = _dot_int(a, xi) - _dot_int(b, xi)
+            for k, row in enumerate(self.system._int_rows[1]):
+                alpha = sum(c * ui[i] for i, c in row)
+                beta = sum(c * xi[i] for i, c in row)
                 if alpha < 0:
                     need = max(need, -(beta // -alpha))  # ceil(beta / alpha)
                 elif beta < 0:
@@ -262,7 +318,7 @@ def solutions(sys: ConstraintSystem, box: Sequence[Sequence[int]]) -> Iterator[t
     """The points of ``box`` that satisfy ``sys``, lazily and in
     lexicographic order.  ``box[i]`` holds the values of coordinate i: a
     ``range``, or a one-value tuple for a pinned coordinate."""
-    return (x for x in itertools.product(*box) if satisfies_int(sys, x))
+    return filter(_int_test(sys), itertools.product(*box))
 
 
 def enumerate_solutions(sys: ConstraintSystem, radius: int) -> list[tuple[int, ...]]:
@@ -328,13 +384,14 @@ def _fm_feasible(
 
 
 def _relaxation_rows(sys: ConstraintSystem):
-    eqs = []
-    ineqs = []
-    for a, b in sys.equations:
-        eqs.append(([Fraction(ai - bi) for ai, bi in zip(a, b)], Fraction(0)))
-    for a, b in sys.inequalities:
-        ineqs.append(([Fraction(ai - bi) for ai, bi in zip(a, b)], Fraction(0)))
-    return eqs, ineqs
+    def dense(row):
+        out = [Fraction(0)] * sys.n
+        for i, c in row:
+            out[i] = Fraction(c)
+        return out, Fraction(0)
+
+    eqs, ineqs, _ = sys._int_rows
+    return [dense(row) for row in eqs], [dense(row) for row in ineqs]
 
 
 def rational_feasible(
@@ -427,12 +484,10 @@ class Aleph0Extension:
 
     def describe(self, radius: int = 4) -> str:
         gens = enumerate_solutions(self.system, radius)
+        # "w" and 0 do not compare; sort the supports as 0 < w
         pats = sorted(
-            {
-                tuple("w" if g else 0 for g in sol)
-                for sol in gens
-                if any(sol)
-            }
+            {tuple("w" if g else 0 for g in sol) for sol in gens if any(sol)},
+            key=lambda p: [g != 0 for g in p],
         )
         return (
             f"H + aleph0*H with H generated (up to radius {radius}) by "

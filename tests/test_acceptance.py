@@ -363,26 +363,33 @@ def test_acceptance_8_two_generator_decider():
 # -- 9: universal-extension coherence --------------------------------------------------
 
 
-def test_acceptance_9_extension_coherence():
-    rng = random.Random(90909)
-    radius = 32
+EXT_GRID = [fin(k) for k in range(5)] + [W]
+
+
+def _extension_systems(seed):
+    """Acceptance 9's 20 systems, drawn from ``seed``: equations and
+    congruences over 1..3 variables, each with a solution of entries <= 4."""
+    rng = random.Random(seed)
     systems = []
     while len(systems) < 20:
         n = rng.randrange(1, 4)
         sys = _random_system(rng, n, with_ineq=False)  # equations+congruences only
         if enumerate_solutions(sys, 4):
             systems.append(sys)
+    return systems
 
+
+def test_acceptance_9_extension_coherence():
+    radius = 32
     checked = 0
-    for sys in systems:
+    for sys in _extension_systems(90909):
         n = sys.n
         plain = DioMonoid(sys, below(W))
         ext = aleph0_extend_finite(plain, radius)
         at_w = universal_extend(DioMonoid(sys, at_most(W)), W)
         sols = enumerate_solutions(sys, radius)
         supports = {frozenset(i for i, v in enumerate(s) if v) for s in sols}
-        grid = [fin(k) for k in range(5)] + [W]
-        for coords in itertools.product(grid, repeat=n):
+        for coords in itertools.product(EXT_GRID, repeat=n):
             v = CardVec(coords)
             inf = frozenset(i for i in range(n) if coords[i].is_infinite)
             r = ext.member(v)
@@ -403,6 +410,59 @@ def test_acceptance_9_extension_coherence():
                 assert at_w.member(v), (sys, v)
             checked += 1
     _ok(9, f"20 systems, {checked} grid vectors: extension agrees with brute-force generation and embeds in the extended system")
+
+
+def _parity_probe(rng, k):
+    """A system with k + 1 variables x, s, w_1..w_{k-1}: s = d*x + sum a_j w_j,
+    w_j in dN and s + c*x in dN, with d prime and 0 < c < d.  With x finite
+    and the rest aleph0, x not in dN has no integer completion although its
+    rational relaxation has one; x = d has s = d*d, w = 0.  Returns the system
+    and both vectors."""
+    n = k + 1
+    d = rng.choice([2, 3])
+    x, s, *ws = rng.sample(range(n), n)
+
+    def linear(*terms):
+        out = [0] * n
+        for i, c in terms:
+            out[i] += c
+        return tuple(out)
+
+    rhs = linear((x, d), *((w, rng.randrange(1, d + 1)) for w in ws))
+    congs = [(linear((w, 1)), d) for w in ws] + [(linear((s, 1), (x, rng.randrange(1, d))), d)]
+    sys = ConstraintSystem.make(n, [(linear((s, 1)), rhs)], (), congs)
+    vecs = []
+    for v in (rng.choice([v for v in range(1, 9) if v % d]), d):
+        coords = [W] * n
+        coords[x] = fin(v)
+        vecs.append(tuple(coords))
+    return sys, vecs
+
+
+def test_extension_answers_are_pinned():
+    # kind, note and witness of Aleph0Extension.member over acceptance 9's
+    # grid on two populations of systems and on seeded parity probes, with
+    # enumerate_solutions of each system, pinned before the scan read
+    # compiled rows; describe() of each system pinned at the same commit
+    # with its pattern sort fixed (8 of the 40 systems raised TypeError)
+    cases = []
+    for seed in (90909, 91919):
+        for sys in _extension_systems(seed):
+            cases.append((sys, 32, list(itertools.product(EXT_GRID, repeat=sys.n))))
+    rng = random.Random(22022)
+    for k in (3, 3, 4, 4):
+        sys, vecs = _parity_probe(rng, k)
+        cases.append((sys, rng.randrange(6, 13), vecs))
+    answers, described = hashlib.sha256(), hashlib.sha256()
+    for sys, radius, vecs in cases:
+        ext = aleph0_extend_finite(DioMonoid(sys, below(W)), radius)
+        for coords in vecs:
+            r = ext.member(CardVec(coords))
+            answers.update(f"{r.kind}|{r.note}|{r.witness!r}\n".encode())
+        answers.update(f"{enumerate_solutions(sys, 8)}\n".encode())
+        described.update(f"{ext.describe()}\n".encode())
+    assert answers.hexdigest() == "d916248dd929dafdb8173898f597844606d99da685f99ed2581963df56cbf800"
+    assert described.hexdigest() == "008f242e3be69833ba609e95c47814695275bfa3f838e8dcfc21088c8e907503"
 
 
 # -- 10: golden CLI files ----------------------------------------------------------------

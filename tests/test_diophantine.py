@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from kmon.diophantine import (
     enumerate_solutions,
     rational_feasible,
     recombine,
+    satisfies_card,
     solutions,
     universal_extend,
 )
@@ -267,10 +270,107 @@ def test_enumerate_solutions_deterministic():
     assert list(solutions(sum_even, [range(5), (2,), range(5)])) == [(2, 2, 0), (4, 2, 2)]
 
 
+def _reference_solutions(sys, box):
+    """The box scan written out from the raw coefficient tuples."""
+
+    def holds(x):
+        def dot(a):
+            return sum(c * v for c, v in zip(a, x))
+
+        return (
+            all(dot(a) == dot(b) for a, b in sys.equations)
+            and all(dot(a) <= dot(b) for a, b in sys.inequalities)
+            and all(dot(a) % d == 0 for a, d in sys.congruences)
+        )
+
+    return [x for x in itertools.product(*box) if holds(x)]
+
+
+def _random_box(rng, n):
+    box = []
+    for _ in range(n):
+        lo, roll = rng.randrange(0, 4), rng.random()
+        if roll < 0.2:
+            box.append((rng.randrange(0, 7),))  # a pinned coordinate
+        elif roll < 0.25:
+            box.append(range(lo, lo))  # an empty range
+        else:
+            box.append(range(lo, lo + rng.randrange(1, 7)))
+    return box
+
+
+def test_solutions_match_a_reference_scan():
+    # rows whose two sides cancel compile to empty difference rows
+    zero_diff = ConstraintSystem.make(
+        3,
+        equations=[((1, 2, 0), (1, 2, 0)), ((1, 0, 0), (0, 1, 1))],
+        inequalities=[((0, 1, 1), (0, 1, 1))],
+        congruences=[((0, 0, 0), 3), ((1, 0, 1), 2)],
+    )
+    rng = random.Random(2222)
+    systems = [zero_diff] + [_random_system(rng, rng.randrange(1, 5)) for _ in range(80)]
+    for kind in ("equations", "inequalities", "congruences"):
+        assert any(getattr(s, kind) for s in systems), kind
+    hits = 0
+    for sys in systems:
+        for _ in range(5):
+            box = _random_box(rng, sys.n)
+            want = _reference_solutions(sys, box)
+            assert list(solutions(sys, box)) == want, (sys, box)
+            assert next(solutions(sys, box), None) == (want[0] if want else None)
+            hits += bool(want)
+    assert hits > 100  # most boxes hold a solution, so first hits are compared
+
+
+def test_compiled_rows_leave_the_system_value_alone():
+    def make():
+        return ConstraintSystem.make(
+            3,
+            equations=[((1, 0, 0), (0, 2, 1))],
+            inequalities=[((0, 1, 0), (1, 0, 1))],
+            congruences=[((1, 1, 0), 2)],
+        )
+
+    used, fresh = make(), make()
+    box = [range(6)] * 3
+    sols = list(solutions(used, box))
+    assert sols and satisfies_card(used, vec(W, 1, W)) and rational_feasible(used, {1: 1})
+    assert used == fresh and hash(used) == hash(fresh)
+    assert str(used) == str(fresh) and repr(used) == repr(fresh)
+    for back in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
+        assert back == fresh and hash(back) == hash(fresh) and str(back) == str(fresh)
+        assert list(solutions(back, box)) == sols
+
+
+def test_negative_congruence_coefficient_is_rejected():
+    # printed as "cong: -1 x0 in 2N", which the DSL cannot read back
+    with pytest.raises(ValueError, match="^coefficients are non-negative integers, got -1$"):
+        ConstraintSystem.make(1, congruences=[((-1,), 2)])
+    with pytest.raises(ValueError, match="got -2$"):
+        ConstraintSystem.make(2, inequalities=[((0, 1), (-2, 0))])
+
+
+def test_non_integer_coefficient_is_rejected():
+    with pytest.raises(ValueError, match="^coefficients are non-negative integers, got 1.5$"):
+        ConstraintSystem.make(1, equations=[((1.5,), (0,))])
+    with pytest.raises(ValueError, match="got True$"):
+        ConstraintSystem.make(1, congruences=[((True,), 2)])
+    # a modulus is not truncated to an integer
+    with pytest.raises(ValueError, match="^congruence modulus must be an integer, got 2.5$"):
+        ConstraintSystem.make(1, congruences=[((1,), 2.5)])
+
+
 def test_aleph0_extension_description():
     ext = aleph0_extend_finite(DioMonoid(EQ_XY, below(W)))
     text = ext.describe(radius=3)
     assert "(1, 1)" in text and "aleph0" in text
+    # several supports: x0 = x1 + x2
+    ext = aleph0_extend_finite(DioMonoid(ConstraintSystem.make(3, equations=[((1, 0, 0), (0, 1, 1))]), below(W)))
+    assert ext.describe(radius=2) == (
+        "H + aleph0*H with H generated (up to radius 2) by "
+        "[(1, 0, 1), (1, 1, 0), (2, 0, 2), (2, 1, 1), (2, 2, 0)]; "
+        "aleph0-patterns [('w', 0, 'w'), ('w', 'w', 0), ('w', 'w', 'w')]"
+    )
 
 
 X0_LEQ_X1 = ConstraintSystem.make(2, inequalities=[((1, 0), (0, 1))])  # x0 <= x1
