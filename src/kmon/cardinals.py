@@ -32,9 +32,11 @@ class Frozen:
 class ExtCard(Frozen):
     """A cardinal: finite ``n`` (aleph_level is None) or ``aleph(level)``.
 
-    The sort key and the hash are computed once, at construction."""
+    The sort key, the hash and the three predicates are computed once, at
+    construction: the fixed cardinals are interned, and the hot loops read
+    them on every entry."""
 
-    __slots__ = ("n", "aleph_level", "_key", "_hash")
+    __slots__ = ("n", "aleph_level", "is_finite", "is_infinite", "is_zero", "_key", "_hash")
 
     def __init__(self, n: int = 0, aleph_level: Optional[int] = None):
         if aleph_level is not None:
@@ -52,6 +54,9 @@ class ExtCard(Frozen):
         init = object.__setattr__
         init(self, "n", n)
         init(self, "aleph_level", aleph_level)
+        init(self, "is_finite", aleph_level is None)
+        init(self, "is_infinite", aleph_level is not None)
+        init(self, "is_zero", aleph_level is None and n == 0)
         init(self, "_key", key)
         init(self, "_hash", hash(key))
 
@@ -67,18 +72,6 @@ class ExtCard(Frozen):
 
     def __reduce__(self):
         return ExtCard, (self.n, self.aleph_level)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.aleph_level is None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.aleph_level is not None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.aleph_level is None and self.n == 0
 
     def sort_key(self):
         return self._key
@@ -169,9 +162,10 @@ def card_mul(a: ExtCard, b: ExtCard) -> ExtCard:
     """Ordinary product when both finite; 0 absorbs; otherwise max(a, b)."""
     if a.is_zero or b.is_zero:
         return ZERO
-    if a.is_finite and b.is_finite:
-        return fin(a.n * b.n)
-    return a if b < a else b
+    al, bl = a.aleph_level, b.aleph_level
+    if al is None:
+        return fin(a.n * b.n) if bl is None else b
+    return a if bl is None or bl < al else b
 
 
 def card_sub_least(a: ExtCard, b: ExtCard) -> Optional[ExtCard]:
@@ -190,7 +184,11 @@ def card_sub_least(a: ExtCard, b: ExtCard) -> Optional[ExtCard]:
 class CardBoundMode:
     """Summation bound: AtMost(kappa) admits index sets of cardinality <= kappa,
     Below(lam) only strictly smaller ones (lam regular; Below(aleph0) is a
-    plain monoid)."""
+    plain monoid).
+
+    The admissible levels and the sort key of the largest admitted cardinal
+    are derived once, at construction, so ``admits`` is one key compare.  A
+    bound still compares, hashes, pickles and reprs by its two fields."""
 
     mode: str  # "at_most" | "below"
     card: ExtCard
@@ -200,24 +198,29 @@ class CardBoundMode:
             raise ValueError(f"unknown bound mode {self.mode!r}")
         if self.card.is_finite:
             raise ValueError("bound cardinal must be infinite")
-
-    def admits(self, count: ExtCard) -> bool:
-        if self.mode == "at_most":
-            return count <= self.card
-        return count < self.card
-
-    def admissible_levels(self) -> list[ExtCard]:
-        """Infinite cardinals usable as multiplicities under this bound."""
+        # the top admitted aleph level; -1 (below(aleph0)) admits none, and
+        # (1, -1) sits above every finite key and below every aleph's
         k = self.card.aleph_level
         if self.mode == "below":
             k -= 1
-        return list(_ALEPHS[: k + 1])
+        object.__setattr__(self, "_limit", (1, k))
+        object.__setattr__(self, "_levels", _ALEPHS[: k + 1])
+
+    def __reduce__(self):
+        return CardBoundMode, (self.mode, self.card)
+
+    def admits(self, count: ExtCard) -> bool:
+        return count._key <= self._limit
+
+    def admissible_levels(self) -> list[ExtCard]:
+        """Infinite cardinals usable as multiplicities under this bound."""
+        return list(self._levels)
 
     @property
     def top(self) -> Optional[ExtCard]:
         """The largest admissible multiplicity, the kappa of kappa*u; None
         for below(aleph0), the bound of a plain monoid."""
-        levels = self.admissible_levels()
+        levels = self._levels
         return levels[-1] if levels else None
 
     def __str__(self) -> str:

@@ -195,23 +195,6 @@ class KappaMonoid:
         z = self.zero
         return card_sum((m, FIN1) for e, m in fam if not self.eq(e, z).is_yes)
 
-    def check_bound(self, fam: Family) -> None:
-        # a finite sum of admitted cardinals is admitted (the bound is
-        # infinite, and regular under below), so the support can only break
-        # the bound through an over-bound multiplicity, and then only on a
-        # nonzero element
-        admits = self.bound.admits
-        for _, m in fam.entries:
-            if not admits(m):
-                break
-        else:
-            return
-        cnt = self.support_card(fam)
-        if not self.bound.admits(cnt):
-            raise BoundExceededError(
-                f"family index cardinality {cnt} violates bound {self.bound}"
-            )
-
     def ksum(self, fam: Family) -> Any:
         """The sum of ``fam`` after the bound check on its index set.  The
         entries are not checked for ``member``: a library caller passes
@@ -219,7 +202,19 @@ class KappaMonoid:
         by ``dsl.parse_family`` on the entries of a family it reads and by
         ``braiding.verify`` on the carries of a certificate, because a check
         on every sum would cost a large share of the arithmetic it guards."""
-        self.check_bound(fam)
+        # a finite sum of admitted cardinals is admitted (the bound is
+        # infinite, and regular under below), so the support can only break
+        # the bound through an over-bound multiplicity, and then only on a
+        # nonzero element; admitted means a sort key at most the bound's limit
+        limit = self.bound._limit
+        for _, m in fam.entries:
+            if m._key > limit:
+                cnt = self.support_card(fam)
+                if not self.bound.admits(cnt):
+                    raise BoundExceededError(
+                        f"family index cardinality {cnt} violates bound {self.bound}"
+                    )
+                break
         return self.raw_ksum(fam)
 
     def add(self, a: Any, b: Any) -> Any:
@@ -234,7 +229,7 @@ class KappaMonoid:
     def scalar(self, a: ExtCard, x: Any) -> Any:
         if a.is_zero:
             return self.zero
-        return self.ksum(Family.of([(x, a)]))
+        return self.ksum(Family(((x, a),)))  # Family.of's canonical {x*a}
 
     def leq(self, a: Any, b: Any) -> TriBool:
         """Does some c satisfy a + c = b?  (The algebraic preorder.)"""
@@ -267,7 +262,7 @@ class KappaMonoid:
         raise NotImplementedError
 
     def sample_mults(self) -> list[ExtCard]:
-        return [fin(1), fin(2), fin(3)] + self.bound.admissible_levels()
+        return [FIN1, fin(2), fin(3), *self.bound._levels]
 
     def sample_family(self, rng: random.Random, max_entries: int = 4) -> Family:
         mults = self.sample_mults()
@@ -403,17 +398,13 @@ class CyclicExtensionMonoid(KappaMonoid):
         return self.bound.admits(x)  # every finite value is a class representative
 
     def raw_ksum(self, fam: Family) -> ExtCard:
-        ents = [(c, m) for e, m in fam.entries if not (c := self.canon(e)).is_zero]
-        if not ents:
-            return ZERO
-        support = card_sum((m, FIN1) for _, m in ents)
-        if support.is_finite and all(e.is_finite for e, _ in ents):
-            total = 0
-            for e, m in ents:
-                total = self.cyc.add(total, self.cyc.canon(e.n * m.n))
-            return fin(total)
-        # infinite content: the class structure collapses to cardinal size
-        return card_sum(ents)
+        # the sum of the elements as cardinals, then one canon: canon is a
+        # homomorphism from N and sends only 0 to 0, and infinite content
+        # collapses the class structure to cardinal size
+        total = card_sum(fam.entries)
+        if total.aleph_level is None and self.cyc.m is not None:
+            return fin(self.cyc.canon(total.n))
+        return total
 
     def eq(self, a: ExtCard, b: ExtCard) -> TriBool:
         return from_bool(self.canon(a) == self.canon(b))

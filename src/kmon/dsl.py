@@ -201,7 +201,11 @@ class Parser:
     # -- vectors ------------------------------------------------------------
 
     def vec(self) -> CardVec:
-        return CardVec(tuple(self.parens(self.commas, self.card)))
+        """``(c, ...)``, or ``()`` for the length-0 vector."""
+        self.expect("(")
+        coords = () if self.at(")") else tuple(self.commas(self.card))
+        self.expect(")")
+        return CardVec(coords)
 
     # -- gallery elements -----------------------------------------------------
 

@@ -13,6 +13,7 @@ from .cardinals import (
     FIN1,
     Frozen,
     ZERO,
+    card_mul,
     card_sub_least,
     card_sum,
     fin,
@@ -23,9 +24,12 @@ from .tribool import TriBool, no, yes
 
 
 class CardVec(Frozen):
-    """Element of the rank-n free monoid: an n-tuple of cardinals."""
+    """Element of the rank-n free monoid: an n-tuple of cardinals.
 
-    __slots__ = ("coords",)
+    The sort key and the hash are cached the first time they are asked for,
+    not at construction: most vectors are sums that are never hashed."""
+
+    __slots__ = ("coords", "_key", "_hash")
 
     def __init__(self, coords: tuple[ExtCard, ...]):
         object.__setattr__(self, "coords", coords)
@@ -38,7 +42,12 @@ class CardVec(Frozen):
         return self.coords == other.coords
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.coords)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return f"CardVec(coords={self.coords!r})"
@@ -65,7 +74,12 @@ class CardVec(Frozen):
         return all(c.is_zero for c in self.coords)
 
     def sort_key(self):
-        return tuple([c._key for c in self.coords])
+        try:
+            return self._key
+        except AttributeError:
+            key = tuple([c._key for c in self.coords])
+            object.__setattr__(self, "_key", key)
+            return key
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -101,14 +115,20 @@ class VecMonoid(KappaMonoid):
 
     def raw_ksum(self, fam: Family) -> CardVec:
         ents = fam.entries
+        n = self.n
         for v, _ in ents:
-            self._check_dim(v)
-        if len(ents) == 1 and ents[0][1] == FIN1:
-            return ents[0][0]
-        coords = tuple(
-            [card_sum([(v.coords[i], m) for v, m in ents]) for i in range(self.n)]
-        )
-        return CardVec(coords)
+            if len(v.coords) != n:
+                self._check_dim(v)
+        if len(ents) == 1:
+            v, m = ents[0]
+            if m is FIN1:  # an equal uninterned 1 takes the product path
+                return v
+            return CardVec(tuple([card_mul(m, c) for c in v.coords]))  # {v*m}
+        if not ents:
+            return self.zero
+        mults = [m for _, m in ents]
+        columns = zip(*[v.coords for v, _ in ents])
+        return CardVec(tuple([card_sum(zip(col, mults)) for col in columns]))
 
     def sub(self, a: CardVec, b: CardVec) -> Optional[CardVec]:
         out = []

@@ -65,10 +65,16 @@ class TrivialExtensionMonoid(KappaMonoid):
         zero = self.base.zero
         ents = []
         for e, m in fam.entries:
-            if self.eq(e, zero).is_yes:
-                continue
-            if isinstance(e, Inf) or m.is_infinite:
+            if e.__class__ is Inf:
                 return INF
+            if e == zero:
+                continue
+            if m.aleph_level is not None:
+                # only an infinite multiple asks whether e is zero up to eq
+                if not self.base.eq(e, zero).is_yes:
+                    return INF
+                continue
+            # a zero only up to eq, finitely often, adds zero in the base sum
             ents.append((e, m))
         # a subset of canonical entries is canonical
         return self.base.raw_ksum(Family(tuple(ents)))
@@ -142,8 +148,7 @@ class QPoint:
         return QPoint(Fraction(q), "tilde")
 
     def sort_key(self):
-        order = {"plain": 0, "tilde": 1, "inf": 2}
-        return (order[self.tag], self.q.numerator, self.q.denominator)
+        return (_TAG_ORDER[self.tag], self.q.numerator, self.q.denominator)
 
     def __str__(self):
         if self.tag == "inf":
@@ -153,6 +158,7 @@ class QPoint:
 
 
 QINF = QPoint(Fraction(0), "inf")
+_TAG_ORDER = {"plain": 0, "tilde": 1, "inf": 2}
 
 
 class RationalLineMonoid(KappaMonoid):
@@ -167,17 +173,24 @@ class RationalLineMonoid(KappaMonoid):
         return QPoint.plain(0)
 
     def raw_ksum(self, fam: Family) -> QPoint:
-        total = Fraction(0)
+        # integer arithmetic over a running common denominator, and one
+        # Fraction, normalised, at the end
+        num, den = 0, 1
         tag = "plain"
         for e, m in fam.entries:
-            if e.tag == "plain" and e.q == 0:
-                continue
-            if e.tag == "inf" or m.is_infinite:
-                return QINF  # the top, or a positive entry repeated infinitely often
-            total += e.q * m.n
+            if e.tag == "inf":
+                return QINF
+            q = e.q
+            p, d = q.numerator, q.denominator
+            if p == 0:
+                continue  # the plain zero: tilde points are positive
+            if m.aleph_level is not None:
+                return QINF  # a positive entry repeated infinitely often
+            num = num * d + p * m.n * den
+            den *= d
             if e.tag == "tilde":
                 tag = "tilde"
-        return QPoint(total, tag)
+        return QPoint(Fraction(num, den), tag)
 
     def sub(self, a: QPoint, b: QPoint) -> Optional[QPoint]:
         if a.tag == "inf":
@@ -282,22 +295,19 @@ class DedekindVMonoid(KappaMonoid):
         cls = tuple(cls) if cls is not None else self.zero.cls
         return RankClass(rank, tuple(c % f for c, f in zip(cls, self.factors)))
 
-    def _gsum(self, items) -> tuple[int, ...]:
-        out = [0] * len(self.factors)
-        for cls, k in items:
-            for i, c in enumerate(cls):
-                out[i] = (out[i] + c * k) % self.factors[i]
-        return tuple(out)
-
     def raw_ksum(self, fam: Family) -> RankClass:
-        ents = [(e, m) for e, m in fam.entries if not e.rank.is_zero]
-        if not ents:
-            return self.zero
-        total = card_sum((e.rank, m) for e, m in ents)
-        if total.is_infinite:
+        ents = fam.entries
+        total = card_sum([(e.rank, m) for e, m in ents])
+        if total.aleph_level is not None or total.n == 0:
             return RankClass(total, self.zero.cls)
-        cls = self._gsum((e.cls, m.n) for e, m in ents)
-        return RankClass(total, cls)
+        # finite rank: every entry of nonzero rank has a finite rank and count
+        cls = [0] * len(self.factors)
+        for e, m in ents:
+            if e.rank.n:
+                k = m.n
+                for i, c in enumerate(e.cls):
+                    cls[i] += c * k
+        return RankClass(total, tuple([c % f for c, f in zip(cls, self.factors)]))
 
     def sub(self, a: RankClass, b: RankClass) -> Optional[RankClass]:
         if b.rank.is_zero:

@@ -68,4 +68,6 @@ def unknown(note: str = "", witness: Any = None) -> TriBool:
 
 
 def from_bool(b: bool, witness: Any = None, note: str = "") -> TriBool:
+    if witness is None and not note:
+        return _YES if b else _NO  # the common bare answer, without a second call
     return yes(witness, note) if b else no(witness, note)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 from kmon.cardinals import (
     ALEPH0,
     DEFAULT_BOUND,
+    CardBoundMode,
     ExtCard,
     ZERO,
     aleph,
@@ -152,6 +155,45 @@ def test_bound_modes():
     assert below(aleph(2)).top == aleph(1)
     assert below(ALEPH0).top is None
     assert DEFAULT_BOUND == at_most(aleph(3))
+
+
+BOUND_COUNTS = [fin(n) for n in range(4)] + [fin(300), ExtCard(n=2)] + [aleph(k) for k in range(4)]
+
+
+@pytest.mark.parametrize("mode", ["at_most", "below"])
+@pytest.mark.parametrize("k", range(4))
+def test_bound_agrees_with_the_cardinal_order(mode, k):
+    b = CardBoundMode(mode, aleph(k))
+    admitted = (lambda c: c <= aleph(k)) if mode == "at_most" else (lambda c: c < aleph(k))
+    for c in BOUND_COUNTS + [ExtCard(aleph_level=j) for j in range(4)]:
+        assert b.admits(c) is admitted(c), (b, c)
+    levels = [aleph(j) for j in range(4) if admitted(aleph(j))]
+    assert b.admissible_levels() == levels
+    assert b.top == (levels[-1] if levels else None)
+    # a fresh list each call: a caller may change its copy
+    got = b.admissible_levels()
+    assert got is not b.admissible_levels()
+    got.append(fin(1))
+    assert b.admissible_levels() == levels
+
+
+@pytest.mark.parametrize("mode", ["at_most", "below"])
+@pytest.mark.parametrize("k", range(4))
+def test_bound_is_its_two_fields(mode, k):
+    b = CardBoundMode(mode, aleph(k))
+    twin = CardBoundMode(mode, ExtCard(aleph_level=k))
+    other = CardBoundMode("below" if mode == "at_most" else "at_most", aleph(k))
+    assert b == twin and hash(b) == hash(twin) == hash((mode, aleph(k)))
+    assert b != other and b != CardBoundMode(mode, aleph((k + 1) % 4))
+    assert repr(b) == f"CardBoundMode(mode={mode!r}, card=aleph({k}))"
+    assert str(b) == f"{mode}(aleph{k})"
+    assert b.__reduce__() == (CardBoundMode, (mode, aleph(k)))
+    for copied in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b), copy.copy(b)):
+        assert copied == b and hash(copied) == hash(b)
+        assert [copied.admits(c) for c in BOUND_COUNTS] == [b.admits(c) for c in BOUND_COUNTS]
+        assert copied.admissible_levels() == b.admissible_levels() and copied.top == b.top
+    with pytest.raises(AttributeError):
+        b.mode = "below"
 
 
 @pytest.mark.parametrize("n", [5, 300])

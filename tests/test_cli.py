@@ -29,6 +29,14 @@ def test_member_worked_example():
     assert code == 1
 
 
+def test_member_of_a_length_0_system():
+    # dio n=0 { } parses, so its one element, the vector (), can be queried
+    argv = ["member", "--monoid", "dio n=0 { }", "--vec", "()"]
+    assert invoke(argv) == (0, "() is a member of dio n=0 { }\n")
+    code, out = invoke(argv + ["--format", "json"])
+    assert code == 0 and json.loads(out)["member"] is True
+
+
 def test_realizable_worked_example():
     code, out = invoke(["realizable2", "--pres", "twogen { }"])
     assert code == 0

@@ -50,6 +50,18 @@ def test_parse_twogen():
     assert (Form.of(0, 1), Form.of(2, 0)) in p.relations  # symmetric closure
 
 
+def test_empty_vector_literal():
+    # the element grammar of vec(0) and dio n=0 { }: () parses and prints back
+    assert parse_vec("()") == CardVec(())
+    assert parse_vec(" ( ) ") == CardVec(())
+    assert str(CardVec(())) == "()"
+    fam = parse_family("fam { ()*aleph0 }", VecMonoid(0))
+    assert fam.entries == ((CardVec(()), W),)
+    for bad in ("(,)", "(1,)", "(", "())"):
+        with pytest.raises(ParseError):
+            parse_vec(bad)
+
+
 def test_positioned_diagnostics():
     with pytest.raises(ParseError) as ei:
         parse_monoid("dio n=2 {\n eq: x0 == x1; }")
