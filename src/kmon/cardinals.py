@@ -8,6 +8,7 @@ ordinary integers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Optional
 
@@ -227,10 +228,14 @@ class CardBoundMode:
         return f"{self.mode}({self.card})"
 
 
+# one shared instance per (mode, cardinal): a bound is immutable, and a
+# plain monoid's below(aleph0) is asked for once per query
+@functools.cache
 def at_most(card: ExtCard) -> CardBoundMode:
     return CardBoundMode("at_most", card)
 
 
+@functools.cache
 def below(card: ExtCard) -> CardBoundMode:
     return CardBoundMode("below", card)
 

@@ -44,6 +44,25 @@ def _entry_key(entry: tuple[Any, ExtCard]):
     return (sort_key(elem), mult._key)
 
 
+def _own_entry_key(entry: tuple[Any, ExtCard]):
+    elem, mult = entry
+    return (elem.sort_key(), mult._key)
+
+
+def _key_of(elems: Iterable[Any]):
+    """The entry key that sorts a family over ``elems`` as ``_entry_key``
+    does: the elements' own keys when they share one keyed class (the
+    type-name prefix is then equal across entries), else ``_entry_key``."""
+    it = iter(elems)
+    cls = next(it).__class__
+    if getattr(cls, "sort_key", None) is None:
+        return _entry_key
+    for e in it:
+        if e.__class__ is not cls:
+            return _entry_key
+    return _own_entry_key
+
+
 class Family(Frozen):
     """Finite multiset of (element, multiplicity) pairs, multiplicities >= 1.
 
@@ -87,7 +106,7 @@ class Family(Frozen):
             return _EMPTY
         items = list(merged.items())
         if len(items) > 1:
-            items.sort(key=_entry_key)
+            items.sort(key=_key_of(merged))
         return Family(tuple(items))
 
     @staticmethod
@@ -150,12 +169,15 @@ class Family(Frozen):
 _EMPTY = Family(())
 
 
-def flatten(outer: Family) -> Family:
+def flatten(outer: Iterable[tuple[Family, ExtCard]]) -> Family:
     """Flatten a family of families: multiset union with multiplicities
-    multiplied through (the representation-level flattening axiom)."""
+    multiplied through (the representation-level flattening axiom).
+    ``outer`` is a ``Family`` of families or any iterable of (family,
+    weight) pairs: cardinal multiplication distributes over the sum that
+    merging equal families takes, so both give the same family."""
     pairs: list[tuple[Any, ExtCard]] = []
     for inner, mult in outer:
-        for e, m in inner:
+        for e, m in inner.entries:
             pairs.append((e, card_mul(mult, m)))
     return Family.of(pairs)
 
@@ -171,6 +193,8 @@ class KappaMonoid:
 
     def __init__(self, bound: Optional[CardBoundMode] = None):
         self.bound = bound if bound is not None else DEFAULT_BOUND
+        # the multiplicities the law harness samples, one tuple per monoid
+        self._sample_mults = (FIN1, fin(2), fin(3), *self.bound._levels)
 
     @property
     def zero(self) -> Any:
@@ -222,14 +246,21 @@ class KappaMonoid:
         # the input order, as its stable sort does
         if a == b:
             return self.raw_ksum(Family(((a, fin(2)),)))
-        if sort_key(b) < sort_key(a):
+        cls = a.__class__
+        if cls is b.__class__ and getattr(cls, "sort_key", None) is not None:
+            if b.sort_key() < a.sort_key():  # one keyed class: its own keys
+                a, b = b, a
+        elif sort_key(b) < sort_key(a):
             a, b = b, a
         return self.raw_ksum(Family(((a, FIN1), (b, FIN1))))
 
     def scalar(self, a: ExtCard, x: Any) -> Any:
         if a.is_zero:
             return self.zero
-        return self.ksum(Family(((x, a),)))  # Family.of's canonical {x*a}
+        fam = Family(((x, a),))  # Family.of's canonical {x*a}
+        if a._key <= self.bound._limit:
+            return self.raw_ksum(fam)  # an admitted index set passes the bound check
+        return self.ksum(fam)  # raises unless x is zero
 
     def leq(self, a: Any, b: Any) -> TriBool:
         """Does some c satisfy a + c = b?  (The algebraic preorder.)"""
@@ -261,14 +292,14 @@ class KappaMonoid:
     def sample_element(self, rng: random.Random) -> Any:
         raise NotImplementedError
 
-    def sample_mults(self) -> list[ExtCard]:
-        return [FIN1, fin(2), fin(3), *self.bound._levels]
+    def sample_mults(self) -> tuple[ExtCard, ...]:
+        return self._sample_mults
 
     def sample_family(self, rng: random.Random, max_entries: int = 4) -> Family:
         mults = self.sample_mults()
         k = rng.randrange(max_entries + 1)
         return Family.of(
-            (self.sample_element(rng), rng.choice(mults)) for _ in range(k)
+            [(self.sample_element(rng), rng.choice(mults)) for _ in range(k)]
         )
 
     def canonical_order_unit(self) -> Optional[Any]:
@@ -407,6 +438,8 @@ class CyclicExtensionMonoid(KappaMonoid):
         return total
 
     def eq(self, a: ExtCard, b: ExtCard) -> TriBool:
+        if a is b:
+            return yes()
         return from_bool(self.canon(a) == self.canon(b))
 
     def sub(self, a: ExtCard, b: ExtCard) -> Optional[ExtCard]:
@@ -436,7 +469,7 @@ class CyclicExtensionMonoid(KappaMonoid):
         return super().finite_multiple_leq(u, x)
 
     def sample_element(self, rng: random.Random) -> ExtCard:
-        levels = self.bound.admissible_levels()
+        levels = self.bound._levels
         if levels and rng.random() < 0.25:
             return rng.choice(levels)
         span = 8 if self.cyc.is_free else self.cyc.m + self.cyc.n

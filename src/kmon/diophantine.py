@@ -215,9 +215,10 @@ class DioMonoid(VecMonoid):
             return self.zero
         mults = self.sample_mults()
         k = rng.randrange(0, 3)
-        fam = Family.of(
-            (rng.choice(gens), rng.choice(mults)) for _ in range(k)
-        )
+        if not k:
+            return self.zero
+        # a list, so that one drawn pair takes Family.of's one-pair path
+        fam = Family.of([(rng.choice(gens), rng.choice(mults)) for _ in range(k)])
         return self.raw_ksum(fam)
 
     @staticmethod

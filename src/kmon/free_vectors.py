@@ -116,16 +116,18 @@ class VecMonoid(KappaMonoid):
     def raw_ksum(self, fam: Family) -> CardVec:
         ents = fam.entries
         n = self.n
-        for v, _ in ents:
-            if len(v.coords) != n:
-                self._check_dim(v)
         if len(ents) == 1:
             v, m = ents[0]
+            if len(v.coords) != n:
+                self._check_dim(v)
             if m is FIN1:  # an equal uninterned 1 takes the product path
                 return v
             return CardVec(tuple([card_mul(m, c) for c in v.coords]))  # {v*m}
         if not ents:
             return self.zero
+        for v, _ in ents:
+            if len(v.coords) != n:
+                self._check_dim(v)
         mults = [m for _, m in ents]
         columns = zip(*[v.coords for v, _ in ents])
         return CardVec(tuple([card_sum(zip(col, mults)) for col in columns]))
@@ -155,7 +157,7 @@ class VecMonoid(KappaMonoid):
         return yes(witness=need)
 
     def sample_element(self, rng: random.Random) -> CardVec:
-        levels = self.bound.admissible_levels()
+        levels = self.bound._levels
         out = []
         for _ in range(self.n):
             if levels and rng.random() < 0.3:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional
@@ -18,6 +17,7 @@ from .cardinals import (
     DEFAULT_BOUND,
     CardBoundMode,
     ExtCard,
+    Frozen,
     ZERO,
     below,
     card_sum,
@@ -31,9 +31,27 @@ from .tribool import TriBool, from_bool, no, yes
 # -- trivial extension ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Inf:
-    """The adjoined top element of a trivial extension."""
+class Inf(Frozen):
+    """The adjoined top element of a trivial extension.  Every instance is
+    equal to every other: the class has no fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Inf:
+            return NotImplemented
+        return True
+
+    def __hash__(self) -> int:
+        return hash(())  # the hash of a field-less value
+
+    def __repr__(self) -> str:
+        return "Inf()"
+
+    def __reduce__(self):
+        return Inf, ()
 
     def sort_key(self):
         return (2, "inf")
@@ -123,21 +141,51 @@ def plain_n0() -> CyclicExtensionMonoid:
 # -- the exact-rational line ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QPoint:
+_TAG_ORDER = {"plain": 0, "tilde": 1, "inf": 2}
+
+
+class QPoint(Frozen):
     """A point of the rational-line monoid: a plain non-negative rational, a
-    tilde copy of a positive rational, or the top."""
+    tilde copy of a positive rational, or the top.
 
-    q: Fraction
-    tag: str  # "plain" | "tilde" | "inf"
+    The sort key ``(tag order, numerator, denominator)`` is computed at
+    construction and determines both fields, so equality compares keys; the
+    hash, ``hash((q, tag))``, is cached the first time it is asked for."""
 
-    def __post_init__(self):
-        if self.tag not in ("plain", "tilde", "inf"):
-            raise ValueError(f"bad tag {self.tag}")
-        if self.tag == "tilde" and self.q <= 0:
+    __slots__ = ("q", "tag", "_key", "_hash")
+
+    def __init__(self, q: Fraction, tag: str):  # tag: "plain" | "tilde" | "inf"
+        if tag not in ("plain", "tilde", "inf"):
+            raise ValueError(f"bad tag {tag}")
+        if tag == "tilde" and q <= 0:
             raise ValueError("tilde points are positive")
-        if self.tag == "plain" and self.q < 0:
+        if tag == "plain" and q < 0:
             raise ValueError("plain points are non-negative")
+        init = object.__setattr__
+        init(self, "q", q)
+        init(self, "tag", tag)
+        init(self, "_key", (_TAG_ORDER[tag], q.numerator, q.denominator))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not QPoint:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.q, self.tag))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __repr__(self) -> str:
+        return f"QPoint(q={self.q!r}, tag={self.tag!r})"
+
+    def __reduce__(self):
+        return QPoint, (self.q, self.tag)
 
     @staticmethod
     def plain(q) -> "QPoint":
@@ -148,7 +196,7 @@ class QPoint:
         return QPoint(Fraction(q), "tilde")
 
     def sort_key(self):
-        return (_TAG_ORDER[self.tag], self.q.numerator, self.q.denominator)
+        return self._key
 
     def __str__(self):
         if self.tag == "inf":
@@ -158,7 +206,6 @@ class QPoint:
 
 
 QINF = QPoint(Fraction(0), "inf")
-_TAG_ORDER = {"plain": 0, "tilde": 1, "inf": 2}
 
 
 class RationalLineMonoid(KappaMonoid):
@@ -246,16 +293,45 @@ class RationalLineMonoid(KappaMonoid):
 # -- rank-and-class monoids over a finite abelian group --------------------------
 
 
-@dataclass(frozen=True)
-class RankClass:
+class RankClass(Frozen):
     """Zero, a finite rank with a class in the group, or a pure infinite
-    rank (the class collapses at infinite rank)."""
+    rank (the class collapses at infinite rank).
 
-    rank: ExtCard
-    cls: tuple[int, ...]
+    The sort key ``(rank key, cls)`` is computed at construction and
+    determines both fields, so equality compares keys; the hash,
+    ``hash((rank, cls))``, is cached the first time it is asked for."""
+
+    __slots__ = ("rank", "cls", "_key", "_hash")
+
+    def __init__(self, rank: ExtCard, cls: tuple[int, ...]):
+        init = object.__setattr__
+        init(self, "rank", rank)
+        init(self, "cls", cls)
+        init(self, "_key", (rank._key, cls))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not RankClass:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.rank, self.cls))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __repr__(self) -> str:
+        return f"RankClass(rank={self.rank!r}, cls={self.cls!r})"
+
+    def __reduce__(self):
+        return RankClass, (self.rank, self.cls)
 
     def sort_key(self):
-        return (self.rank.sort_key(), self.cls)
+        return self._key
 
     def __str__(self):
         # the DSL literal: 0, (aleph1;) or (3; 1, 0)
@@ -349,7 +425,7 @@ class DedekindVMonoid(KappaMonoid):
         r = rng.random()
         if r < 0.15:
             return self.zero
-        levels = self.bound.admissible_levels()  # none under below(aleph0)
+        levels = self.bound._levels  # none under below(aleph0)
         if r < 0.35 and levels:
             return RankClass(rng.choice(levels), self.zero.cls)
         return self.elem(

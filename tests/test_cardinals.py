@@ -196,6 +196,22 @@ def test_bound_is_its_two_fields(mode, k):
         b.mode = "below"
 
 
+@pytest.mark.parametrize("make, mode", [(at_most, "at_most"), (below, "below")])
+@pytest.mark.parametrize("k", range(4))
+def test_bound_constructors_share_one_bound_per_cardinal(make, mode, k):
+    b = make(aleph(k))
+    assert make(aleph(k)) is b and make(ExtCard(aleph_level=k)) is b
+    assert b == CardBoundMode(mode, aleph(k)) and hash(b) == hash((mode, aleph(k)))
+    assert repr(b) == f"CardBoundMode(mode={mode!r}, card=aleph({k}))"
+    for copied in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+        assert copied == b and hash(copied) == hash(b)
+    # an invalid cardinal raises on every call: the failure is not cached
+    for bad in (fin(0), fin(3)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                make(bad)
+
+
 @pytest.mark.parametrize("n", [5, 300])
 def test_constructed_and_interned_cardinals_are_equal(n):
     # fin interns 0..255; 300 is built afresh on every call

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from kmon.core import (
     CyclicMonoid,
     Family,
     KappaMonoid,
+    _entry_key,
     absorb_big,
     is_reduced_witness,
     order_unit_check,
@@ -462,3 +464,65 @@ def test_bound_check_needs_no_eq_when_every_multiplicity_is_admitted():
     m = NoEqMonoid(CyclicMonoid(), at_most(aleph(1)))
     fam = Family.of([(ZERO, aleph(1)), (fin(2), ALEPH0), (aleph(1), fin(3))])
     assert m.ksum(fam) == aleph(1)
+
+
+def reference_entries(pairs):
+    """Family.of by its definition: merge equal elements by cardinal
+    addition, drop zero multiplicities, sort every entry by _entry_key."""
+    merged = {}
+    for e, m in pairs:
+        if not m.is_zero:
+            merged[e] = merged[e] + m if e in merged else m
+    return tuple(sorted(merged.items(), key=_entry_key))
+
+
+@pytest.mark.parametrize(
+    "m", ACCEPTANCE_1_MONOIDS + [parse_monoid("twogen { }")], ids=lambda m: m.name
+)
+def test_family_of_sorts_as_the_entry_key_does(m):
+    rng = random.Random(20261020)
+    mults = m.sample_mults() + (ZERO,)
+    for _ in range(200):
+        pairs = [(m.sample_element(rng), rng.choice(mults)) for _ in range(rng.randrange(7))]
+        pairs += pairs[: rng.randrange(3)]  # repeated elements merge
+        want = reference_entries(pairs)
+        assert Family.of(pairs).entries == want
+        assert Family.of(iter(pairs)).entries == want
+
+
+def test_family_of_sorts_mixed_and_unkeyed_families_by_the_entry_key():
+    a, b = Unkeyed(), Unkeyed()
+    one, two = Family.of([(fin(1), FIN1)]), Family.of([(fin(2), FIN1)])
+    cases = [
+        # trivial(N0) and trivial(vec(2)): the top among base elements
+        [(INF, FIN1), (fin(3), fin(2)), (ZERO, ALEPH0), (INF, fin(2))],
+        [(CardVec.fins(1, 0), FIN1), (INF, ALEPH0), (CardVec.fins(0, 1), fin(3))],
+        # no sort_key: distinct elements share the key of their str
+        [(a, fin(2)), (b, FIN1), (a, FIN1)],
+        [(a, FIN1), (fin(1), FIN1), (b, ALEPH0)],
+        # a family of families, equal inner families under infinite weights
+        [(one, ALEPH0), (two, FIN1), (Family.empty(), fin(2)), (one, aleph(1))],
+        # keyed, but of several classes
+        [(fin(1), FIN1), (CardVec.fins(1), FIN1), (QPoint.plain(1), FIN1), (RankClass(fin(1), (0,)), FIN1)],
+    ]
+    for pairs in cases:
+        for perm in itertools.permutations(pairs):
+            assert Family.of(list(perm)).entries == reference_entries(perm), perm
+
+
+@pytest.mark.parametrize("m", ACCEPTANCE_1_MONOIDS, ids=lambda m: m.name)
+def test_flatten_of_the_outer_pairs_equals_flatten_of_their_family(m):
+    # check_axioms's A2 draws, plus an inner family repeated under an
+    # infinite weight, which Family.of merges into one outer entry
+    rng = random.Random(20261021)
+    mults = m.sample_mults()
+    infinite = [c for c in mults if c.is_infinite]
+    for _ in range(150):
+        k = rng.randrange(1, 4)
+        inner = [m.sample_family(rng, max_entries=2) for _ in range(k)]
+        pairs = [(f, rng.choice(mults)) for f in inner]
+        twin = Family.of(list(inner[0].entries))
+        pairs.append((twin, rng.choice(infinite)))
+        rng.shuffle(pairs)
+        assert flatten(pairs) == flatten(Family.of(pairs))
+        assert flatten(pairs[:k]) == flatten(Family.of(pairs[:k]))

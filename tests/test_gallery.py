@@ -1,4 +1,7 @@
+import copy
 import hashlib
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -151,6 +154,56 @@ def test_dedekind_small_rank_is_summand():
 def test_gallery_monoids_pass_laws(monoid):
     rep = check_axioms(monoid, samples=150, seed=99)
     assert rep.all_passed, rep.render()
+
+
+# -- the element classes: frozen __slots__ values ------------------------------
+
+# (value, its fields, its pinned repr)
+ELEMENTS = [
+    (QPoint.plain(Fraction(1, 2)), (Fraction(1, 2), "plain"), "QPoint(q=Fraction(1, 2), tag='plain')"),
+    (QPoint.tilde(3), (Fraction(3), "tilde"), "QPoint(q=Fraction(3, 1), tag='tilde')"),
+    (QPoint.plain(0), (Fraction(0), "plain"), "QPoint(q=Fraction(0, 1), tag='plain')"),
+    (QINF, (Fraction(0), "inf"), "QPoint(q=Fraction(0, 1), tag='inf')"),
+    (RankClass(fin(3), (1,)), (fin(3), (1,)), "RankClass(rank=fin(3), cls=(1,))"),
+    (RankClass(aleph(1), (0, 0)), (aleph(1), (0, 0)), "RankClass(rank=aleph(1), cls=(0, 0))"),
+    (RankClass(ZERO, ()), (ZERO, ()), "RankClass(rank=fin(0), cls=())"),
+    (INF, (), "Inf()"),
+]
+
+
+@pytest.mark.parametrize("x, fields, text", ELEMENTS, ids=lambda v: str(v))
+def test_element_classes_are_their_fields(x, fields, text):
+    cls = type(x)
+    twin = cls(*fields)
+    assert twin is not x and twin == x and hash(twin) == hash(x) == hash(fields)
+    assert repr(x) == text
+    for other, other_fields, _ in ELEMENTS:
+        if type(other) is cls:
+            assert (other == x) is (other_fields == fields)
+    # a foreign class is left to the other operand
+    for foreign in (fields, fin(1), CardVec.fins(1), "inf", None):
+        assert x.__eq__(foreign) is NotImplemented
+        assert x != foreign
+    for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert type(copied) is cls and copied == x and hash(copied) == hash(x)
+        assert repr(copied) == text and copied.sort_key() == x.sort_key()
+    for name in ("q", "tag", "rank", "cls", "_key", "_hash"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(x, name)
+    assert x == twin  # unchanged by the refused assignments
+
+
+def test_qpoint_rejects_a_bad_tag_or_sign():
+    with pytest.raises(ValueError, match="bad tag"):
+        QPoint(Fraction(1), "top")
+    with pytest.raises(ValueError, match="tilde points are positive"):
+        QPoint(Fraction(0), "tilde")
+    with pytest.raises(ValueError, match="tilde points are positive"):
+        QPoint.tilde(Fraction(-1, 2))
+    with pytest.raises(ValueError, match="plain points are non-negative"):
+        QPoint.plain(Fraction(-1, 3))
 
 
 # -- hereditary noetherian prime: infinite part --------------------------------
