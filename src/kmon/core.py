@@ -31,6 +31,20 @@ from .tribool import TriBool, from_bool, no, unknown, yes
 SEARCH_BOUND = 64  # most multiples the default finite-multiple scan tries
 
 
+def draw(rng: random.Random, n: int) -> int:
+    """A uniform integer in ``range(n)``, drawn exactly as ``rng.randrange(n)``
+    and ``rng.choice`` of a length-n sequence draw it: CPython's
+    ``_randbelow``, ``getrandbits`` of n's bit length until the value is
+    below n, without the Python frames of those two methods."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        if n <= 0:  # every value is rejected: the loop would never end
+            raise ValueError(f"draw needs n >= 1, got {n}")
+        r = rng.getrandbits(k)
+    return r
+
+
 def sort_key(x: Any):
     # namespaced by type so heterogeneous elements stay comparable
     sk = getattr(x, "sort_key", None)
@@ -93,9 +107,17 @@ class Family(Frozen):
 
     @staticmethod
     def of(pairs: Iterable[tuple[Any, ExtCard]]) -> "Family":
-        if isinstance(pairs, (list, tuple)) and len(pairs) == 1:
-            elem, mult = pairs[0]
-            return _EMPTY if mult.is_zero else Family(((elem, mult),))
+        cls = pairs.__class__
+        if cls is list or cls is tuple:
+            n = len(pairs)  # up to two pairs in closed form
+            if n == 2:
+                (a, m), (b, k) = pairs
+                return _pair(a, m, b, k)
+            if n == 1:
+                elem, mult = pairs[0]
+                return _EMPTY if mult.is_zero else _family(((elem, mult),))
+            if not n:
+                return _EMPTY
         merged: dict[Any, ExtCard] = {}
         for elem, mult in pairs:
             if mult.is_zero:
@@ -107,7 +129,7 @@ class Family(Frozen):
         items = list(merged.items())
         if len(items) > 1:
             items.sort(key=_key_of(merged))
-        return Family(tuple(items))
+        return _family(tuple(items))
 
     @staticmethod
     def empty() -> "Family":
@@ -147,13 +169,13 @@ class Family(Frozen):
                 j += 1
             else:  # distinct elements on one key: the multiplicities order them
                 return Family.of(a + b)
-        return Family(tuple(out) + a[i:] + b[j:])
+        return _family(tuple(out) + a[i:] + b[j:])
 
     def scale(self, a: ExtCard) -> "Family":
         # the elements stay distinct and card_mul is monotone: still sorted
         if a.is_zero:
             return _EMPTY
-        return Family(tuple([(e, card_mul(a, m)) for e, m in self.entries]))
+        return _family(tuple([(e, card_mul(a, m)) for e, m in self.entries]))
 
     def __iter__(self):
         return iter(self.entries)
@@ -166,7 +188,40 @@ class Family(Frozen):
         return "{" + inner + "}"
 
 
-_EMPTY = Family(())
+_set_entries = Family.entries.__set__
+
+
+def _family(entries: tuple[tuple[Any, ExtCard], ...]) -> Family:
+    """``Family(entries)`` for canonical ``entries``, without the type call
+    and the Python ``__init__``: the constructor of every family that
+    ``Family.of``, ``add``, ``scale`` and ``KappaMonoid`` build."""
+    fam = object.__new__(Family)
+    _set_entries(fam, entries)
+    return fam
+
+
+def _pair(a: Any, m: ExtCard, b: Any, k: ExtCard) -> Family:
+    """``Family.of([(a, m), (b, k)])`` in closed form: zero multiplicities
+    drop out, equal elements merge into the first, and distinct ones take
+    the entry-key order, with a tie kept in input order as the stable sort
+    keeps it."""
+    if m.is_zero:
+        return _EMPTY if k.is_zero else _family(((b, k),))
+    if k.is_zero:
+        return _family(((a, m),))
+    if a == b:
+        return _family(((a, m + k),))
+    cls = a.__class__
+    if cls is b.__class__ and getattr(cls, "sort_key", None) is not None:
+        ka, kb = a.sort_key(), b.sort_key()  # one keyed class: its own keys
+    else:
+        ka, kb = sort_key(a), sort_key(b)
+    if (kb, k._key) < (ka, m._key):
+        return _family(((b, k), (a, m)))
+    return _family(((a, m), (b, k)))
+
+
+_EMPTY = _family(())
 
 
 def flatten(outer: Iterable[tuple[Family, ExtCard]]) -> Family:
@@ -242,22 +297,12 @@ class KappaMonoid:
         return self.raw_ksum(fam)
 
     def add(self, a: Any, b: Any) -> Any:
-        # Family.of's canonical {a, b}, built directly; equal sort keys keep
-        # the input order, as its stable sort does
-        if a == b:
-            return self.raw_ksum(Family(((a, fin(2)),)))
-        cls = a.__class__
-        if cls is b.__class__ and getattr(cls, "sort_key", None) is not None:
-            if b.sort_key() < a.sort_key():  # one keyed class: its own keys
-                a, b = b, a
-        elif sort_key(b) < sort_key(a):
-            a, b = b, a
-        return self.raw_ksum(Family(((a, FIN1), (b, FIN1))))
+        return self.raw_ksum(_pair(a, FIN1, b, FIN1))
 
     def scalar(self, a: ExtCard, x: Any) -> Any:
         if a.is_zero:
             return self.zero
-        fam = Family(((x, a),))  # Family.of's canonical {x*a}
+        fam = _family(((x, a),))  # Family.of's canonical {x*a}
         if a._key <= self.bound._limit:
             return self.raw_ksum(fam)  # an admitted index set passes the bound check
         return self.ksum(fam)  # raises unless x is zero
@@ -297,10 +342,10 @@ class KappaMonoid:
 
     def sample_family(self, rng: random.Random, max_entries: int = 4) -> Family:
         mults = self.sample_mults()
-        k = rng.randrange(max_entries + 1)
-        return Family.of(
-            [(self.sample_element(rng), rng.choice(mults)) for _ in range(k)]
-        )
+        n = len(mults)
+        sample = self.sample_element
+        k = draw(rng, max_entries + 1)
+        return Family.of([(sample(rng), mults[draw(rng, n)]) for _ in range(k)])
 
     def canonical_order_unit(self) -> Optional[Any]:
         """An order-unit to exercise order-unit laws against, if one is known."""
@@ -471,9 +516,9 @@ class CyclicExtensionMonoid(KappaMonoid):
     def sample_element(self, rng: random.Random) -> ExtCard:
         levels = self.bound._levels
         if levels and rng.random() < 0.25:
-            return rng.choice(levels)
+            return levels[draw(rng, len(levels))]
         span = 8 if self.cyc.is_free else self.cyc.m + self.cyc.n
-        return fin(rng.randrange(span))
+        return fin(draw(rng, span))
 
     def canonical_order_unit(self) -> ExtCard:
         return FIN1

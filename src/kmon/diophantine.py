@@ -29,7 +29,7 @@ from .cardinals import (
     fin,
     infinite_levels,
 )
-from .core import Family, KappaMonoid
+from .core import Family, KappaMonoid, draw
 from .errors import DimensionError, PreconditionError
 from .free_vectors import CardVec, VecMonoid
 from .tribool import TriBool, no, unknown, yes
@@ -214,11 +214,12 @@ class DioMonoid(VecMonoid):
         if not gens:
             return self.zero
         mults = self.sample_mults()
-        k = rng.randrange(0, 3)
+        k = draw(rng, 3)
         if not k:
             return self.zero
-        # a list, so that one drawn pair takes Family.of's one-pair path
-        fam = Family.of([(rng.choice(gens), rng.choice(mults)) for _ in range(k)])
+        # a list, so that the drawn pairs take Family.of's closed forms
+        g, n = len(gens), len(mults)
+        fam = Family.of([(gens[draw(rng, g)], mults[draw(rng, n)]) for _ in range(k)])
         return self.raw_ksum(fam)
 
     @staticmethod

@@ -13,12 +13,12 @@ from .cardinals import (
     FIN1,
     Frozen,
     ZERO,
+    aleph,
     card_mul,
     card_sub_least,
-    card_sum,
     fin,
 )
-from .core import Family, KappaMonoid
+from .core import Family, KappaMonoid, draw
 from .errors import DimensionError
 from .tribool import TriBool, no, yes
 
@@ -125,12 +125,33 @@ class VecMonoid(KappaMonoid):
             return CardVec(tuple([card_mul(m, c) for c in v.coords]))  # {v*m}
         if not ents:
             return self.zero
-        for v, _ in ents:
-            if len(v.coords) != n:
+        # card_sum of each column in one pass over the entries: an integer
+        # total and the top aleph level of a value or count, per coordinate
+        total = [0] * n
+        top = [-1] * n
+        for v, m in ents:
+            coords = v.coords
+            if len(coords) != n:
                 self._check_dim(v)
-        mults = [m for _, m in ents]
-        columns = zip(*[v.coords for v, _ in ents])
-        return CardVec(tuple([card_sum(zip(col, mults)) for col in columns]))
+            ml = m.aleph_level
+            if ml is None:
+                k = m.n
+                if not k:
+                    continue
+                for i, c in enumerate(coords):
+                    cl = c.aleph_level
+                    if cl is None:
+                        total[i] += c.n * k
+                    elif cl > top[i]:
+                        top[i] = cl
+            else:
+                for i, c in enumerate(coords):
+                    if not c.is_zero:
+                        cl = c.aleph_level
+                        h = ml if cl is None or cl < ml else cl
+                        if h > top[i]:
+                            top[i] = h
+        return CardVec(tuple([fin(t) if h < 0 else aleph(h) for t, h in zip(total, top)]))
 
     def sub(self, a: CardVec, b: CardVec) -> Optional[CardVec]:
         out = []
@@ -161,9 +182,9 @@ class VecMonoid(KappaMonoid):
         out = []
         for _ in range(self.n):
             if levels and rng.random() < 0.3:
-                out.append(rng.choice(levels))
+                out.append(levels[draw(rng, len(levels))])
             else:
-                out.append(fin(rng.randrange(5)))
+                out.append(fin(draw(rng, 5)))
         return CardVec(tuple(out))
 
     def canonical_order_unit(self) -> CardVec:

@@ -23,7 +23,7 @@ from .cardinals import (
     card_sum,
     fin,
 )
-from .core import CyclicExtensionMonoid, CyclicMonoid, Family, KappaMonoid
+from .core import CyclicExtensionMonoid, CyclicMonoid, Family, KappaMonoid, draw
 from .errors import DimensionError, PreconditionError
 from .free_vectors import CardVec
 from .tribool import TriBool, from_bool, no, yes
@@ -281,7 +281,7 @@ class RationalLineMonoid(KappaMonoid):
         r = rng.random()
         if r < 0.1:
             return QINF
-        q = Fraction(rng.randrange(0, 8), rng.randrange(1, 5))
+        q = Fraction(draw(rng, 8), 1 + draw(rng, 4))
         if r < 0.5 or q == 0:
             return QPoint.plain(q)
         return QPoint.tilde(q)
@@ -427,10 +427,8 @@ class DedekindVMonoid(KappaMonoid):
             return self.zero
         levels = self.bound._levels  # none under below(aleph0)
         if r < 0.35 and levels:
-            return RankClass(rng.choice(levels), self.zero.cls)
-        return self.elem(
-            rng.randrange(1, 5), [rng.randrange(f) for f in self.factors]
-        )
+            return RankClass(levels[draw(rng, len(levels))], self.zero.cls)
+        return self.elem(1 + draw(rng, 4), [draw(rng, f) for f in self.factors])
 
     def canonical_order_unit(self) -> RankClass:
         return self.elem(1)

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Any, Callable, Optional
 
 from .cardinals import ALEPH0, ExtCard, Frozen, ZERO, at_most, card_mul, card_sub_least, card_sum, fin
-from .core import CyclicExtensionMonoid, CyclicMonoid, Family, KappaMonoid
+from .core import CyclicExtensionMonoid, CyclicMonoid, Family, KappaMonoid, draw
 from .tribool import TriBool, no, unknown, yes
 
 NCAP = 8  # range for 'finite n' quantifiers
@@ -928,4 +928,4 @@ class TwoGenMonoid(KappaMonoid):
 
     def sample_element(self, rng) -> Form:
         coords = [fin(k) for k in range(4)] + [ALEPH0]
-        return Form(rng.choice(coords), rng.choice(coords))
+        return Form(coords[draw(rng, len(coords))], coords[draw(rng, len(coords))])

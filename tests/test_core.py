@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from kmon.cardinals import ALEPH0, FIN1, ZERO, aleph, at_most, below, card_mul, fin
+from kmon.cardinals import ALEPH0, FIN1, ZERO, ExtCard, aleph, at_most, below, card_mul, fin
 from kmon.core import (
     CyclicExtensionMonoid,
     CyclicMonoid,
@@ -15,6 +15,7 @@ from kmon.core import (
     KappaMonoid,
     _entry_key,
     absorb_big,
+    draw,
     is_reduced_witness,
     order_unit_check,
     size_of,
@@ -35,6 +36,7 @@ from kmon.gallery import (
     plain_n0,
 )
 from kmon.laws import check_axioms
+from kmon.tribool import unknown
 
 
 F2 = VecMonoid(2, at_most(ALEPH0))
@@ -340,7 +342,7 @@ def test_family_fast_paths_match_the_general_merge(m):
         for lhs, rhs in ((a, b), (b, a), (a, a), (a, Family.empty()), (Family.empty(), b)):
             assert lhs.add(rhs).entries == merged(lhs.entries + rhs.entries).entries
         for p, q in [(x, x)] + [pair for e, _ in a for pair in ((x, e), (e, x))]:
-            assert m.add(p, q) == m.raw_ksum(Family.of([(p, FIN1), (q, FIN1)]))
+            assert m.add(p, q) == m.raw_ksum(merged([(p, FIN1), (q, FIN1)]))
 
 
 def reference_card_sum(pairs):
@@ -526,3 +528,102 @@ def test_flatten_of_the_outer_pairs_equals_flatten_of_their_family(m):
         rng.shuffle(pairs)
         assert flatten(pairs) == flatten(Family.of(pairs))
         assert flatten(pairs[:k]) == flatten(Family.of(pairs[:k]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 20261020])
+def test_draw_matches_randrange_and_choice_draw_for_draw(seed):
+    # n = 1..70 crosses six powers of two, where _randbelow rejects half its
+    # draws, plus larger powers; all three generators must end in one state
+    ns = list(range(1, 71)) + [2**k for k in range(7, 13)]
+    a, b, c = random.Random(seed), random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        for n in ns:
+            seq = list(range(n))
+            assert draw(a, n) == b.randrange(n) == c.choice(seq)
+            assert 1 + draw(a, n) == b.randrange(1, n + 1) == 1 + c.choice(seq)
+    assert a.getstate() == b.getstate() == c.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_draw_rejects_an_empty_range(n):
+    with pytest.raises(ValueError):
+        draw(random.Random(1), n)
+
+
+def assert_pair_matches_the_merge(p, q):
+    want = merged([p, q]).entries
+    assert want == reference_entries([p, q])
+    assert Family.of([p, q]).entries == want
+    assert Family.of((p, q)).entries == want
+
+
+@pytest.mark.parametrize(
+    "m", ACCEPTANCE_1_MONOIDS + [parse_monoid("twogen { }")], ids=lambda m: m.name
+)
+def test_family_of_pairs_in_closed_form_match_the_merge(m):
+    rng = random.Random(20261022)
+    mults = m.sample_mults() + (ZERO,)
+    for _ in range(150):
+        x, y = m.sample_element(rng), m.sample_element(rng)
+        p, q = rng.choice(mults), rng.choice(mults)
+        for a, b in ((x, y), (y, x), (x, x)):  # equal elements merge
+            for j, k in ((p, q), (q, p), (ZERO, q), (p, ZERO), (ZERO, ZERO)):
+                assert_pair_matches_the_merge((a, j), (b, k))
+            assert m.add(a, b) == m.raw_ksum(merged([(a, FIN1), (b, FIN1)]))
+
+
+def test_family_of_pairs_of_unkeyed_and_mixed_classes_match_the_merge():
+    a, b = Unkeyed(), Unkeyed()
+    one = Family.of([(fin(1), FIN1)])
+    elems = [a, b, INF, ZERO, fin(3), ALEPH0, CardVec.fins(1, 0), QPoint.plain(1), one]
+    counts = [ZERO, FIN1, fin(2), ALEPH0, aleph(1)]
+    for x, y in itertools.product(elems, repeat=2):
+        for j, k in itertools.product(counts, repeat=2):
+            assert_pair_matches_the_merge((x, j), (y, k))
+    # distinct elements on one key: the multiplicities order them, and a tie
+    # keeps the input order
+    assert Family.of([(a, fin(2)), (b, FIN1)]).entries == ((b, FIN1), (a, fin(2)))
+    assert Family.of([(a, FIN1), (b, FIN1)]).entries == ((a, FIN1), (b, FIN1))
+    # equal elements merge into the first, as the dict merge keeps its key
+    twin = ExtCard(3)
+    for x, y in ((twin, fin(3)), (fin(3), twin)):
+        got, want = Family.of([(x, FIN1), (y, fin(2))]), merged([(x, FIN1), (y, fin(2))])
+        assert got.entries == want.entries == ((x, fin(3)),)
+        assert got.entries[0][0] is x and want.entries[0][0] is x
+    n0 = TrivialExtensionMonoid(plain_n0())
+    for x, y in itertools.product([INF, ZERO, fin(3)], repeat=2):
+        assert n0.add(x, y) == n0.raw_ksum(merged([(x, FIN1), (y, FIN1)]))
+
+
+class UndecidedZero(CyclicExtensionMonoid):
+    """Free N0 whose eq cannot compare an uninterned zero, ExtCard(0), with
+    anything: the sampler draws one half the time, so that x + y = 0 holds
+    while x = 0 or y = 0 is undecided."""
+
+    def __init__(self):
+        super().__init__(CyclicMonoid())
+
+    def eq(self, a, b):
+        if (a.is_zero and a is not ZERO) or (b.is_zero and b is not ZERO):
+            return unknown(note="an uninterned zero")
+        return super().eq(a, b)
+
+    def sample_element(self, rng):
+        return ExtCard(0) if rng.random() < 0.5 else super().sample_element(rng)
+
+
+class UndecidedZeroBrokenOne(UndecidedZero):
+    """Also undecided at 0*x, and wrong at 1*x."""
+
+    def scalar(self, a, x):
+        if a.is_zero:
+            return ExtCard(0)
+        return super().scalar(a, x) + FIN1
+
+
+def test_laws_skip_an_undecided_conjunct_and_fail_on_a_no():
+    rep = {r.law: r for r in check_axioms(UndecidedZero(), samples=200, seed=1).results}
+    assert rep["swindle-reduced"].passed and rep["scalar-zero-one"].passed
+    # an Unknown 0*x beside a wrong 1*x is a failure, not a skip
+    rep = {r.law: r for r in check_axioms(UndecidedZeroBrokenOne(), samples=50, seed=1).results}
+    assert not rep["scalar-zero-one"].passed

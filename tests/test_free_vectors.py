@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from kmon.cardinals import ALEPH0, ZERO, aleph, at_most, card_sub_least, fin
+from kmon.cardinals import ALEPH0, FIN1, ZERO, aleph, at_most, card_sub_least, card_sum, fin
 from kmon.core import CyclicExtensionMonoid, CyclicMonoid, Family
 from kmon.errors import DimensionError
 from kmon.free_vectors import CardVec, VecMonoid, free_extend_hom, vec_ksum
@@ -75,3 +75,47 @@ def test_sub_is_coordinatewise_least_complement():
         assert m.sub(a, b) == want, (a, b)
         nones += want is None
     assert 0 < nones < len(vecs) ** 2
+
+
+def column_sums(n, fam):
+    """The definition of a vector sum: card_sum down each column."""
+    return CardVec(tuple(card_sum([(v[i], c) for v, c in fam.entries]) for i in range(n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_pass_raw_ksum_matches_card_sum_per_column(n):
+    rng = random.Random(20261023 + n)
+    values = [ZERO, FIN1, fin(2), fin(7)] + [aleph(k) for k in range(4)]
+    counts = [ZERO, FIN1, fin(3)] + [aleph(k) for k in range(4)]
+    m = VecMonoid(n)
+    fams = [
+        # raw families, not canonical: repeats and zero multiplicities stay
+        Family(tuple(
+            (CardVec(tuple(rng.choice(values) for _ in range(n))), rng.choice(counts))
+            for _ in range(rng.randrange(2, 6))
+        ))
+        for _ in range(400)
+    ]
+    zero_coord = CardVec((ZERO,) * n)
+    one = CardVec((FIN1,) + (ZERO,) * (n - 1))
+    big = CardVec((ALEPH0,) * n)
+    fams += [
+        Family(((zero_coord, aleph(2)), (one, FIN1))),  # an aleph count on zeros is absorbed
+        Family(((one, aleph(1)), (zero_coord, aleph(3)))),
+        Family(((big, fin(3)), (one, fin(2)))),  # an aleph value with a finite count
+        Family(((one, ZERO), (one, fin(2)), (big, ZERO))),  # zero multiplicities
+        Family(((one, FIN1), (one, FIN1))),
+    ]
+    for fam in fams:
+        assert m.raw_ksum(fam) == column_sums(n, fam), fam
+    assert m.raw_ksum(Family(((zero_coord, aleph(2)), (one, FIN1)))) == one
+    assert m.raw_ksum(Family(((big, fin(3)), (one, fin(2))))) == big
+    # a wrong-length entry raises wherever it stands, under any multiplicity
+    short = CardVec((FIN1,) * (n - 1))
+    for bad in (
+        Family(((one, FIN1), (short, FIN1))),
+        Family(((short, ALEPH0), (one, FIN1))),
+        Family(((one, FIN1), (CardVec((FIN1,) * (n + 1)), ZERO))),
+    ):
+        with pytest.raises(DimensionError):
+            m.raw_ksum(bad)
