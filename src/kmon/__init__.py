@@ -44,13 +44,11 @@ from .diophantine import (
 )
 from .braiding import (
     BraidBlock,
-    CollapsedCertificate,
     LayeredCertificate,
     OmegaCertificate,
     braid_find,
     compose,
     flip,
-    flip_any,
     verify,
 )
 from .presentations import (

@@ -1,12 +1,14 @@
 """Braiding certificates: finite witnesses that two families interleave into
 each other through a chain of shared blocks.
 
-An omega certificate is a prefix of blocks followed by a periodic cycle; each
-block consumes a finite chunk of both families and threads carry elements
-``u`` (shared by the two block equations) and ``v`` (passed to the next
-block).  Layered certificates glue weighted omega layers for families with
-multiplicities above aleph0; collapsed certificates witness the simpler
-block-sum-equality form that the relation degenerates to above aleph0.
+There is one certificate type, ``LayeredCertificate``: weighted layers, each
+a chain repeated ``weight`` times.  A chain (``OmegaCertificate``) is a prefix
+of blocks followed by a periodic cycle; each block consumes a chunk of both
+families, of fewer than lambda elements, and threads carry elements ``u``
+(shared by the two block equations) and ``v`` (passed to the next block).
+At lambda = aleph0 a search answer is one layer of weight 1, or one layer per
+multiplicity level above aleph0.  Above aleph0 the relation collapses to
+block-sum equality: each block is a layer whose chain is one prefix block.
 """
 
 from __future__ import annotations
@@ -49,21 +51,28 @@ class BraidBlock:
 
 @dataclass(frozen=True)
 class OmegaCertificate:
+    """A chain: the prefix blocks once, then the cycle blocks aleph0 times."""
+
     prefix: tuple[BraidBlock, ...] = ()
     cycle: tuple[BraidBlock, ...] = ()
 
 
 @dataclass(frozen=True)
 class LayeredCertificate:
-    layers: tuple[tuple[ExtCard, OmegaCertificate], ...]  # (weight, layer)
+    layers: tuple[tuple[ExtCard, OmegaCertificate], ...]  # (weight, chain)
+
+    @classmethod
+    def of(cls, chain: OmegaCertificate) -> LayeredCertificate:
+        """The certificate of one chain: a single layer of weight 1."""
+        return cls(((FIN1, chain),))
 
 
-@dataclass(frozen=True)
-class CollapsedCertificate:
-    blocks: tuple[tuple[Family, Family, ExtCard], ...]  # (iblock, jblock, weight)
-
-
-Certificate = Any  # OmegaCertificate | LayeredCertificate | CollapsedCertificate
+def collapsed_layer(
+    m: KappaMonoid, ib: Family, jb: Family, weight: ExtCard = FIN1
+) -> tuple[ExtCard, OmegaCertificate]:
+    """The layer for blocks ib and jb of equal sums, ``weight`` copies each:
+    one prefix block with carries u = ksum(ib) and v' = 0."""
+    return weight, OmegaCertificate((BraidBlock(ib, jb, m.ksum(ib), m.zero),))
 
 
 # -- verification ---------------------------------------------------------------
@@ -71,7 +80,7 @@ Certificate = Any  # OmegaCertificate | LayeredCertificate | CollapsedCertificat
 
 def _oversized(chunks, lam: ExtCard) -> Optional[TriBool]:
     """No for the first chunk whose index cardinality is not below lambda:
-    the one block-size rule of every certificate kind."""
+    the one block-size rule of every layer."""
     for fam in chunks:
         size = fam.index_card()
         if not size < lam:
@@ -103,19 +112,17 @@ def _chain_check(m: KappaMonoid, cert: OmegaCertificate) -> TriBool:
     return yes()
 
 
-def _omega_uses(cert: OmegaCertificate, weight: ExtCard) -> Optional[list]:
-    """Consumption of an omega chain repeated ``weight`` times, as
-    (side, element, count, weight) tuples: prefix blocks run once per copy,
-    cycle blocks aleph0 times.  None when a block is infinite."""
-    uses = []
-    for blocks, w in ((cert.prefix, weight), (cert.cycle, card_mul(ALEPH0, weight))):
-        for b in blocks:
-            for side, fam in enumerate((b.iblock, b.jblock)):
-                for e, mult in fam:
-                    if mult.is_infinite:
-                        return None
-                    uses.append((side, e, mult, w))
-    return uses
+def _omega_uses(cert: OmegaCertificate, weight: ExtCard) -> list:
+    """Consumption of a chain repeated ``weight`` times, as (side, element,
+    count, weight) tuples: prefix blocks run once per copy, cycle blocks
+    aleph0 times."""
+    return [
+        (side, e, mult, w)
+        for blocks, w in ((cert.prefix, weight), (cert.cycle, card_mul(ALEPH0, weight)))
+        for b in blocks
+        for side, fam in enumerate((b.iblock, b.jblock))
+        for e, mult in fam
+    ]
 
 
 def _counts_match(m: KappaMonoid, fam: Family, got: dict) -> TriBool:
@@ -132,79 +139,48 @@ def _counts_match(m: KappaMonoid, fam: Family, got: dict) -> TriBool:
 
 def _tally(m: KappaMonoid, xfam: Family, yfam: Family, uses) -> TriBool:
     """Total the (side, element, count, weight) uses, side 0 drawing on xfam
-    and side 1 on yfam, and match each side against its family."""
+    and side 1 on yfam, and match each side against its family.  Zero
+    elements are dropped on both sides, as ``canonical_family`` drops them
+    from the families."""
     totals: tuple[dict, dict] = ({}, {})
     for side, e, count, weight in uses:
         totals[side].setdefault(m.canon(e), []).append((count, weight))
+    z = m.zero
     for fam, tot in zip((xfam, yfam), totals):
-        r = _counts_match(m, fam, {e: card_sum(cw) for e, cw in tot.items()})
+        got = {e: card_sum(cw) for e, cw in tot.items() if not m.eq(e, z).is_yes}
+        r = _counts_match(m, fam, got)
         if not r.is_yes:
             return r
     return yes()
-
-
-def _verify_layers(
-    m: KappaMonoid,
-    xfam: Family,
-    yfam: Family,
-    layers: tuple[tuple[ExtCard, OmegaCertificate], ...],
-    lam: ExtCard,
-) -> TriBool:
-    """Check (weight, omega chain) layers, each repeated ``weight`` times, and
-    their total consumption; an omega certificate is one layer of weight 1."""
-    uses: list = []
-    for weight, layer in layers:
-        if weight.is_zero:
-            return no(note="layer weights must be >= 1")
-        chunks = (f for b in layer.prefix + layer.cycle for f in (b.iblock, b.jblock))
-        if (big := _oversized(chunks, lam)) is not None:
-            return big
-        r = _chain_check(m, layer)
-        if not r.is_yes:
-            return r
-        layer_uses = _omega_uses(layer, weight)
-        if layer_uses is None:
-            return no(note="omega blocks must have finite multiplicities")
-        uses += layer_uses
-    return _tally(m, xfam, yfam, uses)
-
-
-def _verify_collapsed(
-    m: KappaMonoid, xfam: Family, yfam: Family, cert: CollapsedCertificate, lam: ExtCard
-) -> TriBool:
-    if lam <= ALEPH0:
-        return no(note="collapsed certificates require lambda above aleph0")
-    uses: list = []
-    for ib, jb, weight in cert.blocks:
-        if weight.is_zero:
-            return no(note="block weights must be >= 1")
-        if (big := _oversized((ib, jb), lam)) is not None:
-            return big
-        r = m.eq(m.ksum(ib), m.ksum(jb))
-        if not r.is_yes:
-            return r if r.is_unknown else no(note="collapsed block sums differ")
-        uses += [(side, e, mult, weight) for side, fam in enumerate((ib, jb)) for e, mult in fam]
-    return _tally(m, xfam, yfam, uses)
 
 
 def verify(
     m: KappaMonoid,
     xfam: Family,
     yfam: Family,
-    cert: Certificate,
+    cert: LayeredCertificate,
     lam: ExtCard = ALEPH0,
 ) -> TriBool:
-    """Check the block equations, seam conditions, and consumption accounting
-    of a certificate against the two families.  ``lam`` must be infinite."""
+    """Check each (weight, chain) layer, repeated ``weight`` times: its block
+    sizes against ``lam``, its block equations and seams; then the total
+    consumption against the two families.  ``lam`` must be infinite."""
     if lam.is_finite:
         raise PreconditionError(f"lambda must be infinite, got {lam}")
-    if isinstance(cert, OmegaCertificate):
-        return _verify_layers(m, xfam, yfam, ((FIN1, cert),), lam)
-    if isinstance(cert, LayeredCertificate):
-        return _verify_layers(m, xfam, yfam, cert.layers, lam)
-    if isinstance(cert, CollapsedCertificate):
-        return _verify_collapsed(m, xfam, yfam, cert, lam)
-    return no(note=f"unknown certificate kind {type(cert).__name__}")
+    uses: list = []
+    for weight, layer in cert.layers:
+        if weight.is_zero:
+            return no(note="layer weights must be >= 1")
+        chunks = (f for b in layer.prefix + layer.cycle for f in (b.iblock, b.jblock))
+        if (big := _oversized(chunks, lam)) is not None:
+            return big
+        cycle_chunks = (f for b in layer.cycle for f in (b.iblock, b.jblock))
+        if any(mult.is_infinite for f in cycle_chunks for _, mult in f):
+            return no(note="cycle blocks must have finite multiplicities")
+        r = _chain_check(m, layer)
+        if not r.is_yes:
+            return r
+        uses += _omega_uses(layer, weight)
+    return _tally(m, xfam, yfam, uses)
 
 
 # -- symmetry -------------------------------------------------------------------
@@ -242,8 +218,8 @@ def _v_in(m: KappaMonoid, ch: _Periodic, mu: int):
     return m.zero if mu == 0 else ch[mu - 1].v_next
 
 
-def flip(m: KappaMonoid, cert: OmegaCertificate) -> OmegaCertificate:
-    """Certificate for the swapped pair, by the index shift: the new block at
+def _flip_chain(m: KappaMonoid, cert: OmegaCertificate) -> OmegaCertificate:
+    """The chain for the swapped pair, by the index shift: the new block at
     a position reuses the old j-chunk as its i-chunk and pulls the next old
     i-chunk over, with the limit position absorbing the extra block."""
     ch = _chain(m, cert)
@@ -259,14 +235,10 @@ def flip(m: KappaMonoid, cert: OmegaCertificate) -> OmegaCertificate:
     return OmegaCertificate(tuple(blocks[:p_new]), tuple(blocks[p_new:]))
 
 
-def flip_any(m: KappaMonoid, cert: Certificate) -> Certificate:
-    if isinstance(cert, OmegaCertificate):
-        return flip(m, cert)
-    if isinstance(cert, LayeredCertificate):
-        return LayeredCertificate(tuple((w, flip(m, lay)) for w, lay in cert.layers))
-    if isinstance(cert, CollapsedCertificate):
-        return CollapsedCertificate(tuple((jb, ib, w) for ib, jb, w in cert.blocks))
-    raise TypeError(type(cert).__name__)
+def flip(m: KappaMonoid, cert: LayeredCertificate) -> LayeredCertificate:
+    """Certificate for the swapped pair: each layer's chain flipped, its
+    weight kept."""
+    return LayeredCertificate(tuple((w, _flip_chain(m, chain)) for w, chain in cert.layers))
 
 
 # -- composition ----------------------------------------------------------------
@@ -420,34 +392,48 @@ def _assemble_composite(m: KappaMonoid, supers: _Periodic) -> OmegaCertificate:
     return OmegaCertificate(tuple(blocks[:head]), tuple(blocks[head : head + pc]))
 
 
+def _compose_layers(
+    m: KappaMonoid, c1: LayeredCertificate, c2: LayeredCertificate, budget: int
+) -> Optional[LayeredCertificate]:
+    """The composite of each pair of equal-weight layers, in order; None when
+    the weights differ or a walk fails."""
+    if [w for w, _ in c1.layers] != [w for w, _ in c2.layers]:
+        return None
+    layers = []
+    for (w, chain1), (_, chain2) in zip(c1.layers, c2.layers):
+        try:
+            walk = _compose_walk(m, _chain(m, chain1), _chain(m, chain2), budget)
+        except ValueError:
+            return None
+        if walk is None:
+            return None
+        layers.append((w, _assemble_composite(m, walk)))
+    return LayeredCertificate(tuple(layers))
+
+
 def compose(
     m: KappaMonoid,
     xfam: Family,
     yfam: Family,
     zfam: Family,
-    cert_xy: Certificate,
-    cert_yz: Certificate,
+    cert_xy: LayeredCertificate,
+    cert_yz: LayeredCertificate,
     lam: ExtCard = ALEPH0,
     budget: int = DEFAULT_BUDGET,
 ) -> TriBool:
     """Certificate for (xfam, zfam) from certificates through a shared middle
-    family: align the two chains on the middle family, then group three
-    aligned runs per composite block; the alignment walk gives the
-    composite's period and prefix.  Falls back to a fresh search when the
-    periodic structures refuse to align.
+    family, layer by layer: the layers of equal weight are paired in order,
+    and each pair of chains is aligned on the middle family, three aligned
+    runs per composite block; the alignment walk gives the composite
+    chain's period and prefix.  Falls back to a fresh search when the
+    weights differ or the periodic structures refuse to align.
 
     The composite of two periodically certified braidings need not admit a
     periodic certificate at all (the two chains may consume the middle
     family in incompatible ratios); Unknown is then the honest outcome."""
-    if isinstance(cert_xy, OmegaCertificate) and isinstance(cert_yz, OmegaCertificate):
-        try:
-            walk = _compose_walk(m, _chain(m, cert_xy), _chain(m, cert_yz), budget)
-        except ValueError:
-            walk = None
-        if walk is not None:
-            cert = _assemble_composite(m, walk)
-            if verify(m, xfam, zfam, cert, lam).is_yes:
-                return yes(witness=cert)
+    cert = _compose_layers(m, cert_xy, cert_yz, budget)
+    if cert is not None and verify(m, xfam, zfam, cert, lam).is_yes:
+        return yes(witness=cert)
     found = braid_find(m, xfam, zfam, lam, budget)
     if found.is_yes:
         return yes(witness=found.witness, note="via re-search")
@@ -680,20 +666,23 @@ def braid_find(
     if finite:
         if not e.is_yes:
             return unknown(note="sum equality undecided")
-        cert = OmegaCertificate((BraidBlock(xf, yf, m.ksum(xf), m.zero),), ())
+        cert = LayeredCertificate((collapsed_layer(m, xf, yf),))
         r = verify(m, xf, yf, cert, lam)
         return yes(witness=cert) if r.is_yes else unknown(note="trivial block rejected")
     if any(mult.is_infinite and mult != ALEPH0 for _, mult in itertools.chain(xf, yf)):
         return _layered_find(m, xf, yf, budget)
     # both streams have a cycle: only aleph0 among infinite multiplicities
     chunks = _Chunks(m, xf, yf)
-    cert = _uniform_omega(m, *chunks.streams)
-    if cert is not None and verify(m, xf, yf, cert, lam).is_yes:
-        return yes(witness=cert)
-    for steps, children in ((min(budget, GREEDY_BUDGET), chunks.greedy), (budget, chunks.dfs)):
-        cert = _walk(chunks, steps, children)
-        if cert is not None and verify(m, xf, yf, cert, lam).is_yes:
-            return yes(witness=cert)
+    walks = ((min(budget, GREEDY_BUDGET), chunks.greedy), (budget, chunks.dfs))
+    chains = itertools.chain(
+        [_uniform_omega(m, *chunks.streams)],
+        (_walk(chunks, steps, children) for steps, children in walks),
+    )
+    for chain in chains:
+        if chain is not None:
+            cert = LayeredCertificate.of(chain)
+            if verify(m, xf, yf, cert, lam).is_yes:
+                return yes(witness=cert)
     return unknown(note=f"no certificate within budget {budget}")
 
 
@@ -720,12 +709,12 @@ def _layered_find(m: KappaMonoid, xf: Family, yf: Family, budget: int) -> TriBoo
         sub = braid_find(m, ib.scale(ALEPH0), jb.scale(ALEPH0), ALEPH0, budget)
         if not sub.is_yes:
             return unknown(note=f"level {lvl} layer failed: {sub.note}")
-        layers.append((lvl, sub.witness))
+        layers += [(card_mul(lvl, w), chain) for w, chain in sub.witness.layers]
     if len(base_x) or len(base_y):
         sub = braid_find(m, base_x, base_y, ALEPH0, budget)
         if not sub.is_yes:
             return unknown(note=f"base layer: {sub.note}")
-        layers.append((FIN1, sub.witness))
+        layers += sub.witness.layers
     cert = LayeredCertificate(tuple(layers))
     r = verify(m, xf, yf, cert, ALEPH0)
     if r.is_yes:
@@ -736,24 +725,24 @@ def _layered_find(m: KappaMonoid, xf: Family, yf: Family, budget: int) -> TriBoo
 def _collapsed_find(
     m: KappaMonoid, xf: Family, yf: Family, lam: ExtCard, budget: int
 ) -> TriBool:
-    """Canonical level split: one block per multiplicity level of at least
-    lam, plus a weight-one block for the rest; as in the layered split, a
-    failing part gives Unknown, never No."""
+    """Canonical level split: one one-block layer per multiplicity level of
+    at least lam, plus a weight-one layer for the rest; as in the layered
+    split, a failing part gives Unknown, never No."""
     parts, (rx, ry) = _split(xf, yf, lam)
-    blocks: list[tuple[Family, Family, ExtCard]] = []
+    layers: list[tuple[ExtCard, OmegaCertificate]] = []
     for lvl, ib, jb in parts:
         r = m.eq(m.ksum(ib), m.ksum(jb))
         if not r.is_yes:
             return unknown(note=f"level {lvl} blocks do not balance")
-        blocks.append((ib, jb, lvl))
+        layers.append(collapsed_layer(m, ib, jb, lvl))
     if len(rx) or len(ry):
         r = m.eq(m.ksum(rx), m.ksum(ry))
         if r.is_no:  # the whole sums are equal: another split may balance
             return unknown(note="small-multiplicity remainders have different sums")
         if r.is_unknown:
             return unknown(note="remainder sum equality undecided")
-        blocks.append((rx, ry, FIN1))
-    cert = CollapsedCertificate(tuple(blocks))
+        layers.append(collapsed_layer(m, rx, ry))
+    cert = LayeredCertificate(tuple(layers))
     r = verify(m, xf, yf, cert, lam)
     if r.is_yes:
         return yes(witness=cert)

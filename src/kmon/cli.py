@@ -270,9 +270,11 @@ def _cmd_braid_find(args, rep: Report) -> int:
     m = _monoid(args)
     x = parse_family(args.x, m)
     y = parse_family(args.y, m)
-    r = braid_find(m, x, y, parse_card(args.lam), args.budget)
+    lam = parse_card(args.lam)
+    r = braid_find(m, x, y, lam, args.budget)
     if r.is_yes:
-        rep.say(render_certificate(r.witness), certificate=render_certificate(r.witness))
+        text = render_certificate(r.witness, lam)
+        rep.say(text, certificate=text)
     else:
         rep.say(f"reason: {r.note}", reason=r.note)
     return _verdict(rep, r)

@@ -14,14 +14,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable
 
-from .braiding import (
-    BraidBlock,
-    Certificate,
-    CollapsedCertificate,
-    LayeredCertificate,
-    OmegaCertificate,
-)
-from .cardinals import ALEPH0, ExtCard, aleph, below, fin
+from .braiding import BraidBlock, LayeredCertificate, OmegaCertificate, collapsed_layer
+from .cardinals import ALEPH0, FIN1, ExtCard, aleph, below, fin
 from .core import CyclicExtensionMonoid, CyclicMonoid, Family, KappaMonoid
 from .diophantine import ConstraintSystem, DioMonoid
 from .errors import CardBoundError, DimensionError, ParseError
@@ -389,15 +383,16 @@ class Parser:
 
     # -- certificates ----------------------------------------------------------------
 
-    def certificate(self, elem: Callable) -> Certificate:
-        """``C`` lines, ``LAYER`` sections or one omega certificate."""
+    def certificate(self, elem: Callable, m: KappaMonoid) -> LayeredCertificate:
+        """``C`` lines, ``LAYER`` sections or one bare chain.  A ``C`` line is
+        a layer whose chain is one prefix block; a bare chain is one layer of
+        weight 1."""
         if self.at_ident("c"):
             blocks = partial(self.family, elem)
-            return CollapsedCertificate(
-                self.records("C", ("i", blocks), ("j", blocks), ("w", self.card))
-            )
+            records = self.records("C", ("i", blocks), ("j", blocks), ("w", self.card))
+            return LayeredCertificate(tuple(collapsed_layer(m, *r) for r in records))
         if not self.at_ident("layer"):
-            return self.omega(elem)
+            return LayeredCertificate.of(self.omega(elem))
         layers = []
         while self.at_ident("layer"):
             (w,) = self.record("LAYER", ("w", self.card))
@@ -558,20 +553,26 @@ def _render_block(b: BraidBlock) -> str:
     return f"B i={b.iblock} j={b.jblock} u={b.u} v'={b.v_next}"
 
 
-def render_certificate(cert: Certificate) -> str:
-    if isinstance(cert, OmegaCertificate):
-        return "\n".join(
-            ["PREFIX", *map(_render_block, cert.prefix), "CYCLE", *map(_render_block, cert.cycle)]
-        )
-    if isinstance(cert, LayeredCertificate):
-        return "\n".join(f"LAYER w={w}\n{render_certificate(layer)}" for w, layer in cert.layers)
-    if isinstance(cert, CollapsedCertificate):
-        return "\n".join(f"C i={ib} j={jb} w={w}" for ib, jb, w in cert.blocks)
-    raise TypeError(f"no renderer for {type(cert).__name__}")
+def _render_chain(chain: OmegaCertificate) -> str:
+    return "\n".join(
+        ["PREFIX", *map(_render_block, chain.prefix), "CYCLE", *map(_render_block, chain.cycle)]
+    )
 
 
-def parse_certificate(src: str, m: KappaMonoid) -> Certificate:
+def render_certificate(cert: LayeredCertificate, lam: ExtCard = ALEPH0) -> str:
+    """Above aleph0 a certificate whose chains are one prefix block each
+    prints as ``C`` lines; otherwise a single weight-1 layer prints as its
+    bare chain, and anything else as ``LAYER`` sections."""
+    layers = cert.layers
+    if lam > ALEPH0 and all(len(c.prefix) == 1 and not c.cycle for _, c in layers):
+        return "\n".join(f"C i={c.prefix[0].iblock} j={c.prefix[0].jblock} w={w}" for w, c in layers)
+    if len(layers) == 1 and layers[0][0] == FIN1:
+        return _render_chain(layers[0][1])
+    return "\n".join(f"LAYER w={w}\n{_render_chain(chain)}" for w, chain in layers)
+
+
+def parse_certificate(src: str, m: KappaMonoid) -> LayeredCertificate:
     """Parse the line-oriented certificate format against a monoid's element
     grammar."""
     p = Parser(src)
-    return p.whole(p.certificate, element_parser(p, m))
+    return p.whole(p.certificate, element_parser(p, m), m)

@@ -10,7 +10,6 @@ from kmon.braiding import (
     GREEDY_CAP,
     SCALE_CAP,
     BraidBlock,
-    CollapsedCertificate,
     LayeredCertificate,
     OmegaCertificate,
     braid_find,
@@ -20,16 +19,16 @@ from kmon.braiding import (
     _stream,
     _units,
     canonical_family,
+    collapsed_layer,
     compose,
     flip,
-    flip_any,
     verify,
 )
 from kmon.cardinals import ALEPH0, ZERO, aleph, at_most, fin
 from kmon.core import CyclicExtensionMonoid, CyclicMonoid, Family
 from kmon.diophantine import ConstraintSystem, DioMonoid
 from kmon.errors import PreconditionError
-from kmon.dsl import render_certificate
+from kmon.dsl import parse_certificate, render_certificate
 from kmon.free_vectors import CardVec, VecMonoid
 from kmon.gallery import QPoint, RationalLineMonoid
 
@@ -52,6 +51,23 @@ def _aligned(comp):
     return comp.is_yes and comp.note == ""
 
 
+def omega(prefix=(), cycle=()):
+    """The certificate of one chain: a single layer of weight 1."""
+    return LayeredCertificate.of(OmegaCertificate(prefix, cycle))
+
+
+def collapsed(m, *blocks):
+    """One one-block prefix layer per (iblock, jblock, weight)."""
+    return LayeredCertificate(tuple(collapsed_layer(m, ib, jb, w) for ib, jb, w in blocks))
+
+
+def chain_of(cert):
+    """The chain of a single weight-1 layer."""
+    ((w, chain),) = cert.layers
+    assert w == fin(1)
+    return chain
+
+
 def blk(i, j, u, v):
     return BraidBlock(
         Family.of([(fin(e), fin(1)) for e in i]),
@@ -64,12 +80,12 @@ def blk(i, j, u, v):
 def test_verify_worked_examples():
     ones = fam((1, W))
     twos = fam((2, W))
-    cert = OmegaCertificate((), (blk([1, 1], [2], 2, 0),))
+    cert = omega((), (blk([1, 1], [2], 2, 0),))
     assert verify(N0, ones, twos, cert).is_yes
 
     two_ones = fam((1, 2))
     one_two = fam((2, 1))
-    fcert = OmegaCertificate((blk([1, 1], [2], 2, 0),), ())
+    fcert = omega((blk([1, 1], [2], 2, 0),), ())
     assert verify(N0, two_ones, one_two, fcert).is_yes
 
     # wrong families: consumption cannot match
@@ -79,12 +95,12 @@ def test_verify_worked_examples():
 
 def test_verify_rejects_bad_chains():
     ones, twos = fam((1, W)), fam((2, W))
-    assert verify(N0, ones, twos, OmegaCertificate((), (blk([1, 1], [2], 1, 0),))).is_no
+    assert verify(N0, ones, twos, omega((), (blk([1, 1], [2], 1, 0),))).is_no
     # seam break: v_next of the only cycle block differs from the entry carry
-    assert verify(N0, ones, twos, OmegaCertificate((), (blk([1, 1], [2], 2, 1),))).is_no
+    assert verify(N0, ones, twos, omega((), (blk([1, 1], [2], 2, 1),))).is_no
     # dangling carry in a pure prefix
     assert verify(
-        N0, fam((1, 2)), fam((1, 1)), OmegaCertificate((blk([1, 1], [1], 1, 1),), ())
+        N0, fam((1, 2)), fam((1, 1)), omega((blk([1, 1], [1], 1, 1),), ())
     ).is_no
 
 
@@ -97,21 +113,22 @@ BIG = fam((1, aleph(1)))
     [
         # the block equations hold (1 + 1 = 1*1 + 1, 2 = 1 + 1), but the
         # cycle leaves with carry 1 after entering with 0
-        (N0, fam((1, W)), fam((2, W)), OmegaCertificate((), (blk([1], [2], 1, 1),)),
+        (N0, fam((1, W)), fam((2, W)), omega((), (blk([1], [2], 1, 1),)),
          W, "cycle seam mismatch"),
-        (N0, fam((1, 1)), fam((2, 1)), OmegaCertificate((blk([1], [2], 1, 1),), ()),
+        (N0, fam((1, 1)), fam((2, 1)), omega((blk([1], [2], 1, 1),), ()),
          W, "prefix ends with nonzero carry"),
         (DIAG, Family.of([(CardVec.fins(1, 1), W)]), Family.of([(CardVec.fins(1, 1), W)]),
-         OmegaCertificate((), (BraidBlock(Family.of([(CardVec.fins(1, 1), fin(1))]),
+         omega((), (BraidBlock(Family.of([(CardVec.fins(1, 1), fin(1))]),
                                           Family.of([(CardVec.fins(1, 1), fin(1))]),
                                           CardVec.fins(1, 0), CardVec.fins(0, 1)),)),
          W, "carry element outside the monoid"),
-        (N0, BIG, BIG, CollapsedCertificate(((BIG, BIG, fin(1)),)),
-         W, "collapsed certificates require lambda above aleph0"),
-        (N0, BIG, BIG, CollapsedCertificate(((BIG, BIG, ZERO),)),
-         aleph(2), "block weights must be >= 1"),
-        (N0, BIG, fam((2, 1)), CollapsedCertificate(((BIG, fam((2, 1)), fin(1)),)),
-         aleph(2), "collapsed block sums differ"),
+        # a C line at aleph0 is a layer like any other: its block is too big
+        (N0, BIG, BIG, collapsed(N0, (BIG, BIG, fin(1))),
+         W, "block size aleph1 not below aleph0"),
+        (N0, BIG, BIG, collapsed(N0, (BIG, BIG, ZERO)),
+         aleph(2), "layer weights must be >= 1"),
+        (N0, BIG, fam((2, 1)), collapsed(N0, (BIG, fam((2, 1)), fin(1))),
+         aleph(2), "prefix block equation fails"),
     ],
 )
 def test_verify_rejection_notes(m, x, y, cert, lam, note):
@@ -124,7 +141,7 @@ def test_verify_totals_uses_of_one_class_named_twice():
     # one of each consumes it twice
     m = CyclicExtensionMonoid(CyclicMonoid(1, 2))
     x, y = fam((1, 2)), fam((2, 1))
-    cert = OmegaCertificate((BraidBlock(fam((1, 1), (3, 1)), y, fin(2), ZERO),), ())
+    cert = omega((BraidBlock(fam((1, 1), (3, 1)), y, fin(2), ZERO),), ())
     assert verify(m, x, y, cert).is_yes
     assert verify(m, fam((1, 1)), y, cert).is_no
 
@@ -132,27 +149,29 @@ def test_verify_totals_uses_of_one_class_named_twice():
 def test_verify_block_size_respects_lambda():
     ones = fam((1, W))
     # the block equations hold (0 + aleph0 = aleph0 + 0): only its size is wrong
-    cert = OmegaCertificate((BraidBlock(ones, ones, W, ZERO),), ())
-    r = verify(N0, ones, ones, cert, ALEPH0)
+    chain = OmegaCertificate((BraidBlock(ones, ones, W, ZERO),), ())
+    r = verify(N0, ones, ones, LayeredCertificate.of(chain), ALEPH0)
     assert r.is_no and r.note == "block size aleph0 not below aleph0"
-    # a layer is checked like an omega certificate, after its weight
-    r = verify(N0, ones, ones, LayeredCertificate(((W, cert),)), ALEPH0)
+    # every layer is checked the same way, after its weight
+    r = verify(N0, ones, ones, LayeredCertificate(((W, chain),)), ALEPH0)
     assert r.is_no and r.note == "block size aleph0 not below aleph0"
-    r = verify(N0, ones, ones, LayeredCertificate(((ZERO, cert),)), ALEPH0)
+    r = verify(N0, ones, ones, LayeredCertificate(((ZERO, chain),)), ALEPH0)
     assert r.is_no and r.note == "layer weights must be >= 1"
-    # above aleph0 the block is small enough, but an omega block is finite
-    r = verify(N0, ones, ones, cert, aleph(1))
-    assert r.is_no and r.note == "omega blocks must have finite multiplicities"
-    # a collapsed block follows the same size rule and wording
+    # above aleph0 the block is small enough, and an infinite prefix block
+    # is a collapsed relation; a cycle block must still be finite
+    assert verify(N0, ones, ones, LayeredCertificate.of(chain), aleph(1)).is_yes
+    r = verify(N0, ones, ones, omega((), chain.prefix), aleph(1))
+    assert r.is_no and r.note == "cycle blocks must have finite multiplicities"
+    # a C line follows the same size rule and wording
     big = fam((1, aleph(1)))
-    r = verify(N0, big, big, CollapsedCertificate(((big, big, fin(1)),)), aleph(1))
+    r = verify(N0, big, big, collapsed(N0, (big, big, fin(1))), aleph(1))
     assert r.is_no and r.note == "block size aleph1 not below aleph1"
-    assert verify(N0, big, big, CollapsedCertificate(((big, big, fin(1)),)), aleph(2)).is_yes
+    assert verify(N0, big, big, collapsed(N0, (big, big, fin(1))), aleph(2)).is_yes
 
 
 def test_finite_lambda_is_rejected():
     ones, twos = fam((1, W)), fam((2, W))
-    cert = OmegaCertificate((), (blk([1, 1], [2], 2, 0),))
+    cert = omega((), (blk([1, 1], [2], 2, 0),))
     with pytest.raises(PreconditionError, match="lambda must be infinite"):
         braid_find(N0, ones, twos, fin(5))
     with pytest.raises(PreconditionError, match="lambda must be infinite"):
@@ -163,7 +182,7 @@ def test_finite_lambda_is_rejected():
 
 def test_telescope_equal_on_valid_certs():
     ones, twos = fam((1, W)), fam((2, W))
-    cert = OmegaCertificate((), (blk([1, 1], [2], 2, 0),))
+    cert = omega((), (blk([1, 1], [2], 2, 0),))
     assert verify(N0, ones, twos, cert).is_yes
     a, b = N0.ksum(ones), N0.ksum(twos)
     assert N0.eq(a, b).is_yes
@@ -171,13 +190,13 @@ def test_telescope_equal_on_valid_certs():
 
 def test_flip_worked_examples():
     ones, twos = fam((1, W)), fam((2, W))
-    cert = OmegaCertificate((), (blk([1, 1], [2], 2, 0),))
+    cert = omega((), (blk([1, 1], [2], 2, 0),))
     fl = flip(N0, cert)
     assert verify(N0, twos, ones, fl).is_yes
     fl2 = flip(N0, fl)
     assert verify(N0, ones, twos, fl2).is_yes
 
-    fcert = OmegaCertificate((blk([1, 1], [2], 2, 0),), ())
+    fcert = omega((blk([1, 1], [2], 2, 0),), ())
     assert verify(N0, fam((2, 1)), fam((1, 2)), flip(N0, fcert)).is_yes
 
 
@@ -187,7 +206,7 @@ def test_braid_find_n0_worked_examples():
     assert verify(N0, fam((1, W)), fam((2, W)), r.witness).is_yes
 
     r = braid_find(N0, fam((1, 3)), fam((3, 1)))
-    assert r.is_yes and not r.witness.cycle
+    assert r.is_yes and not chain_of(r.witness).cycle
 
     r = braid_find(F2, Family.of([(CardVec.fins(1, 0), W)]), Family.of([(CardVec.fins(0, 1), W)]))
     assert r.is_no and "sums differ" in r.note
@@ -400,7 +419,7 @@ def test_compose_finite_chains():
     r1 = braid_find(N0, a, b)
     r2 = braid_find(N0, b, c)
     comp = compose(N0, a, b, c, r1.witness, r2.witness)
-    assert _aligned(comp) and not comp.witness.cycle
+    assert _aligned(comp) and not chain_of(comp.witness).cycle
     assert verify(N0, a, c, comp.witness).is_yes
     assert _digest([comp.witness]) == "9c8f7ce4cb1467e37ed15a4d03fe2094d367a3d371c0d5dc2c708ad07892ef00"
 
@@ -423,7 +442,7 @@ def test_compose_searches_afresh_past_an_infinite_block():
     # verify rejects it, and the alignment walk cannot count its aleph0
     # middle block, so compose searches the outer pair instead
     x, y = fam((1, W)), fam((2, W))
-    whole = OmegaCertificate((BraidBlock(x, y, W, ZERO),), ())
+    whole = omega((BraidBlock(x, y, W, ZERO),), ())
     assert verify(N0, x, y, whole).note == "block size aleph0 not below aleph0"
     r2 = braid_find(N0, y, x)
     assert r2.is_yes
@@ -450,15 +469,40 @@ def test_certificate_algebra_seeded_chains():
     assert _digest(certs) == "2cb6142a6b7b863f146d8b4881bc84e19794feed08208bd8ce4f5d1871e8c73d"
 
 
+def test_compose_pairs_layers_of_equal_weight():
+    # x has an aleph1 entry, and y and z are x scaled: the three families
+    # share their levels above aleph0, so both legs have layers of the same
+    # weights, and each pair of layers composes by alignment
+    m = VecMonoid(2, at_most(aleph(2)))
+    elems = [CardVec.fins(1, 0), CardVec.fins(0, 1), CardVec.fins(1, 1), CardVec.fins(2, 1)]
+    mults = [fin(1), fin(2), fin(3), W, aleph(1)]
+    scales = [fin(1), fin(2), fin(3), W]
+    rng = random.Random(777)
+    triples = layered = 0
+    for _ in range(400):
+        extra = [(rng.choice(elems), rng.choice(mults)) for _ in range(rng.randrange(0, 3))]
+        x = Family.of([(rng.choice(elems), aleph(1))] + extra)
+        y, z = x.scale(rng.choice(scales)), x.scale(rng.choice(scales))
+        r1, r2 = braid_find(m, x, y, budget=300), braid_find(m, y, z, budget=300)
+        if not (r1.is_yes and r2.is_yes):
+            continue
+        comp = compose(m, x, y, z, r1.witness, r2.witness, budget=300)
+        assert comp.is_yes and comp.note != "via re-search", (x, y, z)
+        assert verify(m, x, z, comp.witness).is_yes
+        triples += 1
+        layered += len(comp.witness.layers) > 1
+    assert (triples, layered) == (275, 56)
+
+
 def test_layered_certificates():
     f2big = VecMonoid(2, at_most(aleph(2)))
     x = Family.of([(CardVec.fins(1, 0), aleph(1)), (CardVec.fins(0, 1), aleph(1))])
     y = Family.of([(CardVec.fins(1, 1), aleph(1))])
     r = braid_find(f2big, x, y)
     assert r.is_yes
-    assert isinstance(r.witness, LayeredCertificate)
+    assert [w for w, _ in r.witness.layers] == [aleph(1)]
     assert verify(f2big, x, y, r.witness).is_yes
-    fl = flip_any(f2big, r.witness)
+    fl = flip(f2big, r.witness)
     assert verify(f2big, y, x, fl).is_yes
 
 
@@ -469,10 +513,15 @@ def test_collapsed_certificates_lambda_above_aleph0():
     y = Family.of([(CardVec.fins(1, 1), W)])
     r = braid_find(f2big, x, y, lam)
     assert r.is_yes
-    assert isinstance(r.witness, CollapsedCertificate)
+    assert all(not c.cycle and len(c.prefix) == 1 for _, c in r.witness.layers)
+    assert render_certificate(r.witness, lam).startswith("C i=")
     assert verify(f2big, x, y, r.witness, lam).is_yes
-    # flipping a collapsed certificate swaps the block sides
-    assert verify(f2big, y, x, flip_any(f2big, r.witness), lam).is_yes
+    # flipping a one-block layer swaps the block sides
+    fl = flip(f2big, r.witness)
+    assert [(c.prefix[0].iblock, c.prefix[0].jblock) for _, c in fl.layers] == [
+        (c.prefix[0].jblock, c.prefix[0].iblock) for _, c in r.witness.layers
+    ]
+    assert verify(f2big, y, x, fl, lam).is_yes
 
 
 def test_collapsed_brute_force_cross_check():
@@ -596,7 +645,7 @@ def test_verify_unknown_propagates_from_tri_valued_equality():
     x = Family.of([(X1, fin(10))])
     y = Family.of([(X2, fin(15))])
     blk = BraidBlock(x, y, Form.of(10, 0), Form.of(0, 0))
-    cert = OmegaCertificate((blk,), ())
+    cert = omega((blk,), ())
     r = verify(m, x, y, cert)
     assert r.is_unknown
     # with a workable budget the same certificate verifies
@@ -721,7 +770,7 @@ def test_braid_find_soundness_property(x, y):
         assert verify(F2, x, y, r.witness).is_yes
         a, b = F2.ksum(x), F2.ksum(y)
         assert F2.eq(a, b).is_yes
-        assert verify(F2, y, x, flip_any(F2, r.witness)).is_yes
+        assert verify(F2, y, x, flip(F2, r.witness)).is_yes
     elif r.is_no:
         cx, cy = x.index_card(), y.index_card()
         assert cx.is_finite != cy.is_finite or F2.ksum(x) != F2.ksum(y)
@@ -748,19 +797,19 @@ def test_failed_canonical_split_above_aleph0_is_unknown_not_no():
     )
     big = OmegaCertificate((), (BraidBlock(one((v(1, 1), 1)), one((v(1, 1), 1)), v(1, 1), v(0, 0)),))
     assert verify(m, x, y, LayeredCertificate(((fin(1), countable), (aleph(1), big)))).is_yes
-    collapsed = CollapsedCertificate(
-        (
-            (one((v(1, 0), 1), (v(1, 1), W)), one((v(1, 1), W)), fin(1)),
-            (one((v(1, 1), 1)), one((v(1, 1), 1)), aleph(1)),
-        )
+    split = collapsed(
+        m,
+        (one((v(1, 0), 1), (v(1, 1), W)), one((v(1, 1), W)), fin(1)),
+        (one((v(1, 1), 1)), one((v(1, 1), 1)), aleph(1)),
     )
-    assert verify(m, x, y, collapsed, aleph(1)).is_yes
+    assert verify(m, x, y, split, aleph(1)).is_yes
 
 
 def _answers(rows):
-    """sha256 of (kind, note, rendered certificate) per answer."""
+    """sha256 of (kind, note, rendered certificate) per (lambda, answer)."""
     text = "\n\n".join(
-        f"{r.kind}|{r.note}|{render_certificate(r.witness) if r.is_yes else ''}" for r in rows
+        f"{r.kind}|{r.note}|{render_certificate(r.witness, lam) if r.is_yes else ''}"
+        for lam, r in rows
     )
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -785,7 +834,11 @@ def test_level_split_population_is_pinned():
         for lam, got in rows.items():
             r = braid_find(m, x, y, lam, budget=300)
             if r.is_yes:
-                assert verify(m, x, y, r.witness, lam).is_yes
+                c = r.witness
+                assert verify(m, x, y, c, lam).is_yes
+                # every certificate kind survives its text and a flip
+                assert parse_certificate(render_certificate(c, lam), m) == c
+                assert verify(m, y, x, flip(m, c), lam).is_yes
             got.append(r)
     kinds = {lam: dict(collections.Counter(r.kind for r in got)) for lam, got in rows.items()}
     assert kinds == {
@@ -796,7 +849,7 @@ def test_level_split_population_is_pinned():
     # taken before streams, chains and composites shared one periodic view
     # and the two level searches one split
     want = "a67651f579641893be3d82a066fc81b6fba98669aceb33eae71ece4e684ea8c7"
-    assert _answers(r for got in rows.values() for r in got) == want
+    assert _answers((lam, r) for lam, got in rows.items() for r in got) == want
 
 
 def test_periodic_view_matches_its_expansion():

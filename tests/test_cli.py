@@ -90,6 +90,26 @@ def test_braid_check_rejects_wrong_family():
     assert code == 1
 
 
+def test_braid_check_ignores_consumed_zero_entries():
+    # zero entries drop out of the families, so a block may list them or not
+    common = ["braid-check", "--monoid", "n0", "--x", "{0*1, 2*1}", "--y", "{2*1}"]
+    for block in ("{0*1, 2*1}", "{2*1}"):
+        cert = f"PREFIX\nB i={block} j={{2*1}} u=2 v'=0\nCYCLE"
+        assert invoke([*common, "--cert", cert]) == (0, "telescope: 2 = 2\nverdict: YES\n")
+
+
+def test_braid_find_prints_c_lines_above_aleph0():
+    common = ["--monoid", "n0", "--x", "{1*3}", "--y", "{3*1}"]
+    c_line = "C i={1*3} j={3*1} w=1"
+    assert invoke(["braid-find", *common, "--lam", "aleph1"]) == (0, f"{c_line}\nverdict: YES\n")
+    chain = "PREFIX\nB i={1*3} j={3*1} u=3 v'=0\nCYCLE"
+    assert invoke(["braid-find", *common]) == (0, f"{chain}\nverdict: YES\n")
+    # a C line with finite blocks is a one-block layer, so it checks at aleph0 too
+    for lam in ("aleph0", "aleph1"):
+        code, out = invoke(["braid-check", *common, "--cert", c_line, "--lam", lam])
+        assert code == 0 and out.endswith("verdict: YES\n")
+
+
 def test_exit_unknown():
     code, out = invoke(
         [

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmon.braiding import BraidBlock, CollapsedCertificate, LayeredCertificate, OmegaCertificate, braid_find
+from kmon.braiding import BraidBlock, LayeredCertificate, OmegaCertificate, braid_find, collapsed_layer
 from kmon.cardinals import ALEPH0, aleph, at_most, fin
 from kmon.core import CyclicExtensionMonoid, CyclicMonoid, Family
 from kmon.diophantine import ConstraintSystem, DioMonoid
@@ -188,9 +188,15 @@ def test_certificate_roundtrip_layered_and_collapsed():
     )
     lay = LayeredCertificate(((aleph(1), OmegaCertificate((), (blk,))),))
     assert parse_certificate(render_certificate(lay), N0) == lay
-    col = CollapsedCertificate(
-        ((Family.of([(fin(1), W)]), Family.of([(fin(1), W)]), aleph(1)),)
-    )
+    # a chain that is not one prefix block keeps its LAYER text above aleph0
+    assert render_certificate(lay, aleph(1)) == render_certificate(lay)
+    ones = Family.of([(fin(1), W)])
+    col = LayeredCertificate((collapsed_layer(N0, ones, ones, aleph(1)),))
+    text = render_certificate(col, aleph(1))
+    assert text == "C i={1*aleph0} j={1*aleph0} w=aleph1"
+    assert parse_certificate(text, N0) == col
+    # at aleph0 the same layer prints as a LAYER section
+    assert render_certificate(col).startswith("LAYER w=aleph1\nPREFIX\nB ")
     assert parse_certificate(render_certificate(col), N0) == col
 
 
@@ -199,9 +205,11 @@ def test_certificate_sections_may_stand_alone():
         Family.of([(fin(1), fin(2))]), Family.of([(fin(2), fin(1))]), fin(2), fin(0)
     )
     line = "B i={1*2} j={2*1} u=2 v'=0"
-    assert parse_certificate(f"PREFIX\n{line}", N0) == OmegaCertificate((blk,), ())
-    assert parse_certificate(f"CYCLE\n{line}", N0) == OmegaCertificate((), (blk,))
-    assert parse_certificate(f"  PREFIX\n\n  CYCLE\n  {line}\n", N0) == OmegaCertificate((), (blk,))
+    prefix = LayeredCertificate.of(OmegaCertificate((blk,), ()))
+    cycle = LayeredCertificate.of(OmegaCertificate((), (blk,)))
+    assert parse_certificate(f"PREFIX\n{line}", N0) == prefix
+    assert parse_certificate(f"CYCLE\n{line}", N0) == cycle
+    assert parse_certificate(f"  PREFIX\n\n  CYCLE\n  {line}\n", N0) == cycle
 
 
 MALFORMED_CERTIFICATES = [
