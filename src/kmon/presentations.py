@@ -11,6 +11,15 @@ preservation) upgrade bounded answers to exact ones where they apply.
 Saturation runs until its first pruned expansion; the search for a separating
 homomorphism runs then, once, since a pruned search can no longer exhaust the
 class and no rewrite changes a form's image under a respecting homomorphism.
+If no homomorphism separates the pair, the two forms' normal forms are read
+there (or, with nothing pruned, when the budget runs out): forms encoded over
+(x1, x2, w1, w2) reduce under the presentation completed by
+``kmon.rewriting``, and different normal forms answer No with no witness.
+Equal ones leave saturation to find the Yes chain.  A completion runs at
+most once per term order and public call and stops after ``budget`` critical
+pairs, apart from the expansion count; one stopped there changes no answer.
+Completed under an elimination order, the same rules decide exactly whether
+one generator is a multiple of the other.
 """
 
 from __future__ import annotations
@@ -19,10 +28,12 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from .cardinals import ALEPH0, ExtCard, Frozen, ZERO, at_most, card_mul, card_sub_least, card_sum, fin
 from .core import CyclicExtensionMonoid, CyclicMonoid, Family, KappaMonoid, draw
+from .rewriting import complete, deglex, normal_form
 from .tribool import TriBool, no, unknown, yes
 
 NCAP = 8  # range for 'finite n' quantifiers
@@ -83,6 +94,18 @@ class Form(Frozen):
     def coeff(self, i: int) -> ExtCard:
         return self.a if i == 1 else self.b
 
+    @property
+    def exponents(self) -> tuple:
+        """The form over (x1, x2, w1, w2): a finite coefficient n as n
+        copies of x_i, aleph0 as one w_i."""
+        a, b = self.a, self.b
+        return (
+            a.n if a.is_finite else 0,
+            b.n if b.is_finite else 0,
+            int(a.is_infinite),
+            int(b.is_infinite),
+        )
+
     def sort_key(self):
         return (self.a.sort_key(), self.b.sort_key())
 
@@ -97,6 +120,14 @@ FORM_ZERO = Form.of(0, 0)
 
 def gen(i: int) -> Form:
     return X1 if i == 1 else X2
+
+
+_ABSORPTION = (  # x_i + w_i = w_i and 2w_i = w_i
+    ((1, 0, 1, 0), (0, 0, 1, 0)),
+    ((0, 1, 0, 1), (0, 0, 0, 1)),
+    ((0, 0, 2, 0), (0, 0, 1, 0)),
+    ((0, 0, 0, 2), (0, 0, 0, 1)),
+)
 
 
 @dataclass(frozen=True)
@@ -144,6 +175,19 @@ class TwoGenPresentation:
             seen.add((l, r))
             parts.append(f"rel: {l.a}*X1 + {l.b}*X2 = {r.a}*X1 + {r.b}*X2;")
         return "twogen { " + " ".join(parts) + " }"
+
+    @property
+    def equations(self) -> list:
+        """Equations over (x1, x2, w1, w2) whose congruence is this
+        presentation's: the absorption rules x_i + w_i = w_i and
+        2w_i = w_i, and each relation L = R with aleph0*L = aleph0*R."""
+        eqs = list(_ABSORPTION)
+        for l, r in self.relations:
+            for side in ((l, r), (l.scale(ALEPH0), r.scale(ALEPH0))):
+                u, v = (f.exponents for f in side)
+                if u != v and (u, v) not in eqs and (v, u) not in eqs:
+                    eqs.append((u, v))
+        return eqs
 
     @cached_property
     def max_finite_coord(self) -> int:
@@ -275,14 +319,15 @@ def _respecting_homs(p: TwoGenPresentation):
 class _Saturation:
     """The facts of one presentation that the queries of one public call
     share, each derived once: the rewrite table of relation-side multiples,
-    the relation-respecting homomorphisms and, in report contexts, a memo of
-    goal-free successor lists.
+    the relation-respecting homomorphisms, the completed rules of each term
+    order asked for and, in report contexts, a memo of goal-free successor
+    lists.
 
     Every public entry builds one from a bare presentation, and the private
     helpers pass it down in the presentation's place; it never outlives the
     call that built it."""
 
-    __slots__ = ("p", "succ_memo", "_rules", "_homs", "_hom_gen")
+    __slots__ = ("p", "succ_memo", "_rules", "_homs", "_hom_gen", "_completions")
 
     def __init__(self, p: TwoGenPresentation, memo: bool):
         self.p = p
@@ -292,6 +337,7 @@ class _Saturation:
         self._rules = None
         self._homs: list = []
         self._hom_gen = _respecting_homs(p)  # runs only as far as it is read
+        self._completions: dict = {}
 
     def rules(self) -> list:
         """The rewrites (relation index, m, m*L.a, m*L.b, m*R.a, m*R.b),
@@ -319,6 +365,39 @@ class _Saturation:
             yield self._homs[i]
             i += 1
 
+    def completion(self, j: int, budget: int) -> tuple:
+        """The presentation's convergent rules under the degree-lexicographic
+        order (j = 0) or the elimination order of X_j, completed on first use
+        with ``budget`` as the cap on critical pairs; empty when that
+        completion hit its cap."""
+        rules = self._completions.get(j)
+        if rules is None:
+            # X_j's elimination order is lexicographic on (x_i, w_i, w_j, x_j)
+            key = deglex if j == 0 else itemgetter(2 - j, 4 - j, j + 1, j - 1)
+            rules = self._completions[j] = tuple(complete(self.p.equations, budget, key) or ())
+        return rules
+
+    def normal_forms_differ(self, f: Form, g: Form, budget: int) -> bool:
+        """Do f and g reduce to different degree-lexicographic normal forms?
+        False when the completion hit its cap."""
+        rules = self.completion(0, budget)
+        return bool(rules) and normal_form(rules, f.exponents) != normal_form(rules, g.exponents)
+
+    def multiple_of(self, i: int, j: int, budget: int) -> TriBool:
+        """Is X_i = beta*X_j for some beta?  Yes names the least such beta.
+
+        Under X_j's elimination order a normal form is the least form of its
+        class, and every form over x_j and w_j alone is below all others, so
+        X_i's normal form is over x_j and w_j alone exactly when some
+        multiple of X_j lies in its class: n copies of x_j, or w_j."""
+        rules = self.completion(j, budget)
+        if not rules:
+            return unknown(note=f"completion cap {budget} reached")
+        nf = normal_form(rules, gen(i).exponents)
+        if nf[i - 1] or nf[i + 1]:
+            return no()
+        return yes(witness=ALEPH0 if nf[j + 1] else fin(nf[j - 1]))
+
 
 def _saturation(p, memo: bool = True) -> _Saturation:
     """The context a public entry was handed, or a new one for a bare
@@ -332,6 +411,17 @@ def find_separating_hom(p: TwoGenPresentation, f: Form, g: Form):
     for t, va, vb in _saturation(p).homs():
         if _apply_hom(t, va, vb, f) != _apply_hom(t, va, vb, g):
             return (t.name, va, vb)
+    return None
+
+
+def _separate(s: _Saturation, f: Form, g: Form, budget: int) -> Optional[TriBool]:
+    """No by a separating homomorphism, else by differing normal forms, else
+    None."""
+    hom = find_separating_hom(s, f, g)
+    if hom is not None:
+        return no(witness=hom, note="separating homomorphism")
+    if s.normal_forms_differ(f, g, budget):
+        return no(note="normal forms differ")
     return None
 
 
@@ -405,18 +495,20 @@ def forms_equal(
             queue.append(succ)
         if pruned and not was_pruned:
             # a pruned search can no longer exhaust the class, and every
-            # rewrite keeps the images under respecting homomorphisms, so
-            # one that separates f from g settles the answer now
-            hom = find_separating_hom(s, f, g)
-            if hom is not None:
-                return no(witness=hom, note="separating homomorphism")
+            # rewrite keeps the images under respecting homomorphisms and
+            # the normal forms, so either one that separates f from g
+            # settles the answer now; equal normal forms leave the search
+            # to find the Yes chain
+            sep = _separate(s, f, g, budget)
+            if sep is not None:
+                return sep
     if not pruned:
         if not queue:
             # the whole equivalence class was enumerated and g is not in it
             return no(note="equivalence class exhausted without reaching the target")
-        hom = find_separating_hom(s, f, g)  # not yet tried: nothing was pruned
-        if hom is not None:
-            return no(witness=hom, note="separating homomorphism")
+        sep = _separate(s, f, g, budget)  # not yet tried: nothing was pruned
+        if sep is not None:
+            return sep
     return unknown(note=f"saturation budget {budget} exhausted")
 
 
@@ -506,17 +598,22 @@ class RealizabilityReport:
 
 def _cyclic_witness(s: _Saturation, budget: int) -> tuple:
     """("cyclic", i, j, beta) when X_i = beta*X_j, else ("undecided", i, j)
-    for the first pair left open, else ("non-cyclic",)."""
+    for the first pair whose completion hit its cap, else ("non-cyclic",).
+
+    A rewrite chain to a beta up to NCAP or aleph0 is looked for first; the
+    elimination normal forms then settle every beta, past that range too."""
     per = max(200, budget // 24)
-    open_pair = ()
     for i, j in ((1, 2), (2, 1)):
         for beta in [fin(k) for k in range(NCAP + 1)] + [ALEPH0]:
-            r = forms_equal(s, gen(i), gen(j).scale(beta), per)
-            if r.is_yes:
+            if forms_equal(s, gen(i), gen(j).scale(beta), per).is_yes:
                 return ("cyclic", i, j, beta)
-            if r.is_unknown and not open_pair:
-                open_pair = (i, j)
-    return ("undecided", *open_pair) if open_pair else ("non-cyclic",)
+    for i, j in ((1, 2), (2, 1)):
+        r = s.multiple_of(i, j, per)
+        if r.is_yes:
+            return ("cyclic", i, j, r.witness)
+        if r.is_unknown:
+            return ("undecided", i, j)
+    return ("non-cyclic",)
 
 
 def _shadow(s: _Saturation, c: int, f: Form, g: Form, cap: int, per: int) -> bool:

@@ -23,6 +23,7 @@ from kmon.presentations import (
     realizable_two_gen,
     replay_chain,
 )
+from kmon.tribool import no
 
 W = ALEPH0
 FREE = TwoGenPresentation.of([])
@@ -160,18 +161,31 @@ def test_corollary_checks_asks_each_in_add_once(monkeypatch):
     assert calls == [(X1, X2), (X2, X1)]
 
 
-def test_realizable_undecided_cyclicity_is_unknown_with_exact_conditions():
-    # every condition holds with exact proof, but X2 against the multiples of
-    # X1 stays undecided at this budget, so the verdict cannot be Yes
+def test_realizable_undecided_cyclicity_is_unknown_with_exact_conditions(monkeypatch):
+    # X2 = 10*X1 here (X2 -> 2*X1 + 2*X2 -> 4*X1 + 3*X2 -> 8*X1 + 5*X2 ->
+    # 10*X1), past the beta range that rewrite chains are looked for in, and
+    # the elimination normal forms find it: a cyclic, class-preserving
+    # presentation, so Yes by the one-generator criterion
     p = parse_presentation(
         "twogen { rel: 2*X1 + 2*X2 = 0*X1 + 1*X2; rel: 3*X1 + 0*X2 = 1*X1 + 5*X2; }"
     )
+    rep = realizable_two_gen(p, budget=200)
+    assert rep.render().splitlines() == [
+        "verdict: YES (cyclic with aleph0*x distinct from all n*x)",
+        "FAIL non-cyclic (exact) witness=(2, 1, fin(10))",
+        "OK   cyclic-criterion (exact) [rewrites preserve finiteness, so aleph0*x != n*x]",
+        "note: presentation is cyclic: X2 = 10*X1; using the one-generator criterion",
+    ]
+    # with every completion cut off at its cap, X1 against the multiples of
+    # X2 past the range stays undecided while every condition holds with
+    # exact proof, so the verdict cannot be Yes
+    monkeypatch.setattr(presentations, "complete", lambda *args: None)
     rep = realizable_two_gen(p, budget=200)
     assert rep.verdict.is_unknown
     assert rep.verdict.note == "range-limited arguments"
     assert rep.conditions
     assert all(c.status == "holds" and c.exact for c in rep.conditions), rep.render()
-    assert rep.notes == ["non-cyclicity unverified (X2 vs multiples of X1 undecided)"]
+    assert rep.notes == ["non-cyclicity unverified (X1 vs multiples of X2 undecided)"]
 
 
 def test_corollary_checks_trivial_extension():
@@ -378,14 +392,47 @@ def _query_stream(n=300, seed=20261018):
     return out
 
 
-def test_query_stream_answers_are_pinned():
-    # the sha256 was computed before the homomorphism check moved ahead of
-    # the end of saturation: every kind, note and witness must stay the same
+def _digest(answers) -> str:
+    return hashlib.sha256("\n".join(map(repr, answers)).encode()).hexdigest()
+
+
+def _with_and_without_normal_forms(monkeypatch, answers):
+    """``answers()`` as it is, and with the normal-form check switched off,
+    which is the procedure the older digests were computed with."""
+    new = answers()
+    with monkeypatch.context() as m:
+        m.setattr(presentations._Saturation, "normal_forms_differ", lambda *args: False)
+        old = answers()
+    return new, old
+
+
+def _settled_unknowns(new, old) -> int:
+    """How many answers moved; each may only be a budget Unknown turned No
+    by differing normal forms."""
+    moved = 0
+    for a, b in zip(old, new, strict=True):
+        if a != b:
+            assert a.is_unknown and a.note.startswith("saturation budget"), (a, b)
+            assert b == no(note="normal forms differ"), (a, b)
+            moved += 1
+    return moved
+
+
+def test_query_stream_answers_are_pinned(monkeypatch):
+    # the first sha256 was computed before the homomorphism check moved
+    # ahead of the end of saturation, and is reproduced with the normal-form
+    # check off; with it on, 10 budget Unknowns become No and every other
+    # kind, note and witness stays the same
     qs = _query_stream()
-    answers = [forms_equal(p, f, g) for p, f, g in qs]
-    answers += [in_add(p, a, b) for p, _, _ in qs[:10] for a, b in ((X1, X2), (X2, X1))]
-    digest = hashlib.sha256("\n".join(map(repr, answers)).encode()).hexdigest()
-    assert digest == "01c01875cdd2d25d4b831d37b5b5bb1a84f16f1f3e7ce7d6b1a7359cfa3f981d"
+
+    def answers():
+        out = [forms_equal(p, f, g) for p, f, g in qs]
+        return out + [in_add(p, a, b) for p, _, _ in qs[:10] for a, b in ((X1, X2), (X2, X1))]
+
+    new, old = _with_and_without_normal_forms(monkeypatch, answers)
+    assert _digest(old) == "01c01875cdd2d25d4b831d37b5b5bb1a84f16f1f3e7ce7d6b1a7359cfa3f981d"
+    assert _digest(new) == "f27d9ceacccd03cf55d319484c0425555c774c6c6b699cf3592bc9a6c2e83024"
+    assert _settled_unknowns(new, old) == 10
 
 
 def _multi_query_stream(n=120, seed=20261019):
@@ -404,15 +451,22 @@ def _multi_query_stream(n=120, seed=20261019):
     return out
 
 
-def test_multi_relation_query_stream_answers_are_pinned():
-    # the sha256 was computed before the rewrite table was built in closed
-    # form: every kind, note and witness must stay the same
+def test_multi_relation_query_stream_answers_are_pinned(monkeypatch):
+    # the first sha256 was computed before the rewrite table was built in
+    # closed form, and is reproduced with the normal-form check off; with it
+    # on, 11 budget Unknowns become No and every other kind, note and
+    # witness stays the same
     qs = _multi_query_stream()
-    answers = [forms_equal(p, f, g, 2000) for p, f, g in qs]
-    answers += [in_add(p, a, b, 2000) for p, _, _ in qs[:4] for a, b in ((X1, X2), (X2, X1))]
+
+    def answers():
+        out = [forms_equal(p, f, g, 2000) for p, f, g in qs]
+        return out + [in_add(p, a, b, 2000) for p, _, _ in qs[:4] for a, b in ((X1, X2), (X2, X1))]
+
     assert sum(len(p.relations) > 2 for p, _, _ in qs) > 100
-    digest = hashlib.sha256("\n".join(map(repr, answers)).encode()).hexdigest()
-    assert digest == "0e9630ed41db2927de0cd8b59b932779701185ae37cd19d334883ba7fc984f89"
+    new, old = _with_and_without_normal_forms(monkeypatch, answers)
+    assert _digest(old) == "0e9630ed41db2927de0cd8b59b932779701185ae37cd19d334883ba7fc984f89"
+    assert _digest(new) == "fa676dcc4e9a825aacda0eb38e8d4653503220c407d3bcaa2acc72b22c9e6843"
+    assert _settled_unknowns(new, old) == 11
 
 
 def test_rewrite_table_matches_scaled_relations():
