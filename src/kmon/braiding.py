@@ -34,11 +34,17 @@ SCALE_CAP = 12  # largest cycle and prefix multiplier of the uniform tier
 
 
 def canonical_family(m: KappaMonoid, fam: Family) -> Family:
-    """Canonicalize elements through the monoid and drop zero entries."""
-    z = m.zero
-    return Family.of(
-        (m.canon(e), mult) for e, mult in fam if not m.eq(e, z).is_yes
-    )
+    """Canonicalize elements through the monoid and drop zero entries.
+
+    The result always equals the rebuild ``Family.of((m.canon(e), mult)
+    for e, mult in fam if not m.eq(e, m.zero).is_yes)``.  When every element
+    is its own ``m.canon``, the same object, and none is zero under ``m.eq``,
+    the result is ``fam`` itself and nothing is rebuilt."""
+    canon, eq, z = m.canon, m.eq, m.zero
+    for e, _ in fam.entries:
+        if canon(e) is not e or eq(e, z).is_yes:
+            return Family.of([(canon(e), mult) for e, mult in fam.entries if not eq(e, z).is_yes])
+    return fam
 
 
 @dataclass(frozen=True)
@@ -125,30 +131,42 @@ def _omega_uses(cert: OmegaCertificate, weight: ExtCard) -> list:
     ]
 
 
-def _counts_match(m: KappaMonoid, fam: Family, got: dict) -> TriBool:
-    want = {e: mult for e, mult in canonical_family(m, fam)}
-    got = {k: v for k, v in got.items() if not v.is_zero}
-    if set(want) != set(got):
-        missing = set(want) ^ set(got)
+def _counts_match(want: dict, got: dict) -> TriBool:
+    """Match one side's consumption against its canonical family's entries,
+    both as element -> multiplicity."""
+    if got == want:
+        return yes()
+    missing = set(want) ^ set(got)
+    if missing:
         return no(note=f"consumption mismatch on {sorted(map(str, missing))}")
-    for e, mult in want.items():
-        if got[e] != mult:
-            return no(note=f"consumption of {e}: {got[e]} != {mult}")
-    return yes()
+    e = next(e for e, mult in want.items() if got[e] != mult)
+    return no(note=f"consumption of {e}: {got[e]} != {want[e]}")
 
 
 def _tally(m: KappaMonoid, xfam: Family, yfam: Family, uses) -> TriBool:
     """Total the (side, element, count, weight) uses, side 0 drawing on xfam
-    and side 1 on yfam, and match each side against its family.  Zero
-    elements are dropped on both sides, as ``canonical_family`` drops them
-    from the families."""
+    and side 1 on yfam, and match each side against its canonical family.
+    The uses of an element count for its class, and uses of zero elements
+    are dropped, as ``canonical_family`` drops them from the families.  An
+    element equal to an entry of the canonical family is in that entry's
+    class and is not zero, so only the other elements are canonicalized and
+    tested for zero."""
     totals: tuple[dict, dict] = ({}, {})
     for side, e, count, weight in uses:
-        totals[side].setdefault(m.canon(e), []).append((count, weight))
-    z = m.zero
+        totals[side].setdefault(e, []).append((count, weight))
+    canon, eq, z = m.canon, m.eq, m.zero
     for fam, tot in zip((xfam, yfam), totals):
-        got = {e: card_sum(cw) for e, cw in tot.items() if not m.eq(e, z).is_yes}
-        r = _counts_match(m, fam, got)
+        want = dict(canonical_family(m, fam).entries)
+        classes: dict = {}
+        for e, cw in tot.items():
+            classes.setdefault(e if e in want else canon(e), []).extend(cw)
+        got = {}
+        for e, cw in classes.items():
+            if e in want or not eq(e, z).is_yes:
+                total = card_sum(cw)
+                if not total.is_zero:
+                    got[e] = total
+        r = _counts_match(want, got)
         if not r.is_yes:
             return r
     return yes()
@@ -639,6 +657,11 @@ def _walk(chunks: _Chunks, budget: int, children) -> Optional[OmegaCertificate]:
     return None
 
 
+def _finite_index(fam: Family) -> bool:
+    """Is the index set of ``fam`` finite: every multiplicity finite?"""
+    return all(mult.is_finite for _, mult in fam.entries)
+
+
 def braid_find(
     m: KappaMonoid,
     xfam: Family,
@@ -654,10 +677,11 @@ def braid_find(
         raise PreconditionError(f"lambda must be infinite, got {lam}")
     xf = canonical_family(m, xfam)
     yf = canonical_family(m, yfam)
-    finite = xf.index_card().is_finite
-    if lam == ALEPH0 and finite != yf.index_card().is_finite:
+    finite = _finite_index(xf)
+    if lam == ALEPH0 and finite != _finite_index(yf):
         return no(note="finite vs infinite form")
-    e = m.eq(m.ksum(xf), m.ksum(yf))
+    xsum = m.ksum(xf)
+    e = m.eq(xsum, m.ksum(yf))
     if e.is_no:
         return no(note="sums differ")
     if lam != ALEPH0:
@@ -666,7 +690,8 @@ def braid_find(
     if finite:
         if not e.is_yes:
             return unknown(note="sum equality undecided")
-        cert = LayeredCertificate((collapsed_layer(m, xf, yf),))
+        # collapsed_layer(m, xf, yf), with the sum already taken
+        cert = LayeredCertificate.of(OmegaCertificate((BraidBlock(xf, yf, xsum, m.zero),)))
         r = verify(m, xf, yf, cert, lam)
         return yes(witness=cert) if r.is_yes else unknown(note="trivial block rejected")
     if any(mult.is_infinite and mult != ALEPH0 for _, mult in itertools.chain(xf, yf)):

@@ -24,13 +24,13 @@ from kmon.braiding import (
     flip,
     verify,
 )
-from kmon.cardinals import ALEPH0, ZERO, aleph, at_most, fin
+from kmon.cardinals import ALEPH0, ZERO, ExtCard, aleph, at_most, below, fin
 from kmon.core import CyclicExtensionMonoid, CyclicMonoid, Family
 from kmon.diophantine import ConstraintSystem, DioMonoid
 from kmon.errors import PreconditionError
 from kmon.dsl import parse_certificate, render_certificate
 from kmon.free_vectors import CardVec, VecMonoid
-from kmon.gallery import QPoint, RationalLineMonoid
+from kmon.gallery import INF, DedekindVMonoid, QPoint, RationalLineMonoid, TrivialExtensionMonoid, plain_n0
 
 W = ALEPH0
 N0 = CyclicExtensionMonoid(CyclicMonoid())
@@ -894,3 +894,114 @@ def test_chunk_rows_match_the_stream(m, x, y):
     for side, pos, k in reads:
         s = chunks.streams[side]
         assert chunks.chunk(side, pos, k) == _units(m, [s[pos + t] for t in range(k)])
+
+
+# -- canonical families ------------------------------------------------------------
+
+
+def _rebuilt(m, f):
+    """The family rebuilt entry by entry: each element canonicalized, zeros dropped."""
+    return Family.of((m.canon(e), mult) for e, mult in f if not m.eq(e, m.zero).is_yes)
+
+
+def _acceptance_1_monoids():
+    return [
+        VecMonoid(1, at_most(W)),
+        VecMonoid(2, at_most(aleph(2))),
+        VecMonoid(3, at_most(aleph(3))),
+        CyclicExtensionMonoid(CyclicMonoid()),
+        CyclicExtensionMonoid(CyclicMonoid(1, 2)),
+        CyclicExtensionMonoid(CyclicMonoid(2, 3)),
+        DioMonoid(ConstraintSystem.make(2, equations=[((1, 0), (0, 1))]), at_most(aleph(1))),
+        DioMonoid(ConstraintSystem.make(2, equations=[((2, 0), (1, 1))]), at_most(aleph(1))),
+        DioMonoid(ConstraintSystem.make(2, congruences=[((1, 1), 2)]), at_most(W)),
+        TrivialExtensionMonoid(plain_n0()),
+        TrivialExtensionMonoid(VecMonoid(2, below(W))),
+        RationalLineMonoid(),
+        DedekindVMonoid((2,)),
+        DedekindVMonoid((2, 2)),
+    ]
+
+
+@pytest.mark.parametrize("m", _acceptance_1_monoids(), ids=lambda m: m.name)
+def test_canonical_family_equals_the_rebuild(m):
+    # a family whose elements are their own representatives, none zero, is
+    # returned as it is; any other is rebuilt, and both equal the rebuild
+    rng = random.Random(2828)
+    kept = rebuilt = 0
+    for _ in range(300):
+        f = m.sample_family(rng)
+        out = canonical_family(m, f)
+        assert out == _rebuilt(m, f), (m.name, str(f))
+        if all(m.canon(e) is e and not m.eq(e, m.zero).is_yes for e, _ in f):
+            assert out is f, (m.name, str(f))
+            kept += 1
+        else:
+            rebuilt += 1
+    assert kept > 0
+
+
+def test_canonical_family_rebuilds_what_is_not_canonical():
+    cmn12 = CyclicExtensionMonoid(CyclicMonoid(1, 2))
+    f = Family.of([(fin(5), fin(1)), (fin(0), fin(2)), (fin(2), W)])
+    out = canonical_family(cmn12, f)
+    assert out == Family.of([(fin(1), fin(1)), (fin(2), W)]) == _rebuilt(cmn12, f)
+    assert str(out) == "{1*1, 2*aleph0}"
+    # an equal but uninterned cardinal is replaced by its representative
+    f = Family.of([(ExtCard(3), fin(2))])
+    out = canonical_family(N0, f)
+    assert out == f and out is not f
+    assert out.entries[0][0] is fin(3)
+    # a zero entry drops out at every multiplicity, aleph0 included
+    f = Family.of([(fin(0), W), (fin(1), fin(3))])
+    assert canonical_family(N0, f) == Family.of([(fin(1), fin(3))])
+    assert canonical_family(N0, Family.of([(fin(0), W)])) is Family.empty()
+    # a canonical family comes back as it is
+    f = Family.of([(fin(1), fin(3)), (fin(2), W)])
+    assert canonical_family(N0, f) is f
+
+
+def _rebuild_population(seed):
+    """About 200 (monoid, x, y) pairs whose families are mostly not canonical:
+    values past the class structure's representatives, uninterned copies
+    of representatives and zero entries, at finite and aleph0
+    multiplicities; y is drawn afresh or is x with some values redrawn."""
+    setups = [
+        (CyclicExtensionMonoid(CyclicMonoid(1, 2)), lambda k: fin(k), range(0, 8)),
+        (CyclicExtensionMonoid(CyclicMonoid(2, 3)), lambda k: fin(k), range(0, 10)),
+        (TrivialExtensionMonoid(plain_n0()), lambda k: INF if k == 5 else ExtCard(k), range(0, 6)),
+        (N0, lambda k: ExtCard(k) if k % 2 else fin(k), range(0, 5)),
+    ]
+    rng = random.Random(seed)
+    mults = [fin(1), fin(2), fin(3), W]
+    for i in range(200):
+        m, value, span = setups[i % 4]
+
+        def family():
+            return Family.of((value(rng.choice(span)), rng.choice(mults)) for _ in range(rng.randrange(0, 4)))
+
+        x = family()
+        if rng.random() < 0.5:
+            y = family()
+        else:
+            y = Family.of((value(rng.choice(span)) if rng.random() < 0.3 else e, mult) for e, mult in x)
+        yield m, x, y
+
+
+def test_rebuild_population_is_pinned():
+    # kind, note and rendered certificate of braid_find plus the kind of
+    # verify on the uncanonicalized pair; acceptance 5 and the held-out
+    # population draw canonical families only, so this pins the rebuild
+    # branch of canonical_family
+    rows, rebuilt = [], 0
+    for m, x, y in _rebuild_population(7070):
+        rebuilt += sum(canonical_family(m, f) != f or any(m.canon(e) is not e for e, _ in f) for f in (x, y))
+        r = braid_find(m, x, y, budget=300)
+        cert = render_certificate(r.witness) if r.is_yes else ""
+        checked = verify(m, x, y, r.witness).kind if r.is_yes else ""
+        rows.append(f"{r.kind}|{r.note}|{cert}|{checked}")
+    assert rebuilt >= 200
+    assert collections.Counter(row.split("|")[0] for row in rows) == {"yes": 113, "no": 83, "unknown": 4}
+    # taken before canonical_family passed canonical families through
+    want = "b3d17ffc85c2998a0be390d360348b0f6dab65101271571f99099ae0e07f9d50"
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == want
