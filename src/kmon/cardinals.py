@@ -108,8 +108,11 @@ class ExtCard(Frozen):
         return f"aleph({self.aleph_level})"
 
 
+FIN_SHARED = 256  # fin(n) is one shared instance for 0 <= n < FIN_SHARED
+
+
 def fin(n: int) -> ExtCard:
-    if 0 <= n < 256:
+    if 0 <= n < FIN_SHARED:
         return _FIN_CACHE[n]
     return ExtCard(n=n)
 
@@ -120,7 +123,7 @@ def aleph(level: int) -> ExtCard:
     return ExtCard(aleph_level=level)  # raises CardBoundError
 
 
-_FIN_CACHE = tuple(ExtCard(n=i) for i in range(256))
+_FIN_CACHE = tuple(ExtCard(n=i) for i in range(FIN_SHARED))
 _ALEPHS = tuple(ExtCard(aleph_level=k) for k in range(MAX_ALEPH_LEVEL + 1))
 ZERO = fin(0)
 FIN1 = fin(1)

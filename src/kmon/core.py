@@ -18,6 +18,7 @@ from .cardinals import (
     CardBoundMode,
     ExtCard,
     FIN1,
+    FIN_SHARED,
     Frozen,
     ZERO,
     card_mul,
@@ -46,42 +47,24 @@ def draw(rng: random.Random, n: int) -> int:
 
 
 def sort_key(x: Any):
-    # namespaced by type so heterogeneous elements stay comparable
-    sk = getattr(x, "sort_key", None)
-    if sk is not None:
-        return (type(x).__name__, sk())
-    return ("~" + type(x).__name__, str(x))
+    """The element key of the one family order: the class name, the type
+    rank that orders a mixed family (the top of a trivial extension among
+    base elements), then the element's own key, which determines it."""
+    return (x.__class__.__name__, x.sort_key())
 
 
 def _entry_key(entry: tuple[Any, ExtCard]):
+    """The family order: ``(sort_key(elem), multiplicity key)``, with
+    ``sort_key`` inlined, as every family sort and pair calls it."""
     elem, mult = entry
-    return (sort_key(elem), mult._key)
-
-
-def _own_entry_key(entry: tuple[Any, ExtCard]):
-    elem, mult = entry
-    return (elem.sort_key(), mult._key)
-
-
-def _key_of(elems: Iterable[Any]):
-    """The entry key that sorts a family over ``elems`` as ``_entry_key``
-    does: the elements' own keys when they share one keyed class (the
-    type-name prefix is then equal across entries), else ``_entry_key``."""
-    it = iter(elems)
-    cls = next(it).__class__
-    if getattr(cls, "sort_key", None) is None:
-        return _entry_key
-    for e in it:
-        if e.__class__ is not cls:
-            return _entry_key
-    return _own_entry_key
+    return ((elem.__class__.__name__, elem.sort_key()), mult._key)
 
 
 class Family(Frozen):
     """Finite multiset of (element, multiplicity) pairs, multiplicities >= 1.
 
     Canonical form merges equal elements by cardinal addition of their
-    multiplicities and sorts entries by a stable element key.
+    multiplicities and sorts entries by ``_entry_key``, the one family order.
     """
 
     __slots__ = ("entries",)
@@ -128,48 +111,25 @@ class Family(Frozen):
             return _EMPTY
         items = list(merged.items())
         if len(items) > 1:
-            items.sort(key=_key_of(merged))
+            items.sort(key=_entry_key)
         return _family(tuple(items))
 
     @staticmethod
     def empty() -> "Family":
         return _EMPTY
 
-    def mult_of(self, elem: Any) -> ExtCard:
-        for e, m in self.entries:
-            if e == elem:
-                return m
-        return ZERO
-
     def index_card(self) -> ExtCard:
         """Total index cardinality (all entries, zeros included)."""
         return card_sum((m, FIN1) for _, m in self.entries)
 
     def add(self, other: "Family") -> "Family":
-        """Multiset union: a merge of the two sorted entry tuples."""
-        a, b = self.entries, other.entries
-        if not b:
-            return self
-        if not a:
-            return other
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            (e, m), (f, n) = a[i], b[j]
-            ke, kf = sort_key(e), sort_key(f)
-            if ke < kf:
-                out.append(a[i])
-                i += 1
-            elif kf < ke:
-                out.append(b[j])
-                j += 1
-            elif e == f:
-                out.append((e, m + n))
-                i += 1
-                j += 1
-            else:  # distinct elements on one key: the multiplicities order them
-                return Family.of(a + b)
-        return _family(tuple(out) + a[i:] + b[j:])
+        """Multiset union."""
+        return Family.of(self.entries + other.entries)
+
+    def sort_key(self):
+        """The entries' keys in order: a family of families sorts by its
+        entries, and, as every element's key does, the key determines it."""
+        return tuple(map(_entry_key, self.entries))
 
     def scale(self, a: ExtCard) -> "Family":
         # the elements stay distinct and card_mul is monotone: still sorted
@@ -203,20 +163,14 @@ def _family(entries: tuple[tuple[Any, ExtCard], ...]) -> Family:
 def _pair(a: Any, m: ExtCard, b: Any, k: ExtCard) -> Family:
     """``Family.of([(a, m), (b, k)])`` in closed form: zero multiplicities
     drop out, equal elements merge into the first, and distinct ones take
-    the entry-key order, with a tie kept in input order as the stable sort
-    keeps it."""
+    the entry-key order."""
     if m.is_zero:
         return _EMPTY if k.is_zero else _family(((b, k),))
     if k.is_zero:
         return _family(((a, m),))
     if a == b:
         return _family(((a, m + k),))
-    cls = a.__class__
-    if cls is b.__class__ and getattr(cls, "sort_key", None) is not None:
-        ka, kb = a.sort_key(), b.sort_key()  # one keyed class: its own keys
-    else:
-        ka, kb = sort_key(a), sort_key(b)
-    if (kb, k._key) < (ka, m._key):
+    if _entry_key((b, k)) < _entry_key((a, m)):
         return _family(((b, k), (a, m)))
     return _family(((a, m), (b, k)))
 
@@ -242,6 +196,11 @@ class KappaMonoid:
 
     Implementations must be immutable and free of shared mutable state.
     Equality may be three-valued; laws are asserted only on decided pairs.
+
+    Element contract: every element class defines ``sort_key()``, and its
+    value determines the element (equal keys exactly when the elements are
+    ``==``).  ``Family`` orders its entries by that key, so the key must be
+    comparable with the keys of every other element of the same class.
     """
 
     name: str = "monoid"
@@ -467,7 +426,10 @@ class CyclicExtensionMonoid(KappaMonoid):
 
     def canon(self, x: ExtCard) -> ExtCard:
         if x.is_finite:
-            return fin(self.cyc.canon(x.n))
+            n = self.cyc.canon(x.n)
+            if n >= FIN_SHARED and n == x.n:
+                return x  # its own representative, which fin(n) would only copy
+            return fin(n)
         return x
 
     def member(self, x: ExtCard) -> bool:

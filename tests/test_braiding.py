@@ -961,6 +961,24 @@ def test_canonical_family_rebuilds_what_is_not_canonical():
     assert canonical_family(N0, f) is f
 
 
+def test_canonical_family_passes_values_past_the_shared_instances_through():
+    # fin(n) shares no instance from 256 on, so a finite value there that is
+    # its own class representative is canonical as it is
+    f = Family.of([(fin(300), fin(1))])
+    out = canonical_family(N0, f)
+    assert out is f and canonical_family(N0, out) is out
+    cmn = CyclicExtensionMonoid(CyclicMonoid(300, 5))
+    x = fin(302)
+    assert cmn.canon(x) is x
+    f = Family.of([(x, fin(2)), (fin(1), W)])
+    assert canonical_family(cmn, f) is f
+    # a value past its class representative is still rebuilt, once
+    f = Family.of([(fin(307), fin(2)), (fin(1), W)])
+    out = canonical_family(cmn, f)
+    assert out == Family.of([(fin(302), fin(2)), (fin(1), W)]) and out is not f
+    assert canonical_family(cmn, out) is out
+
+
 def _rebuild_population(seed):
     """About 200 (monoid, x, y) pairs whose families are mostly not canonical:
     values past the class structure's representatives, uninterned copies

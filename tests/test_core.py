@@ -19,6 +19,7 @@ from kmon.core import (
     is_reduced_witness,
     order_unit_check,
     size_of,
+    sort_key,
     flatten,
 )
 from kmon.diophantine import ConstraintSystem, DioMonoid
@@ -425,18 +426,33 @@ def test_law_reports_are_pinned():
     assert h.hexdigest() == LAW_REPORT_DIGEST
 
 
-class Unkeyed:
-    """No sort_key, so distinct instances share the element key of their str."""
+def key_population(seed):
+    """Elements of the acceptance-1 monoids and of twogen { }, uninterned
+    copies of some of them, their families, and families of families."""
+    rng = random.Random(seed)
+    pool, fams = [], []
+    for m in ACCEPTANCE_1_MONOIDS + [parse_monoid("twogen { }")]:
+        elems = [m.zero] + [m.sample_element(rng) for _ in range(25)]
+        pool += elems + [pickle.loads(pickle.dumps(x)) for x in elems[:8]]
+        fams += [m.sample_family(rng, max_entries=3) for _ in range(8)]
+    weights = [FIN1, fin(2), ALEPH0]
+    outer = [
+        Family.of([(rng.choice(fams), rng.choice(weights)) for _ in range(rng.randrange(4))])
+        for _ in range(40)
+    ]
+    return pool + fams + outer + [Family.of([(rng.choice(outer), FIN1)]) for _ in range(10)]
 
-    def __str__(self):
-        return "u"
 
-
-def test_family_add_orders_distinct_elements_on_one_key_by_multiplicity():
-    a, b = Unkeyed(), Unkeyed()
-    fa, fb = Family.of([(a, fin(2))]), Family.of([(b, fin(1))])
-    assert fa.add(fb).entries == merged(fa.entries + fb.entries).entries == ((b, fin(1)), (a, fin(2)))
-    assert fa.add(fa).entries == ((a, fin(4)),)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sort_key_determines_the_element(seed):
+    # the element contract: equal keys exactly when the elements are equal,
+    # so distinct elements never tie in a family's order
+    pool = key_population(seed)
+    keys = [sort_key(x) for x in pool]
+    for x, kx in zip(pool, keys):
+        for y, ky in zip(pool, keys):
+            assert (kx == ky) == (x == y), (x, y)
+    sorted(pool, key=sort_key)  # every two keys compare, across classes too
 
 
 def test_bound_check_below_aleph0_counts_only_nonzero_elements():
@@ -492,18 +508,18 @@ def test_family_of_sorts_as_the_entry_key_does(m):
         assert Family.of(iter(pairs)).entries == want
 
 
-def test_family_of_sorts_mixed_and_unkeyed_families_by_the_entry_key():
-    a, b = Unkeyed(), Unkeyed()
+def test_family_of_sorts_mixed_families_and_families_of_families_by_the_entry_key():
     one, two = Family.of([(fin(1), FIN1)]), Family.of([(fin(2), FIN1)])
+    top = Family.of([(INF, FIN1), (fin(3), fin(2))])
     cases = [
         # trivial(N0) and trivial(vec(2)): the top among base elements
         [(INF, FIN1), (fin(3), fin(2)), (ZERO, ALEPH0), (INF, fin(2))],
         [(CardVec.fins(1, 0), FIN1), (INF, ALEPH0), (CardVec.fins(0, 1), fin(3))],
-        # no sort_key: distinct elements share the key of their str
-        [(a, fin(2)), (b, FIN1), (a, FIN1)],
-        [(a, FIN1), (fin(1), FIN1), (b, ALEPH0)],
         # a family of families, equal inner families under infinite weights
         [(one, ALEPH0), (two, FIN1), (Family.empty(), fin(2)), (one, aleph(1))],
+        # inner families of mixed classes, and a family of families of families
+        [(top, FIN1), (one, fin(2)), (Family.of([(INF, fin(2))]), FIN1), (top, ALEPH0)],
+        [(Family.of([(one, FIN1)]), FIN1), (Family.of([(two, FIN1)]), ALEPH0), (Family.empty(), FIN1)],
         # keyed, but of several classes
         [(fin(1), FIN1), (CardVec.fins(1), FIN1), (QPoint.plain(1), FIN1), (RankClass(fin(1), (0,)), FIN1)],
     ]
@@ -572,18 +588,14 @@ def test_family_of_pairs_in_closed_form_match_the_merge(m):
             assert m.add(a, b) == m.raw_ksum(merged([(a, FIN1), (b, FIN1)]))
 
 
-def test_family_of_pairs_of_unkeyed_and_mixed_classes_match_the_merge():
-    a, b = Unkeyed(), Unkeyed()
+def test_family_of_pairs_of_mixed_classes_match_the_merge():
     one = Family.of([(fin(1), FIN1)])
-    elems = [a, b, INF, ZERO, fin(3), ALEPH0, CardVec.fins(1, 0), QPoint.plain(1), one]
+    top = Family.of([(INF, FIN1), (fin(3), fin(2))])
+    elems = [INF, ZERO, fin(3), ALEPH0, CardVec.fins(1, 0), QPoint.plain(1), one, top]
     counts = [ZERO, FIN1, fin(2), ALEPH0, aleph(1)]
     for x, y in itertools.product(elems, repeat=2):
         for j, k in itertools.product(counts, repeat=2):
             assert_pair_matches_the_merge((x, j), (y, k))
-    # distinct elements on one key: the multiplicities order them, and a tie
-    # keeps the input order
-    assert Family.of([(a, fin(2)), (b, FIN1)]).entries == ((b, FIN1), (a, fin(2)))
-    assert Family.of([(a, FIN1), (b, FIN1)]).entries == ((a, FIN1), (b, FIN1))
     # equal elements merge into the first, as the dict merge keeps its key
     twin = ExtCard(3)
     for x, y in ((twin, fin(3)), (fin(3), twin)):

@@ -149,8 +149,8 @@ def test_monoid_roundtrip():
 def test_qline_literals():
     m = RationalLineMonoid()
     fam = parse_family("fam { 1/2*2, ~2/3, inf*1 }", m)
-    assert fam.mult_of(QPoint.plain(Fraction(1, 2))) == fin(2)
-    assert fam.mult_of(QPoint.tilde(Fraction(2, 3))) == fin(1)
+    assert dict(fam.entries)[QPoint.plain(Fraction(1, 2))] == fin(2)
+    assert dict(fam.entries)[QPoint.tilde(Fraction(2, 3))] == fin(1)
     with pytest.raises(ParseError) as ei:
         parse_family("fam { 1/0*2 }", m)
     assert (ei.value.line, ei.value.col) == (1, 9)
