@@ -554,6 +554,81 @@ class _Chunks:
                     yield BraidBlock(ichunk, jchunk, u, vn), i + kx, j + ky, vn
 
 
+def _int_views(m: KappaMonoid, *values) -> Optional[list[tuple[int, ...]]]:
+    """The integer views of ``values``, or None unless every one has one."""
+    views = [m.int_vector(v) for v in values]
+    return None if None in views else views
+
+
+def _ratio(x: tuple[int, ...], y: tuple[int, ...], cap: int) -> Optional[tuple[int, int]]:
+    """The first (a, b) of an a-outer, b-inner scan over 1..cap with a*x =
+    b*y, for integer vectors.  Every solution is a multiple of the least
+    one, which one nonzero coordinate of x and a gcd give."""
+    i = next((i for i, c in enumerate(x) if c), None)
+    if i is None:
+        return None if any(y) else (1, 1)
+    if not y[i]:
+        return None
+    g = math.gcd(x[i], y[i])
+    a, b = y[i] // g, x[i] // g
+    if a > cap or b > cap or any(a * p != b * q for p, q in zip(x, y)):
+        return None
+    return a, b
+
+
+def _balance(
+    hx: tuple[int, ...], hy: tuple[int, ...], s: tuple[int, ...], cap: int
+) -> Optional[tuple[int, int]]:
+    """The first (kx, ky) of a kx-outer, ky-inner scan over 0..cap with
+    hx + kx*s = hy + ky*s, for integer vectors: kx - ky is the one integer
+    d with d*s = hy - hx, read off one nonzero coordinate of s (a quotient
+    that is not exact fails that coordinate's check)."""
+    i = next((i for i, c in enumerate(s) if c), None)
+    if i is None:
+        return (0, 0) if hx == hy else None
+    d = (hy[i] - hx[i]) // s[i]
+    if any(p + d * c != q for p, q, c in zip(hx, hy, s)):
+        return None
+    kx, ky = max(d, 0), max(-d, 0)
+    return (kx, ky) if kx <= cap and ky <= cap else None
+
+
+def _cycle_ratio(m: KappaMonoid, xtot: Any, ytot: Any, cap: int) -> Optional[tuple[int, int]]:
+    """The least (a, b), a first, with 1 <= a, b <= cap and a*xtot = b*ytot:
+    in closed form on integer vectors, else by a scan over the multiples."""
+    views = _int_views(m, xtot, ytot)
+    if views is not None:
+        return _ratio(*views, cap)
+    ymult = functools.cache(lambda b: m.scalar(fin(b), ytot))
+    for a in range(1, cap + 1):
+        asum = m.scalar(fin(a), xtot)
+        for b in range(1, cap + 1):
+            if m.eq(asum, ymult(b)).is_yes:
+                return a, b
+    return None
+
+
+def _prefix_balance(m: KappaMonoid, hx: Any, hy: Any, s: Any) -> Optional[tuple[int, int, Any]]:
+    """The least (kx, ky), kx first, with 0 <= kx, ky <= SCALE_CAP and
+    hx + kx*s = hy + ky*s, and that left-hand side: in closed form on
+    integer vectors, else by a scan that computes each multiple k*s and
+    each right-hand side once, on first use."""
+    views = _int_views(m, hx, hy, s)
+    if views is not None:
+        k = _balance(*views, SCALE_CAP)
+        if k is None:
+            return None
+        return (*k, m.add(hx, m.scalar(fin(k[0]), s)))
+    mult = functools.cache(lambda k: m.scalar(fin(k), s))
+    right = functools.cache(lambda ky: m.add(hy, mult(ky)))
+    for kx in range(SCALE_CAP + 1):
+        left = m.add(hx, mult(kx))
+        for ky in range(SCALE_CAP + 1):
+            if m.eq(left, right(ky)).is_yes:
+                return kx, ky, left
+    return None
+
+
 def _cycle_counts(m: KappaMonoid, sx: _Periodic, sy: _Periodic, cap: int):
     """Positive per-value counts making one x-block sum equal one y-block
     sum.  Uniform whole-cycle scaling first; for finite vector values the
@@ -561,12 +636,10 @@ def _cycle_counts(m: KappaMonoid, sx: _Periodic, sy: _Periodic, cap: int):
     solved by a small box scan whose first point is the answer."""
     _, xtot = _units(m, sx.cycle)
     _, ytot = _units(m, sy.cycle)
-    ymult = functools.cache(lambda b: m.scalar(fin(b), ytot))
-    for a in range(1, cap + 1):
-        asum = m.scalar(fin(a), xtot)
-        for b in range(1, cap + 1):
-            if m.eq(asum, ymult(b)).is_yes:
-                return {e: a for e in sx.cycle}, {e: b for e in sy.cycle}
+    ab = _cycle_ratio(m, xtot, ytot, cap)
+    if ab is not None:
+        a, b = ab
+        return {e: a for e in sx.cycle}, {e: b for e in sy.cycle}
     vals = sx.cycle + sy.cycle
     if (
         all(isinstance(e, CardVec) for e in vals)
@@ -606,27 +679,17 @@ def _uniform_omega(m: KappaMonoid, sx: _Periodic, sy: _Periodic) -> Optional[Ome
         return OmegaCertificate((), (cycle_block,))
     _, hx = _units(m, sx.head)
     _, hy = _units(m, sy.head)
-    # each multiple and each right-hand side is computed once, on first use
-    mult = functools.cache(lambda k: m.scalar(fin(k), block_sum))
-    right = functools.cache(lambda ky: m.add(hy, mult(ky)))
-    for kx in range(SCALE_CAP + 1):
-        left = m.add(hx, mult(kx))
-        for ky in range(SCALE_CAP + 1):
-            if m.eq(left, right(ky)).is_yes:
-                prefix = BraidBlock(
-                    Family.of(
-                        [(e, FIN1) for e in sx.head]
-                        + [(e, fin(kx * c)) for e, c in cx.items()]
-                    ),
-                    Family.of(
-                        [(f, FIN1) for f in sy.head]
-                        + [(f, fin(ky * c)) for f, c in cy.items()]
-                    ),
-                    left,
-                    m.zero,
-                )
-                return OmegaCertificate((prefix,), (cycle_block,))
-    return None
+    balanced = _prefix_balance(m, hx, hy, block_sum)
+    if balanced is None:
+        return None
+    kx, ky, left = balanced
+    prefix = BraidBlock(
+        Family.of([(e, FIN1) for e in sx.head] + [(e, fin(kx * c)) for e, c in cx.items()]),
+        Family.of([(f, FIN1) for f in sy.head] + [(f, fin(ky * c)) for f, c in cy.items()]),
+        left,
+        m.zero,
+    )
+    return OmegaCertificate((prefix,), (cycle_block,))
 
 
 def _walk(chunks: _Chunks, budget: int, children) -> Optional[OmegaCertificate]:

@@ -201,6 +201,11 @@ class KappaMonoid:
     value determines the element (equal keys exactly when the elements are
     ``==``).  ``Family`` orders its entries by that key, so the key must be
     comparable with the keys of every other element of the same class.
+
+    Integer view: ``int_vector(x)`` gives x's coordinates in N^d only when
+    ``eq``, ``add`` and ``scalar`` by a finite cardinal, on x and on values
+    with a view of the same length, are exactly those of N^d; otherwise
+    None.  Searches may then solve linear questions about x in closed form.
     """
 
     name: str = "monoid"
@@ -223,6 +228,11 @@ class KappaMonoid:
     def canon(self, e: Any) -> Any:
         """The representative of ``e``'s class; elements are canonical by default."""
         return e
+
+    def int_vector(self, x: Any) -> Optional[tuple[int, ...]]:
+        """x's coordinates in N^d if this monoid's arithmetic on x is that of
+        N^d (see the class docstring); by default no value has a view."""
+        return None
 
     def member(self, x: Any) -> bool:
         """Is ``x`` an element of this monoid?  Every value of the element
@@ -431,6 +441,10 @@ class CyclicExtensionMonoid(KappaMonoid):
                 return x  # its own representative, which fin(n) would only copy
             return fin(n)
         return x
+
+    def int_vector(self, x: ExtCard) -> Optional[tuple[int, ...]]:
+        # free N0 adds its finite values as integers; a cyclic class does not
+        return (x.n,) if self.cyc.is_free and x.is_finite else None
 
     def member(self, x: ExtCard) -> bool:
         return self.bound.admits(x)  # every finite value is a class representative

@@ -61,7 +61,7 @@ class CardVec(Frozen):
 
     @staticmethod
     def fins(*ns: int) -> "CardVec":
-        return CardVec(tuple(fin(n) for n in ns))
+        return _cardvec(tuple([fin(n) for n in ns]))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -85,8 +85,19 @@ class CardVec(Frozen):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
+_set_coords = CardVec.coords.__set__
+
+
+def _cardvec(coords: tuple[ExtCard, ...]) -> CardVec:
+    """``CardVec(coords)`` without the type call and the Python ``__init__``:
+    the constructor of the vectors that ``VecMonoid`` sums and subtracts."""
+    v = object.__new__(CardVec)
+    _set_coords(v, coords)
+    return v
+
+
 def vec_zero(n: int) -> CardVec:
-    return CardVec((ZERO,) * n)
+    return _cardvec((ZERO,) * n)
 
 
 class VecMonoid(KappaMonoid):
@@ -109,6 +120,13 @@ class VecMonoid(KappaMonoid):
         # the bound admits every coordinate iff it admits the largest
         return self.bound.admits(max(x.coords, default=ZERO))
 
+    def int_vector(self, x: CardVec) -> Optional[tuple[int, ...]]:
+        # coordinatewise cardinal arithmetic is integer arithmetic while
+        # every coordinate is finite
+        if all(c.is_finite for c in x.coords):
+            return tuple([c.n for c in x.coords])
+        return None
+
     def _check_dim(self, v: CardVec) -> None:
         if len(v) != self.n:
             raise DimensionError(f"expected length {self.n}, got {len(v)}")
@@ -122,7 +140,7 @@ class VecMonoid(KappaMonoid):
                 self._check_dim(v)
             if m is FIN1:  # an equal uninterned 1 takes the product path
                 return v
-            return CardVec(tuple([card_mul(m, c) for c in v.coords]))  # {v*m}
+            return _cardvec(tuple([card_mul(m, c) for c in v.coords]))  # {v*m}
         if not ents:
             return self.zero
         # card_sum of each column in one pass over the entries: an integer
@@ -151,7 +169,7 @@ class VecMonoid(KappaMonoid):
                         h = ml if cl is None or cl < ml else cl
                         if h > top[i]:
                             top[i] = h
-        return CardVec(tuple([fin(t) if h < 0 else aleph(h) for t, h in zip(total, top)]))
+        return _cardvec(tuple([fin(t) if h < 0 else aleph(h) for t, h in zip(total, top)]))
 
     def sub(self, a: CardVec, b: CardVec) -> Optional[CardVec]:
         out = []
@@ -160,7 +178,7 @@ class VecMonoid(KappaMonoid):
             if d is None:
                 return None
             out.append(d)
-        return CardVec(tuple(out))
+        return _cardvec(tuple(out))
 
     def finite_multiple_leq(self, u: CardVec, x: CardVec) -> TriBool:
         # exact: x <= n*u for some finite n iff coordinatewise x_i is zero

@@ -14,8 +14,12 @@ from kmon.braiding import (
     OmegaCertificate,
     braid_find,
     _Chunks,
+    _balance,
     _cycle_counts,
+    _cycle_ratio,
     _Periodic,
+    _prefix_balance,
+    _ratio,
     _stream,
     _units,
     canonical_family,
@@ -1022,4 +1026,174 @@ def test_rebuild_population_is_pinned():
     assert collections.Counter(row.split("|")[0] for row in rows) == {"yes": 113, "no": 83, "unknown": 4}
     # taken before canonical_family passed canonical families through
     want = "b3d17ffc85c2998a0be390d360348b0f6dab65101271571f99099ae0e07f9d50"
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == want
+
+
+def _scanned_ratio(m, x, y, cap):
+    """The uniform tier's a-outer, b-inner scan for a*x = b*y, as it runs on
+    values without an integer view."""
+    for a in range(1, cap + 1):
+        for b in range(1, cap + 1):
+            if m.eq(m.scalar(fin(a), x), m.scalar(fin(b), y)).is_yes:
+                return a, b
+    return None
+
+
+def _scanned_balance(m, hx, hy, s):
+    """The uniform tier's kx-outer, ky-inner scan for hx + kx*s = hy + ky*s,
+    with its left-hand side."""
+    for kx in range(SCALE_CAP + 1):
+        left = m.add(hx, m.scalar(fin(kx), s))
+        for ky in range(SCALE_CAP + 1):
+            if m.eq(left, m.add(hy, m.scalar(fin(ky), s))).is_yes:
+                return kx, ky, left
+    return None
+
+
+def _ratio_cases(rng):
+    """Pairs of integer vectors, mostly multiples of one base vector, some of
+    them with a coordinate nudged, plus the edge cases by hand."""
+    yield (0, 0), (0, 0)
+    yield (0, 2), (0, 0)
+    yield (0, 0), (3, 0)
+    yield (2, 0), (0, 2)
+    yield (13,), (1,)  # a = 1 fits the cap, b = 13 does not
+    yield (1,), (13,)
+    yield (12, 0), (1, 0)
+    yield (4, 6), (6, 9)
+    for _ in range(400):
+        base = [rng.randrange(0, 4) for _ in range(rng.randrange(1, 4))]
+        x = [rng.randrange(1, 16) * c for c in base]
+        y = [rng.randrange(1, 16) * c for c in base] if rng.random() < 0.3 else [c * rng.randrange(1, 16) for c in x]
+        if rng.random() < 0.2:
+            y[rng.randrange(len(y))] += 1
+        yield tuple(x), tuple(y)
+
+
+def _balance_cases(rng):
+    """Heads hx, hy and block sums s with hy - hx = d*s for d in -14..14,
+    some of them with a coordinate nudged, plus the edge cases by hand."""
+    yield (0, 0), (0, 0), (0, 0)
+    yield (1, 0), (0, 0), (0, 0)
+    yield (0, 5), (0, 5), (0, 1)
+    yield (0, 0), (2, 3), (1, 2)  # d = 2 in coordinate 0, not in coordinate 1
+    yield (0, 0), (1, 2), (2, 4)  # 1/2 is no integer
+    yield (0, 0), (12, 24), (1, 2)
+    yield (12, 24), (0, 0), (1, 2)
+    yield (0, 0), (13, 26), (1, 2)
+    yield (13, 26), (0, 0), (1, 2)
+    for _ in range(400):
+        n = rng.randrange(1, 4)
+        s = [rng.randrange(0, 4) for _ in range(n)]
+        d = rng.randrange(-14, 15)
+        h = [rng.randrange(0, 6) for _ in range(n)]
+        hx = [p + max(-d, 0) * c for p, c in zip(h, s)]
+        hy = [p + max(d, 0) * c for p, c in zip(h, s)]
+        if rng.random() < 0.2:
+            hy[rng.randrange(n)] += rng.randrange(1, 3)
+        yield tuple(hx), tuple(hy), tuple(s)
+
+
+def _as_values(*views):
+    """The vectors as N0 values (length 1) or vec(n) values, and the monoid."""
+    if len(views[0]) == 1:
+        return N0, [fin(v[0]) for v in views]
+    return VecMonoid(len(views[0]), at_most(W)), [CardVec.fins(*v) for v in views]
+
+
+def test_closed_forms_match_the_scans():
+    # the closed forms of the uniform tier give the first hit of the scans
+    # they replace on integer vectors, and the same left-hand side
+    rng = random.Random(3131)
+    hits = collections.Counter()
+    for x, y in _ratio_cases(rng):
+        m, (vx, vy) = _as_values(x, y)
+        want = _scanned_ratio(m, vx, vy, SCALE_CAP)
+        assert _ratio(x, y, SCALE_CAP) == want == _cycle_ratio(m, vx, vy, SCALE_CAP), (x, y)
+        hits[want is not None] += 1
+    for hx, hy, s in _balance_cases(rng):
+        m, vals = _as_values(hx, hy, s)
+        want = _scanned_balance(m, *vals)
+        assert _prefix_balance(m, *vals) == want, (hx, hy, s)
+        assert _balance(hx, hy, s, SCALE_CAP) == (want[:2] if want else None)
+        hits[want is not None] += 1
+    assert hits[True] >= 300 and hits[False] >= 150
+
+
+def test_int_vector_only_where_the_arithmetic_is_integer():
+    from kmon.presentations import Form, TwoGenMonoid, TwoGenPresentation
+
+    assert N0.int_vector(fin(7)) == (7,)
+    assert N0.int_vector(W) is None
+    assert F2.int_vector(CardVec.fins(0, 3)) == (0, 3)
+    assert F2.int_vector(CardVec((fin(1), W))) is None
+    dio = DioMonoid(ConstraintSystem.make(2, congruences=[((1, 1), 2)]), at_most(W))
+    assert dio.int_vector(CardVec.fins(2, 0)) == (2, 0)
+    assert CyclicExtensionMonoid(CyclicMonoid(1, 2)).int_vector(fin(1)) is None
+    assert RationalLineMonoid().int_vector(QPoint.plain(Fraction(1, 2))) is None
+    trivial = TrivialExtensionMonoid(plain_n0())
+    assert trivial.int_vector(fin(2)) is None and trivial.int_vector(INF) is None
+    twogen = TwoGenMonoid(TwoGenPresentation.of([]), budget=100)
+    assert twogen.int_vector(Form.of(1, 2)) is None
+
+
+def _uniform_population(seed):
+    """About 300 (monoid, x, y) pairs at lambda = aleph0 whose families each
+    have a finite head and one to three aleph0 cycle values, so that every
+    pair with equal sums reaches the uniform tier: integer-vector monoids
+    for its closed forms, cmn(1,2) and trivial(N0) for its scans.  Half the
+    pairs share the cycle and differ by t copies of the cycle sum in one
+    head, t in 1..14, which puts the prefix balance at kx - ky = +-t."""
+    make = ConstraintSystem.make
+    setups = [
+        (F2, [CardVec.fins(a, b) for a in range(4) for b in range(4) if a or b]),
+        (VecMonoid(3, at_most(W)), [CardVec.fins(*c) for c in itertools.product(range(3), repeat=3) if any(c)]),
+        (DioMonoid(make(2, equations=[((1, 0), (0, 1))]), at_most(W)), [CardVec.fins(k, k) for k in range(1, 6)]),
+        (
+            DioMonoid(make(2, congruences=[((1, 1), 2)]), at_most(W)),
+            [CardVec.fins(a, b) for a in range(4) for b in range(4) if (a + b) % 2 == 0 and a + b],
+        ),
+        (N0, [fin(k) for k in range(1, 9)]),
+        (CyclicExtensionMonoid(CyclicMonoid(1, 2)), [fin(k) for k in range(1, 5)]),
+        (TrivialExtensionMonoid(plain_n0()), [ExtCard(k) for k in range(1, 6)]),
+    ]
+    rng = random.Random(seed)
+
+    def family(m, values, cycle):
+        while True:  # leave the head at least one class
+            classes = {m.canon(e) for e in cycle}
+            pool = [e for e in values if m.canon(e) not in classes]
+            if pool:
+                break
+            cycle = cycle[:-1]
+        head = [(rng.choice(pool), fin(rng.randrange(1, 4))) for _ in range(rng.randrange(1, 4))]
+        return Family.of(head + [(e, W) for e in cycle])
+
+    for i in range(308):
+        m, values = setups[i % len(setups)]
+        x = family(m, values, rng.sample(values, rng.randrange(1, 4)))
+        if rng.random() < 0.5:
+            y = family(m, values, rng.sample(values, rng.randrange(1, 4)))
+        else:
+            total = m.ksum(Family.of([(e, fin(1)) for e, mult in x if mult == W]))
+            extra = Family.of([(m.scalar(fin(rng.randrange(1, 15)), total), fin(1))])
+            if rng.random() < 0.5:
+                y = x.add(extra)
+            else:
+                x, y = x.add(extra), x
+        yield m, x, y
+
+
+def test_uniform_population_is_pinned():
+    # kind, note and rendered certificate of braid_find plus the kind of
+    # verify, on pairs that the uniform tier decides or passes on
+    rows = []
+    for m, x, y in _uniform_population(3030):
+        r = braid_find(m, x, y, budget=300)
+        cert = render_certificate(r.witness) if r.is_yes else ""
+        checked = verify(m, x, y, r.witness).kind if r.is_yes else ""
+        rows.append(f"{r.kind}|{r.note}|{cert}|{checked}")
+    assert collections.Counter(row.split("|")[0] for row in rows) == {"yes": 247, "no": 23, "unknown": 38}
+    # taken before the uniform tier solved integer vectors in closed form
+    want = "4915b5b87c260255e2e74a95169e7694910ab2d53b322cf0e51b79f096df4e4e"
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == want
