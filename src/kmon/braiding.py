@@ -7,8 +7,8 @@ of blocks followed by a periodic cycle; each block consumes a chunk of both
 families, of fewer than lambda elements, and threads carry elements ``u``
 (shared by the two block equations) and ``v`` (passed to the next block).
 At lambda = aleph0 a search answer is one layer of weight 1, or one layer per
-multiplicity level above aleph0.  Above aleph0 the relation collapses to
-block-sum equality: each block is a layer whose chain is one prefix block.
+part of the level split.  Above aleph0 the relation collapses to block-sum
+equality: each block is a layer whose chain is one prefix block.
 """
 
 from __future__ import annotations
@@ -725,6 +725,61 @@ def _finite_index(fam: Family) -> bool:
     return all(mult.is_finite for _, mult in fam.entries)
 
 
+def _countable_chain(
+    m: KappaMonoid, xf: Family, yf: Family, budget: int
+) -> Optional[OmegaCertificate]:
+    """The aleph0 tiers on a countable pair whose two index sets are both
+    finite or both infinite: the first chain that ``verify`` accepts for
+    (xf, yf).  A finite pair is one block whose u is xf's sum;
+    otherwise the uniform tier, the greedy walk and the DFS are tried in that
+    order."""
+    if _finite_index(xf):
+        chains: Any = [OmegaCertificate((BraidBlock(xf, yf, m.ksum(xf), m.zero),))]
+    else:
+        chunks = _Chunks(m, xf, yf)
+        walks = ((min(budget, GREEDY_BUDGET), chunks.greedy), (budget, chunks.dfs))
+        chains = itertools.chain(
+            [_uniform_omega(m, *chunks.streams)],
+            (_walk(chunks, steps, children) for steps, children in walks),
+        )
+    for chain in chains:
+        if chain is not None and verify(m, xf, yf, LayeredCertificate.of(chain)).is_yes:
+            return chain
+    return None
+
+
+def _level_split(xf: Family, yf: Family, lam: ExtCard) -> list[tuple[ExtCard, Family, Family]]:
+    """The one level split of a pair, as (weight, x part, y part), shaped like
+    ``diophantine.decompose``'s beta + sum of lvl * gamma_lvl.  Let big be
+    aleph1 at lam = aleph0 and lam above it, and cap the cardinal just below
+    big.  For each multiplicity level lvl >= big, ascending, a part of weight
+    lvl holds, on each side, every entry of multiplicity at least lvl, aleph0
+    copies each; then, when some entry lies below big, a weight-1 part holds
+    both families with every multiplicity capped at cap.
+
+    Tally: an entry of multiplicity mu is used lvl * aleph0 = lvl times by
+    each level lvl <= mu, and min(mu, cap) times by the weight-1 part when
+    there is one; these add up to mu, since the largest term absorbs the
+    others, and an entry below big is held by the weight-1 part alone, mu
+    times.  In vec(d), N0 and the dio monoids, on entries whose coordinates
+    lie below big, every part has equal sums whenever the whole pair has:
+    per coordinate the capped sum is min(sum, cap), and the at-least-lvl
+    part records whether that coordinate reaches lvl.  So a part there can
+    fail only when an aleph0 search runs out of budget."""
+    big = aleph(1) if lam == ALEPH0 else lam
+    cap = aleph(big.aleph_level - 1)
+    both = (xf, yf)
+    levels = sorted({mult for f in both for _, mult in f if big <= mult})
+    parts = [
+        (lvl, *(Family.of([(e, ALEPH0) for e, mult in f if lvl <= mult]) for f in both))
+        for lvl in levels
+    ]
+    if any(mult < big for f in both for _, mult in f):
+        capped = (Family.of([(e, min(mult, cap)) for e, mult in f]) for f in both)
+        parts.append((FIN1, *capped))
+    return parts
+
+
 def braid_find(
     m: KappaMonoid,
     xfam: Family,
@@ -735,7 +790,14 @@ def braid_find(
     """Search for a certificate.  No is returned only with a checkable
     obstruction (decided sum mismatch, or a finite form against an infinite
     one); otherwise the search is honest about exhaustion.  ``lam`` must be
-    infinite."""
+    infinite.
+
+    A countable pair at lam = aleph0 is one chain of the aleph0 tiers.  Any
+    other pair takes the level split: at lam = aleph0 each part is such a
+    chain, repeated as often as its weight, and above aleph0 each part is one
+    block (``collapsed_layer``).  The whole sums are equal here, and another
+    split may succeed where this one fails, so a failing part or a rejected
+    assembly gives Unknown, never No."""
     if lam.is_finite:
         raise PreconditionError(f"lambda must be infinite, got {lam}")
     xf = canonical_family(m, xfam)
@@ -743,95 +805,31 @@ def braid_find(
     finite = _finite_index(xf)
     if lam == ALEPH0 and finite != _finite_index(yf):
         return no(note="finite vs infinite form")
-    xsum = m.ksum(xf)
-    e = m.eq(xsum, m.ksum(yf))
+    e = m.eq(m.ksum(xf), m.ksum(yf))
     if e.is_no:
         return no(note="sums differ")
-    if lam != ALEPH0:
-        return _collapsed_find(m, xf, yf, lam, budget)
-
-    if finite:
-        if not e.is_yes:
-            return unknown(note="sum equality undecided")
-        # collapsed_layer(m, xf, yf), with the sum already taken
-        cert = LayeredCertificate.of(OmegaCertificate((BraidBlock(xf, yf, xsum, m.zero),)))
-        r = verify(m, xf, yf, cert, lam)
-        return yes(witness=cert) if r.is_yes else unknown(note="trivial block rejected")
-    if any(mult.is_infinite and mult != ALEPH0 for _, mult in itertools.chain(xf, yf)):
-        return _layered_find(m, xf, yf, budget)
-    # both streams have a cycle: only aleph0 among infinite multiplicities
-    chunks = _Chunks(m, xf, yf)
-    walks = ((min(budget, GREEDY_BUDGET), chunks.greedy), (budget, chunks.dfs))
-    chains = itertools.chain(
-        [_uniform_omega(m, *chunks.streams)],
-        (_walk(chunks, steps, children) for steps, children in walks),
-    )
-    for chain in chains:
-        if chain is not None:
-            cert = LayeredCertificate.of(chain)
-            if verify(m, xf, yf, cert, lam).is_yes:
-                return yes(witness=cert)
-    return unknown(note=f"no certificate within budget {budget}")
-
-
-def _split(xf: Family, yf: Family, big: ExtCard):
-    """The canonical level split: for each multiplicity of at least ``big``,
-    in ascending order, the level and one copy of each element that each
-    family holds at that level; then each family's entries below ``big``."""
-    levels = sorted({mult for _, mult in itertools.chain(xf, yf) if not mult < big})
-    parts = [
-        (lvl, *(Family.of((e, FIN1) for e, mult in f if mult == lvl) for f in (xf, yf)))
-        for lvl in levels
-    ]
-    return parts, [Family.of((e, mult) for e, mult in f if mult < big) for f in (xf, yf)]
-
-
-def _layered_find(m: KappaMonoid, xf: Family, yf: Family, budget: int) -> TriBool:
-    """Canonical level split: one weighted layer per multiplicity level above
-    aleph0, plus a weight-one base layer for the rest.  The whole sums are
-    equal here, and another split may succeed where this one fails, so a
-    failing part gives Unknown, never No."""
-    parts, (base_x, base_y) = _split(xf, yf, aleph(1))
+    if finite and not e.is_yes:
+        return unknown(note="sum equality undecided")
+    if lam == ALEPH0 and all(mult <= ALEPH0 for _, mult in itertools.chain(xf, yf)):
+        chain = _countable_chain(m, xf, yf, budget)
+        if chain is None:
+            return unknown(note=f"no certificate within budget {budget}")
+        return yes(witness=LayeredCertificate.of(chain))
     layers: list[tuple[ExtCard, OmegaCertificate]] = []
-    for lvl, ib, jb in parts:
-        sub = braid_find(m, ib.scale(ALEPH0), jb.scale(ALEPH0), ALEPH0, budget)
-        if not sub.is_yes:
-            return unknown(note=f"level {lvl} layer failed: {sub.note}")
-        layers += [(card_mul(lvl, w), chain) for w, chain in sub.witness.layers]
-    if len(base_x) or len(base_y):
-        sub = braid_find(m, base_x, base_y, ALEPH0, budget)
-        if not sub.is_yes:
-            return unknown(note=f"base layer: {sub.note}")
-        layers += sub.witness.layers
-    cert = LayeredCertificate(tuple(layers))
-    r = verify(m, xf, yf, cert, ALEPH0)
-    if r.is_yes:
-        return yes(witness=cert)
-    return unknown(note=f"layered assembly rejected: {r.note}")
-
-
-def _collapsed_find(
-    m: KappaMonoid, xf: Family, yf: Family, lam: ExtCard, budget: int
-) -> TriBool:
-    """Canonical level split: one one-block layer per multiplicity level of
-    at least lam, plus a weight-one layer for the rest; as in the layered
-    split, a failing part gives Unknown, never No."""
-    parts, (rx, ry) = _split(xf, yf, lam)
-    layers: list[tuple[ExtCard, OmegaCertificate]] = []
-    for lvl, ib, jb in parts:
-        r = m.eq(m.ksum(ib), m.ksum(jb))
-        if not r.is_yes:
-            return unknown(note=f"level {lvl} blocks do not balance")
-        layers.append(collapsed_layer(m, ib, jb, lvl))
-    if len(rx) or len(ry):
-        r = m.eq(m.ksum(rx), m.ksum(ry))
-        if r.is_no:  # the whole sums are equal: another split may balance
-            return unknown(note="small-multiplicity remainders have different sums")
-        if r.is_unknown:
-            return unknown(note="remainder sum equality undecided")
-        layers.append(collapsed_layer(m, rx, ry))
+    for weight, xp, yp in _level_split(xf, yf, lam):
+        if lam != ALEPH0:
+            layers.append(collapsed_layer(m, xp, yp, weight))
+            continue
+        part = f"level {weight}" if weight.is_infinite else "weight-1"
+        if _finite_index(xp) != _finite_index(yp):
+            # a monoid that collapses infinite sums may balance such a pair
+            return unknown(note=f"{part} part: finite vs infinite form")
+        chain = _countable_chain(m, xp, yp, budget)
+        if chain is None:
+            return unknown(note=f"{part} part: no certificate within budget {budget}")
+        layers.append((weight, chain))
     cert = LayeredCertificate(tuple(layers))
     r = verify(m, xf, yf, cert, lam)
     if r.is_yes:
         return yes(witness=cert)
-    return unknown(note=f"canonical level split rejected: {r.note}")
+    return unknown(note=f"level split rejected: {r.note}")

@@ -33,6 +33,8 @@ from kmon.gallery import DedekindVMonoid, RationalLineMonoid, TrivialExtensionMo
 from kmon.laws import check_axioms
 from kmon.presentations import Form, TwoGenPresentation, realizable_two_gen
 
+from populations import braid_mix
+
 W = ALEPH0
 N0 = CyclicExtensionMonoid(CyclicMonoid())
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -166,38 +168,10 @@ def test_acceptance_4_decompose_recombine():
 # -- 5: braiding soundness --------------------------------------------------------
 
 
-def _random_family(rng, elems, levels):
-    mults = [fin(1), fin(2), fin(3)] + levels
-    k = rng.randrange(0, 4)
-    return Family.of((rng.choice(elems), rng.choice(mults)) for _ in range(k))
-
-
-def _braid_mix(seed):
-    """Acceptance 5's 520 (monoid, x, y) instances, drawn from ``seed``."""
-    rng = random.Random(seed)
-    vec2 = VecMonoid(2, at_most(W))
-    dio_a = DioMonoid(ConstraintSystem.make(2, equations=[((1, 0), (0, 1))]), at_most(W))
-    dio_b = DioMonoid(ConstraintSystem.make(2, congruences=[((1, 1), 2)]), at_most(W))
-    setups = [
-        (N0, [fin(k) for k in range(1, 5)]),
-        (vec2, [CardVec.fins(1, 0), CardVec.fins(0, 1), CardVec.fins(1, 1), CardVec.fins(2, 1)]),
-        (dio_a, [CardVec.fins(1, 1), CardVec.fins(2, 2)]),
-        (dio_b, [CardVec.fins(1, 1), CardVec.fins(2, 0), CardVec.fins(0, 2)]),
-    ]
-    for instance in range(520):
-        m, elems = setups[instance % len(setups)]
-        x = _random_family(rng, elems, [W])
-        if rng.random() < 0.5:
-            y = _random_family(rng, elems, [W])
-        else:
-            y = x.scale(rng.choice([fin(1), fin(2), W]))  # usually braidable
-        yield m, x, y
-
-
 def test_acceptance_5_braiding_soundness():
     instances = yes_count = 0
     answers = hashlib.sha256()
-    for m, x, y in _braid_mix(50505):
+    for m, x, y in braid_mix(50505):
         r = braid_find(m, x, y, budget=2500)
         cert = render_certificate(r.witness) if r.is_yes else ""
         answers.update(f"{r.kind}|{r.note}|{cert}\n".encode())
@@ -227,7 +201,7 @@ def test_braid_find_held_out_population_is_pinned(budget, want):
     # braid-mix population, at a budget that cuts the DFS short and at
     # acceptance 5's; pinned before the DFS read its chunks by row
     answers = hashlib.sha256()
-    for m, x, y in _braid_mix(60606):
+    for m, x, y in braid_mix(60606):
         r = braid_find(m, x, y, budget=budget)
         cert = render_certificate(r.witness) if r.is_yes else ""
         answers.update(f"{r.kind}|{r.note}|{cert}\n".encode())

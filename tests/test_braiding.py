@@ -36,6 +36,8 @@ from kmon.dsl import parse_certificate, render_certificate
 from kmon.free_vectors import CardVec, VecMonoid
 from kmon.gallery import INF, DedekindVMonoid, QPoint, RationalLineMonoid, TrivialExtensionMonoid, plain_n0
 
+from populations import SPLIT_MONOID, level_split_pairs
+
 W = ALEPH0
 N0 = CyclicExtensionMonoid(CyclicMonoid())
 F2 = VecMonoid(2, at_most(W))
@@ -495,7 +497,7 @@ def test_compose_pairs_layers_of_equal_weight():
         assert verify(m, x, z, comp.witness).is_yes
         triples += 1
         layered += len(comp.witness.layers) > 1
-    assert (triples, layered) == (275, 56)
+    assert (triples, layered) == (311, 92)
 
 
 def test_layered_certificates():
@@ -780,18 +782,30 @@ def test_braid_find_soundness_property(x, y):
         assert cx.is_finite != cy.is_finite or F2.ksum(x) != F2.ksum(y)
 
 
-def test_failed_canonical_split_above_aleph0_is_unknown_not_no():
-    # the whole sums agree, and a certificate exists for another split, so a
-    # failing part of the canonical split is no obstruction
+def _replays(m, x, y, cert, lam):
+    """A Yes certificate verifies, survives its text, and flips to (y, x)."""
+    assert verify(m, x, y, cert, lam).is_yes
+    assert parse_certificate(render_certificate(cert, lam), m) == cert
+    assert verify(m, y, x, flip(m, cert), lam).is_yes
+
+
+def test_level_split_absorbs_the_remainder():
+    # the entries below aleph1 do not balance on their own; the split's
+    # weight-1 part holds every entry, capped at aleph0, and that part does
     m = VecMonoid(2, at_most(aleph(1)))
     v = CardVec.fins
     x = Family.of([(v(1, 1), aleph(1)), (v(1, 0), fin(1))])
     y = Family.of([(v(1, 1), aleph(1))])
-    r = braid_find(m, x, y)
-    assert r.is_unknown and r.note == "base layer: sums differ"
-    r = braid_find(m, x, y, aleph(1))
-    assert r.is_unknown and r.note == "small-multiplicity remainders have different sums"
+    for lam in (W, aleph(1)):
+        r = braid_find(m, x, y, lam)
+        assert r.is_yes
+        _replays(m, x, y, r.witness, lam)
+    assert render_certificate(r.witness, aleph(1)) == "\n".join([
+        "C i={(1, 1)*aleph0} j={(1, 1)*aleph0} w=aleph1",
+        "C i={(1, 0)*1, (1, 1)*aleph0} j={(1, 1)*aleph0} w=1",
+    ])
 
+    # certificates built by hand for the same pair verify as well
     def one(*pairs):
         return Family.of([(e, fin(k) if isinstance(k, int) else k) for e, k in pairs])
 
@@ -809,6 +823,22 @@ def test_failed_canonical_split_above_aleph0_is_unknown_not_no():
     assert verify(m, x, y, split, aleph(1)).is_yes
 
 
+def test_level_split_parts_are_cumulative():
+    # each level part holds every entry at or above its level, so the
+    # aleph1 part pairs (1,0) + (1,1) against (1,0) + (0,1), and no part has
+    # to balance one exact level on its own
+    m = VecMonoid(2, at_most(aleph(2)))
+    v = CardVec.fins
+    x = Family.of([(v(1, 0), aleph(2)), (v(1, 1), aleph(1))])
+    y = Family.of([(v(1, 0), aleph(2)), (v(0, 1), aleph(1))])
+    weights = {W: [aleph(1), aleph(2)], aleph(1): [aleph(1), aleph(2)], aleph(2): [aleph(2), fin(1)]}
+    for lam, want in weights.items():
+        r = braid_find(m, x, y, lam)
+        assert r.is_yes
+        assert [w for w, _ in r.witness.layers] == want
+        _replays(m, x, y, r.witness, lam)
+
+
 def _answers(rows):
     """sha256 of (kind, note, rendered certificate) per (lambda, answer)."""
     text = "\n\n".join(
@@ -818,42 +848,44 @@ def _answers(rows):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _split_answers(seed):
+    """The level-split population's answers at budget 300, by lambda; every
+    Yes replays."""
+    rows = {W: [], aleph(1): [], aleph(2): []}
+    for x, y in level_split_pairs(seed):
+        for lam, got in rows.items():
+            r = braid_find(SPLIT_MONOID, x, y, lam, budget=300)
+            if r.is_yes:
+                _replays(SPLIT_MONOID, x, y, r.witness, lam)
+            got.append(r)
+    return rows
+
+
+def _kinds(rows):
+    return {lam: dict(collections.Counter(r.kind for r in got)) for lam, got in rows.items()}
+
+
 def test_level_split_population_is_pinned():
     # 200 seeded vec(2) pairs whose x has an aleph1 entry, at three lambdas.
-    # Most equal-sum pairs end Unknown in a part of the canonical level split
-    # (see the test above); kinds and answers are pinned so that a better
-    # split shows exactly which answers move
-    m = VecMonoid(2, at_most(aleph(2)))
-    elems = [CardVec.fins(1, 0), CardVec.fins(0, 1), CardVec.fins(1, 1), CardVec.fins(2, 1)]
-    mults = [fin(1), fin(2), fin(3), W, aleph(1)]
-    rng = random.Random(4141)
-    rows = {W: [], aleph(1): [], aleph(2): []}
-    for _ in range(200):
-        extra = [(rng.choice(elems), rng.choice(mults)) for _ in range(rng.randrange(0, 3))]
-        x = Family.of([(rng.choice(elems), aleph(1))] + extra)
-        if rng.random() < 0.5:
-            y = Family.of([(rng.choice(elems), rng.choice(mults)) for _ in range(rng.randrange(1, 4))])
-        else:
-            y = x.scale(rng.choice([fin(1), fin(2), W, aleph(1)]))
-        for lam, got in rows.items():
-            r = braid_find(m, x, y, lam, budget=300)
-            if r.is_yes:
-                c = r.witness
-                assert verify(m, x, y, c, lam).is_yes
-                # every certificate kind survives its text and a flip
-                assert parse_certificate(render_certificate(c, lam), m) == c
-                assert verify(m, y, x, flip(m, c), lam).is_yes
-            got.append(r)
-    kinds = {lam: dict(collections.Counter(r.kind for r in got)) for lam, got in rows.items()}
-    assert kinds == {
-        W: {"yes": 77, "no": 93, "unknown": 30},
-        aleph(1): {"yes": 77, "no": 93, "unknown": 30},
+    # Every equal-sum pair is Yes above aleph0; at aleph0 the Unknowns are
+    # parts that no aleph0 tier certifies within the budget
+    rows = _split_answers(4141)
+    assert _kinds(rows) == {
+        W: {"yes": 84, "no": 93, "unknown": 23},
+        aleph(1): {"yes": 107, "no": 93},
         aleph(2): {"yes": 107, "no": 93},
     }
-    # taken before streams, chains and composites shared one periodic view
-    # and the two level searches one split
-    want = "a67651f579641893be3d82a066fc81b6fba98669aceb33eae71ece4e684ea8c7"
+    # taken when the per-level split gave way to the cumulative one
+    want = "bd227f1cfe3b299897a6d6078a4fb32c14ab73ed253f110cbcd1655c81d38808"
     assert _answers((lam, r) for lam, got in rows.items() for r in got) == want
+
+
+def test_held_out_level_split_population():
+    assert _kinds(_split_answers(4242)) == {
+        W: {"yes": 83, "no": 101, "unknown": 16},
+        aleph(1): {"yes": 99, "no": 101},
+        aleph(2): {"yes": 99, "no": 101},
+    }
 
 
 def test_periodic_view_matches_its_expansion():

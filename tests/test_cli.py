@@ -127,10 +127,11 @@ def test_exit_unknown():
     assert code == 2
 
 
-# the canonical level split fails on its base layer before any budget is spent
+# the level split's one part, (2,1) against (1,2) aleph0 times, has no
+# periodic certificate, so the search spends its budget and stops
 SPLIT_UNKNOWN = [
-    "braid-find", "--monoid", "vec(2)", "--x", "fam {(1,1)*aleph1, (1,0)*1}",
-    "--y", "fam {(1,1)*aleph1}", "--kappa", "aleph1", "--budget", "1",
+    "braid-find", "--monoid", "vec(2)", "--x", "fam {(2,1)*aleph1}",
+    "--y", "fam {(1,2)*aleph1}", "--kappa", "aleph1", "--budget", "1",
 ]
 
 
@@ -138,15 +139,15 @@ def test_braid_find_unknown_names_its_reason():
     code, out = invoke(SPLIT_UNKNOWN)
     assert code == 2
     assert out == (
-        "reason: base layer: sums differ\n"
-        "verdict: UNKNOWN (base layer: sums differ)\n"
+        "reason: level aleph1 part: no certificate within budget 1\n"
+        "verdict: UNKNOWN (level aleph1 part: no certificate within budget 1)\n"
     )
 
 
 @pytest.mark.parametrize(
     "argv,kind,reason",
     [
-        (SPLIT_UNKNOWN, "unknown", "base layer: sums differ"),
+        (SPLIT_UNKNOWN, "unknown", "level aleph1 part: no certificate within budget 1"),
         (["braid-find", "--monoid", "N0", "--x", "fam {1*aleph0}", "--y", "fam {3*1}"],
          "no", "finite vs infinite form"),
     ],

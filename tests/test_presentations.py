@@ -163,9 +163,8 @@ def test_corollary_checks_asks_each_in_add_once(monkeypatch):
 
 def test_realizable_undecided_cyclicity_is_unknown_with_exact_conditions(monkeypatch):
     # X2 = 10*X1 here (X2 -> 2*X1 + 2*X2 -> 4*X1 + 3*X2 -> 8*X1 + 5*X2 ->
-    # 10*X1), past the beta range that rewrite chains are looked for in, and
-    # the elimination normal forms find it: a cyclic, class-preserving
-    # presentation, so Yes by the one-generator criterion
+    # 10*X1), and the elimination normal forms find it: a cyclic,
+    # class-preserving presentation, so Yes by the one-generator criterion
     p = parse_presentation(
         "twogen { rel: 2*X1 + 2*X2 = 0*X1 + 1*X2; rel: 3*X1 + 0*X2 = 1*X1 + 5*X2; }"
     )
