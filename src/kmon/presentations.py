@@ -18,8 +18,14 @@ there (or, with nothing pruned, when the budget runs out): forms encoded over
 Equal ones leave saturation to find the Yes chain.  A completion runs at
 most once per term order and public call and stops after ``budget`` critical
 pairs, apart from the expansion count; one stopped there changes no answer.
-Completed under an elimination order, the same rules decide exactly whether
-one generator is a multiple of the other.
+
+A normal form is the least form of its class, so a term order that compares
+some exponents first answers "is there a form in this class without them?"
+exactly.  The reports ask three such questions: whether one generator is a
+multiple of the other, the cyclic criterion (is aleph0*x = n*x for some
+finite n?) and the premise of condition (i) (is n*x_i + aleph0*x_j =
+aleph0*x_i + aleph0*x_j for some n?).  Condition (ii), condition (iii),
+``in_add`` and the corollary cases still scan a finite range.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from .cardinals import ALEPH0, ExtCard, Frozen, ZERO, at_most, card_mul, card_sub_least, card_sum, fin
@@ -365,35 +370,39 @@ class _Saturation:
             yield self._homs[i]
             i += 1
 
-    def completion(self, j: int, budget: int) -> tuple:
-        """The presentation's convergent rules under the degree-lexicographic
-        order (j = 0) or the elimination order of X_j, completed on first use
-        with ``budget`` as the cap on critical pairs; empty when that
-        completion hit its cap."""
-        rules = self._completions.get(j)
+    def completion(self, first: tuple, budget: int) -> tuple:
+        """The presentation's convergent rules under the term order that
+        compares the exponents at the positions ``first`` of (x1, x2, w1,
+        w2) lexicographically, then the degree-lexicographic order, completed
+        on first use with ``budget`` as the cap on critical pairs; empty when
+        that completion hit its cap.  ``()`` is the degree-lexicographic
+        order."""
+        rules = self._completions.get(first)
         if rules is None:
-            # X_j's elimination order is lexicographic on (x_i, w_i, w_j, x_j)
-            key = deglex if j == 0 else itemgetter(2 - j, 4 - j, j + 1, j - 1)
-            rules = self._completions[j] = tuple(complete(self.p.equations, budget, key) or ())
+            key = (lambda v: ([v[k] for k in first], sum(v), v)) if first else deglex
+            rules = self._completions[first] = tuple(complete(self.p.equations, budget, key) or ())
         return rules
 
     def normal_forms_differ(self, f: Form, g: Form, budget: int) -> bool:
         """Do f and g reduce to different degree-lexicographic normal forms?
         False when the completion hit its cap."""
-        rules = self.completion(0, budget)
+        rules = self.completion((), budget)
         return bool(rules) and normal_form(rules, f.exponents) != normal_form(rules, g.exponents)
 
-    def multiple_of(self, i: int, j: int, budget: int) -> TriBool:
-        """Is X_i = beta*X_j for some beta?  Yes names the least such beta.
+    def multiple_of(self, f: Form, j: int, budget: int) -> TriBool:
+        """Is f = beta*X_j for some beta?  Yes names the least such beta,
+        every finite one below aleph0.
 
-        Under X_j's elimination order a normal form is the least form of its
-        class, and every form over x_j and w_j alone is below all others, so
-        X_i's normal form is over x_j and w_j alone exactly when some
-        multiple of X_j lies in its class: n copies of x_j, or w_j."""
-        rules = self.completion(j, budget)
+        X_j's elimination order compares (x_i, w_i, w_j) first.  A normal
+        form is the least form of its class, and every form over x_j and w_j
+        alone is below all others, so f's normal form is over x_j and w_j
+        alone exactly when some multiple of X_j lies in its class: n copies
+        of x_j (the least n), or else w_j."""
+        i = 3 - j
+        rules = self.completion((i - 1, i + 1, j + 1), budget)
         if not rules:
             return unknown(note=f"completion cap {budget} reached")
-        nf = normal_form(rules, gen(i).exponents)
+        nf = normal_form(rules, f.exponents)
         if nf[i - 1] or nf[i + 1]:
             return no()
         return yes(witness=ALEPH0 if nf[j + 1] else fin(nf[j - 1]))
@@ -596,14 +605,13 @@ class RealizabilityReport:
         return None
 
 
-def _cyclic_witness(s: _Saturation, budget: int) -> tuple:
+def _cyclic_witness(s: _Saturation, cap: int) -> tuple:
     """("cyclic", i, j, beta) when X_i = beta*X_j, else ("undecided", i, j)
     for the first pair whose completion hit its cap, else ("non-cyclic",).
     The elimination normal form of X_i names the least beta, or shows that
     there is none."""
-    per = max(200, budget // 24)
     for i, j in ((1, 2), (2, 1)):
-        r = s.multiple_of(i, j, per)
+        r = s.multiple_of(gen(i), j, cap)
         if r.is_yes:
             return ("cyclic", i, j, r.witness)
         if r.is_unknown:
@@ -645,7 +653,8 @@ def _three_conditions(
     """realizable_two_gen with the ``_adds`` answers taken from ``get_adds()``,
     which is called only once the presentation is not known to be cyclic."""
     rep = RealizabilityReport(verdict=unknown())
-    kind, *pair = _cyclic_witness(s, budget)
+    cap = max(200, budget // 24)  # critical pairs per completion
+    kind, *pair = _cyclic_witness(s, cap)
     if kind == "cyclic":
         ci, cj, cbeta = pair
         rep.notes.append(
@@ -655,34 +664,20 @@ def _three_conditions(
         rep.conditions.append(
             ConditionStatus("non-cyclic", "violated", True, (ci, cj, cbeta))
         )
-        # cyclic criterion: realizable iff aleph0*x != n*x for every finite n
-        x = gen(cj)
-        per = max(200, budget // (NCAP + 2))
+        # cyclic criterion: realizable iff aleph0*x != n*x for every finite
+        # n.  Past the structural test, the least multiple of x in the class
+        # of aleph0*x, read under the elimination order that named cbeta, is
+        # the least such n if it is finite
         if s.p.class_preserving:
-            rep.verdict = yes(note="cyclic with aleph0*x distinct from all n*x")
-            rep.conditions.append(
-                ConditionStatus(
-                    "cyclic-criterion",
-                    "holds",
-                    True,
-                    detail="rewrites preserve finiteness, so aleph0*x != n*x",
-                )
-            )
-            return rep
-        n = next(
-            (
-                n
-                for n in range(NCAP + 1)
-                if forms_equal(s, x.scale(ALEPH0), x.scale(fin(n)), per).is_yes
-            ),
-            None,
-        )
-        if n is not None:
-            rep.verdict = no(witness=n, note=f"aleph0*x = {n}*x")
-            rep.conditions.append(ConditionStatus("cyclic-criterion", "violated", True, n))
+            least, detail = ALEPH0, "rewrites preserve finiteness, so aleph0*x != n*x"
         else:
-            rep.verdict = unknown(note="cyclic; criterion checked only on a range")
-            rep.conditions.append(ConditionStatus("cyclic-criterion", "holds", False))
+            least, detail = s.multiple_of(gen(cj).scale(ALEPH0), cj, cap).witness, ""
+        if least.is_finite:
+            rep.verdict = no(witness=least.n, note=f"aleph0*x = {least.n}*x")
+            rep.conditions.append(ConditionStatus("cyclic-criterion", "violated", True, least.n))
+        else:
+            rep.verdict = yes(note="cyclic with aleph0*x distinct from all n*x")
+            rep.conditions.append(ConditionStatus("cyclic-criterion", "holds", True, detail=detail))
         return rep
     if kind == "undecided":
         rep.notes.append(
@@ -737,45 +732,39 @@ def _three_conditions(
         both_inf = gen(i).scale(ALEPH0) + inf_j
         at = lambda n: gen(i).scale(fin(n)) + inf_j  # n*x_i + w*x_j
 
-        # (i): n x_i + w x_j = w x_i + w x_j forces absorption and membership
+        # (i): n*x_i + w*x_j = w*x_i + w*x_j for some n forces absorption
+        # and membership.  The premise is upward closed in n (x_i + w_i =
+        # w_i), and a form F without w_i in the class of w_i + w_j gives
+        # F + w_j = a*x_i + w_j in it too, a being F's x_i exponent.  So
+        # the normal form of w_i + w_j under an order comparing (w_i, x_i)
+        # first is without w_i exactly when the premise holds for some n,
+        # and its x_i exponent is the least such n.
         name_i = f"(i) i={i},j={j}"
-        status = None
-        for n in range(NCAP + 1):
-            prem = forms_equal(s, at(n), both_inf, per)
-            if prem.is_yes:
-                concl1 = forms_equal(s, inf_j, both_inf, per)
-                concl2 = adds[(i, j)]
-                if concl1.is_yes and concl2.is_yes:
-                    status = ConditionStatus(name_i, "holds", True, n)
-                elif concl1.is_no or concl2.is_no:
-                    status = ConditionStatus(
-                        name_i,
-                        "violated",
-                        True,
-                        n,
-                        detail=(
-                            "absorption fails"
-                            if concl1.is_no
-                            else f"X{i} not a summand of multiples of X{j}"
-                        ),
-                    )
-                else:
-                    status = ConditionStatus(name_i, "unknown", detail="conclusion undecided")
-                break
-            if prem.is_unknown:
-                status = ConditionStatus(name_i, "unknown", detail=f"premise undecided at n={n}")
-                break
-        if status is None:
-            # if aleph0*x_j absorbs one copy of x_i, the premise does not
-            # depend on n, so the n = 0 verdict settles every n
-            exact = not s.p.relations or forms_equal(s, at(1), inf_j, per).is_yes
-            status = ConditionStatus(
-                name_i,
-                "holds",
-                exact,
-                detail="premise fails for all tested n"
-                + ("" if exact else f" (n <= {NCAP} only)"),
-            )
+        rules = s.completion((i + 1, i - 1), cap)
+        if not rules:
+            status = ConditionStatus(name_i, "unknown", detail=f"completion cap {cap} reached")
+        elif (nf := normal_form(rules, both_inf.exponents))[i + 1]:
+            status = ConditionStatus(name_i, "holds", True, detail="premise fails for all tested n")
+        else:
+            n = nf[i - 1]
+            absorbs = normal_form(rules, inf_j.exponents) == nf  # w_j = w_i + w_j
+            member = adds[(i, j)]
+            if absorbs and member.is_yes:
+                status = ConditionStatus(name_i, "holds", True, n)
+            elif not absorbs or member.is_no:
+                status = ConditionStatus(
+                    name_i,
+                    "violated",
+                    True,
+                    n,
+                    detail=(
+                        "absorption fails"
+                        if not absorbs
+                        else f"X{i} not a summand of multiples of X{j}"
+                    ),
+                )
+            else:
+                status = ConditionStatus(name_i, "unknown", detail="conclusion undecided")
         rep.conditions.append(status)
 
         # (ii): with x_i outside add(x_j), equal infinite forms reduce to a

@@ -1,4 +1,5 @@
-"""Seeded (monoid, x, y) populations shared by the braiding test modules."""
+"""Seeded populations shared by the test modules: (monoid, x, y) braiding
+instances, constraint systems and two-generator presentations."""
 
 import random
 
@@ -6,6 +7,7 @@ from kmon.cardinals import ALEPH0, aleph, at_most, fin
 from kmon.core import CyclicExtensionMonoid, CyclicMonoid, Family
 from kmon.diophantine import ConstraintSystem, DioMonoid
 from kmon.free_vectors import CardVec, VecMonoid
+from kmon.presentations import Form, TwoGenPresentation
 
 W = ALEPH0
 N0 = CyclicExtensionMonoid(CyclicMonoid())
@@ -54,3 +56,35 @@ def level_split_pairs(seed):
         else:
             y = x.scale(rng.choice([fin(1), fin(2), W, aleph(1)]))
         yield x, y
+
+
+def random_system(rng, n, with_ineq=True):
+    """Equations, inequalities (unless ``with_ineq`` is False) and a
+    congruence over n variables, coefficients below 3."""
+    eqs, ineqs, congs = [], [], []
+    for _ in range(rng.randrange(0, 3)):
+        a = tuple(rng.randrange(0, 3) for _ in range(n))
+        b = tuple(rng.randrange(0, 3) for _ in range(n))
+        if with_ineq and rng.random() < 0.4:
+            ineqs.append((a, b))
+        else:
+            eqs.append((a, b))
+    if rng.random() < 0.5:
+        congs.append((tuple(rng.randrange(0, 3) for _ in range(n)), rng.randrange(2, 4)))
+    return ConstraintSystem.make(n, eqs, ineqs, congs)
+
+
+def one_shot_queries(n, seed):
+    """One-shot queries on presentations with one to three relations, every
+    coefficient in {0, 1, 2, 3, aleph0}."""
+    rng = random.Random(seed)
+    cards = [fin(0), fin(1), fin(2), fin(3), W]
+
+    def form():
+        return Form(rng.choice(cards), rng.choice(cards))
+
+    out = []
+    for _ in range(n):
+        p = TwoGenPresentation.of([(form(), form()) for _ in range(rng.choice((1, 2, 3)))])
+        out.append((p, form(), form()))
+    return out

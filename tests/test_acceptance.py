@@ -33,7 +33,7 @@ from kmon.gallery import DedekindVMonoid, RationalLineMonoid, TrivialExtensionMo
 from kmon.laws import check_axioms
 from kmon.presentations import Form, TwoGenPresentation, realizable_two_gen
 
-from populations import braid_mix
+from populations import braid_mix, random_system
 
 W = ALEPH0
 N0 = CyclicExtensionMonoid(CyclicMonoid())
@@ -132,26 +132,12 @@ def test_acceptance_3_membership_tables():
 # -- 4: decompose-recombine -----------------------------------------------------
 
 
-def _random_system(rng, n, with_ineq=True):
-    eqs, ineqs, congs = [], [], []
-    for _ in range(rng.randrange(0, 3)):
-        a = tuple(rng.randrange(0, 3) for _ in range(n))
-        b = tuple(rng.randrange(0, 3) for _ in range(n))
-        if with_ineq and rng.random() < 0.4:
-            ineqs.append((a, b))
-        else:
-            eqs.append((a, b))
-    if rng.random() < 0.5:
-        congs.append((tuple(rng.randrange(0, 3) for _ in range(n)), rng.randrange(2, 4)))
-    return ConstraintSystem.make(n, eqs, ineqs, congs)
-
-
 def test_acceptance_4_decompose_recombine():
     rng = random.Random(40404)
     done = 0
     while done < 500:
         n = rng.randrange(1, 5)
-        m = DioMonoid(_random_system(rng, n), at_most(aleph(2)))
+        m = DioMonoid(random_system(rng, n), at_most(aleph(2)))
         alpha = m.sample_element(rng)
         assert m.member(alpha)
         beta, gammas = decompose(m, alpha)
@@ -347,7 +333,7 @@ def _extension_systems(seed):
     systems = []
     while len(systems) < 20:
         n = rng.randrange(1, 4)
-        sys = _random_system(rng, n, with_ineq=False)  # equations+congruences only
+        sys = random_system(rng, n, with_ineq=False)  # equations+congruences only
         if enumerate_solutions(sys, 4):
             systems.append(sys)
     return systems

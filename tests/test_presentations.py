@@ -176,14 +176,19 @@ def test_realizable_undecided_cyclicity_is_unknown_with_exact_conditions(monkeyp
         "note: presentation is cyclic: X2 = 10*X1; using the one-generator criterion",
     ]
     # with every completion cut off at its cap, X1 against the multiples of
-    # X2 past the range stays undecided while every condition holds with
-    # exact proof, so the verdict cannot be Yes
+    # X2 stays undecided and so does the premise of (i), which names the
+    # cap; every other condition holds with exact proof, and the verdict
+    # cannot be Yes
     monkeypatch.setattr(presentations, "complete", lambda *args: None)
     rep = realizable_two_gen(p, budget=200)
     assert rep.verdict.is_unknown
-    assert rep.verdict.note == "range-limited arguments"
+    assert rep.verdict.note == "(i) i=1,j=2; (i) i=2,j=1"
     assert rep.conditions
-    assert all(c.status == "holds" and c.exact for c in rep.conditions), rep.render()
+    for c in rep.conditions:
+        if c.name.startswith("(i) "):
+            assert (c.status, c.detail) == ("unknown", "completion cap 200 reached"), rep.render()
+        else:
+            assert c.status == "holds" and c.exact, rep.render()
     assert rep.notes == ["non-cyclicity unverified (X1 vs multiples of X2 undecided)"]
 
 
@@ -560,14 +565,16 @@ REPORT_TEXTS = [
 
 
 def test_report_renders_are_pinned():
-    # the sha256 was computed before the report layer shared one
-    # finite-reduction scan: every line of both reports must stay the same
+    # re-pinned when condition (i) and the cyclic criterion became normal-form
+    # reads: nine lines of the plain reports changed (five (i) conditions
+    # became exact, and X2 = aleph0*X1 turned from Unknown to Yes with an
+    # exact criterion), and that corollary report gained the decider's note
     renders = []
     for text in REPORT_TEXTS:
         p = parse_presentation(text)
         renders += [realizable_two_gen(p, 2000).render(), corollary_checks(p, 2000).render()]
     digest = hashlib.sha256("\n\n".join(renders).encode()).hexdigest()
-    assert digest == "c2bd5deea5fd7682e841a0637f765622556fad172e966c1619608136e39945fd"
+    assert digest == "86723caf0aafb8e5687b8e0c0bb3d999237492f73f8c31d8d1dcff10331afe43"
 
 
 def test_reports_name_their_undecided_branches():

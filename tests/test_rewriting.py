@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from kmon import presentations, rewriting
@@ -14,6 +12,8 @@ from kmon.presentations import (
     forms_equal,
     realizable_two_gen,
 )
+
+from populations import one_shot_queries
 
 W = ALEPH0
 
@@ -54,7 +54,8 @@ def test_large_coefficients_complete_within_few_pairs():
 
 def test_two_term_orders_give_one_congruence():
     s = presentations._Saturation(parse_presentation(CYCLIC_PAST_THE_RANGE), False)
-    by_deglex, by_elim = s.completion(0, 1000), s.completion(1, 1000)
+    # X1's elimination order compares (x2, w2, w1) first
+    by_deglex, by_elim = s.completion((), 1000), s.completion((1, 3, 2), 1000)
     forms = [Form(fin(a), fin(b)) for a in range(12) for b in range(7)]
     forms += [Form(W, fin(b)) for b in range(4)] + [Form(fin(a), W) for a in range(4)]
 
@@ -67,23 +68,7 @@ def test_two_term_orders_give_one_congruence():
     assert rewriting.normal_form(by_elim, X2.exponents) == (10, 0, 0, 0)
 
 
-def _one_shot_queries(n, seed):
-    """One-shot queries on presentations with one to three relations, every
-    coefficient in {0, 1, 2, 3, aleph0}."""
-    rng = random.Random(seed)
-    cards = [fin(0), fin(1), fin(2), fin(3), W]
-
-    def form():
-        return Form(rng.choice(cards), rng.choice(cards))
-
-    out = []
-    for _ in range(n):
-        p = TwoGenPresentation.of([(form(), form()) for _ in range(rng.choice((1, 2, 3)))])
-        out.append((p, form(), form()))
-    return out
-
-
-QUERIES = _one_shot_queries(500, 20261020)
+QUERIES = one_shot_queries(500, 20261020)
 
 
 def _swap(f: Form) -> Form:
@@ -199,9 +184,44 @@ def test_elimination_multiples_agree_with_the_degree_lexicographic_normal_forms(
         s = presentations._Saturation(p, memo=True)
         for i, j in ((1, 2), (2, 1)):
             gi, gj = presentations.gen(i), presentations.gen(j)
-            m = s.multiple_of(i, j, 10_000)
+            m = s.multiple_of(gi, j, 10_000)
             hits = [b for b in betas if not s.normal_forms_differ(gi, gj.scale(b), 10_000)]
             if m.is_no:
                 assert not hits, (p, i, j)
             else:  # the least multiple: the first finite hit, else aleph0
                 assert m.is_yes and hits and hits[0] == m.witness, (p, i, j, m)
+
+
+def test_least_absorbing_and_cyclic_multiples_agree_with_the_degree_lexicographic_scan():
+    # one normal form names the least n, against the first n <= 8 whose
+    # degree-lexicographic normal forms agree: n*x_i + w_j against w_i + w_j
+    # (the premise of condition (i), read under an order comparing (w_i, x_i)
+    # first) and n*x_j against w_j (the cyclic criterion, read under X_j's
+    # elimination order); an n above 8, or none, leaves the scan empty.  The
+    # two texts put three least n past 8: 9 for both questions (i=1, j=2 for
+    # the premise, j=1 for the criterion) and 10 for the premise
+    past = ["twogen { rel: aleph0*X1 = 9*X1; }", "twogen { rel: 10*X1 + aleph0*X2 = aleph0*X1 + aleph0*X2; }"]
+    found = {"premise": 0, "criterion": 0, "above the scan": 0}
+    for p in dict.fromkeys([p for p, _, _ in QUERIES] + [parse_presentation(t) for t in past]):
+        s = presentations._Saturation(p, memo=True)
+        for i, j in ((1, 2), (2, 1)):
+            gi, gj = presentations.gen(i), presentations.gen(j)
+            inf_j = gj.scale(W)
+            both = gi.scale(W) + inf_j
+            nf = rewriting.normal_form(s.completion((i + 1, i - 1), 10_000), both.exponents)
+            beta = s.multiple_of(inf_j, j, 10_000).witness
+            cases = {
+                "premise": (None if nf[i + 1] else nf[i - 1], lambda n: gi.scale(fin(n)) + inf_j, both),
+                "criterion": (beta.n if beta.is_finite else None, lambda n: gj.scale(fin(n)), inf_j),
+            }
+            for name, (least, form, target) in cases.items():
+                scan = next(
+                    (n for n in range(9) if not s.normal_forms_differ(form(n), target, 10_000)), None
+                )
+                if least is None or least > 8:
+                    assert scan is None, (p, i, j, name, least)
+                else:
+                    assert scan == least, (p, i, j, name, least, scan)
+                found[name] += least is not None
+                found["above the scan"] += least is not None and least > 8
+    assert found["premise"] > 100 and found["criterion"] > 100 and found["above the scan"] == 3, found
