@@ -21,7 +21,7 @@ from typing import Any, Optional
 
 from .cardinals import ALEPH0, ExtCard, FIN1, aleph, card_mul, card_sum, fin
 from .core import Family, KappaMonoid, sort_key
-from .diophantine import ConstraintSystem, solutions
+from .diophantine import ConstraintSystem, IntLattice, solutions
 from .errors import PreconditionError
 from .free_vectors import CardVec
 from .tribool import TriBool, no, unknown, yes
@@ -30,7 +30,7 @@ DEFAULT_BUDGET = 5000
 BLOCK_CAP = 8  # longest chunk per side of a DFS block
 GREEDY_CAP = 64  # longest chunk per side of a greedy block
 GREEDY_BUDGET = 512  # most states the greedy walk enters
-SCALE_CAP = 12  # largest cycle and prefix multiplier of the uniform tier
+SCALE_CAP = 12  # largest cycle and prefix multiplier of the uniform and entry-carry tiers
 
 
 def canonical_family(m: KappaMonoid, fam: Family) -> Family:
@@ -692,6 +692,66 @@ def _uniform_omega(m: KappaMonoid, sx: _Periodic, sy: _Periodic) -> Optional[Ome
     return OmegaCertificate((prefix,), (cycle_block,))
 
 
+def _carry_omega(m: KappaMonoid, sx: _Periodic, sy: _Periodic) -> Optional[OmegaCertificate]:
+    """Periodic certificate of two blocks with an entry carry c, for streams
+    whose values all have integer views and whose cycle totals X and Y have
+    a ratio (a, b), a*X = b*Y = S, within SCALE_CAP.
+
+    The cycle block takes k*a copies of each x-cycle value and k*b of each
+    y-cycle value, with u = kS - c and v' = c.  The prefix block takes both
+    heads plus p_e more copies of each x-cycle value e and q_f of each
+    y-cycle value f, with u its x sum and v' = c; its y equation reads
+    c = (hy - hx) + sum q_f*f - sum p_e*e.  Shifting every p_e by a and
+    every q_f by b leaves c alone, so c ranges over the whole coset
+    (hy - hx) + L of the lattice L the cycle values span.  The rule: the
+    least k in 1..SCALE_CAP whose box [0, kS] holds a coset point, the
+    lexicographically least such c (``IntLattice.least_point``), and its
+    coefficients shifted by the least multiple of (a, b) that leaves no
+    count negative.  None when a value has no view, there is no ratio, no
+    box holds a coset point, or c or kS - c is not a member (``m.sub``
+    finds no member difference)."""
+    view = {e: m.int_vector(e) for e in {*sx.items, *sy.items}}
+    if None in view.values():
+        return None
+    dim = len(view[sx.cycle[0]])
+
+    def total(values) -> tuple[int, ...]:
+        return tuple(sum(view[e][i] for e in values) for i in range(dim))
+
+    xtot = total(sx.cycle)
+    ab = _ratio(xtot, total(sy.cycle), SCALE_CAP)
+    if ab is None:
+        return None
+    a, b = ab
+    s = tuple(a * c for c in xtot)
+    offset = tuple(q - p for p, q in zip(total(sx.head), total(sy.head)))
+    lattice = IntLattice([view[e] for e in sx.cycle + sy.cycle], dim)
+    for k in range(1, SCALE_CAP + 1):
+        found = lattice.least_point(offset, tuple(k * c for c in s))
+        if found is not None:
+            break
+    else:
+        return None
+    coeffs = found[1]
+    p, q = [-n for n in coeffs[: len(sx.cycle)]], coeffs[len(sx.cycle) :]
+    t = max([0] + [-(n // a) for n in p] + [-(n // b) for n in q])
+    prefix_i = Family.of(
+        [(e, FIN1) for e in sx.head] + [(e, fin(n + t * a)) for e, n in zip(sx.cycle, p)]
+    )
+    prefix_j = Family.of(
+        [(f, FIN1) for f in sy.head] + [(f, fin(n + t * b)) for f, n in zip(sy.cycle, q)]
+    )
+    iblk = Family.of((e, fin(k * a)) for e in sx.cycle)
+    jblk = Family.of((f, fin(k * b)) for f in sy.cycle)
+    u = m.raw_ksum(prefix_i)
+    carry = m.sub(m.raw_ksum(prefix_j), u)
+    rest = None if carry is None else m.sub(m.raw_ksum(iblk), carry)
+    if rest is None:
+        return None
+    prefix = BraidBlock(prefix_i, prefix_j, u, carry)
+    return OmegaCertificate((prefix,), (BraidBlock(iblk, jblk, rest, carry),))
+
+
 def _walk(chunks: _Chunks, budget: int, children) -> Optional[OmegaCertificate]:
     """Depth-first walk over consecutive block splits of the two streams,
     taking the blocks leaving state (i, j, v) in the order ``children(i, j,
@@ -731,15 +791,15 @@ def _countable_chain(
     """The aleph0 tiers on a countable pair whose two index sets are both
     finite or both infinite: the first chain that ``verify`` accepts for
     (xf, yf).  A finite pair is one block whose u is xf's sum;
-    otherwise the uniform tier, the greedy walk and the DFS are tried in that
-    order."""
+    otherwise the uniform tier, the entry-carry tier, the greedy walk and
+    the DFS are tried in that order."""
     if _finite_index(xf):
         chains: Any = [OmegaCertificate((BraidBlock(xf, yf, m.ksum(xf), m.zero),))]
     else:
         chunks = _Chunks(m, xf, yf)
         walks = ((min(budget, GREEDY_BUDGET), chunks.greedy), (budget, chunks.dfs))
         chains = itertools.chain(
-            [_uniform_omega(m, *chunks.streams)],
+            (tier(m, *chunks.streams) for tier in (_uniform_omega, _carry_omega)),
             (_walk(chunks, steps, children) for steps, children in walks),
         )
     for chain in chains:

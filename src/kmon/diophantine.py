@@ -329,6 +329,109 @@ def enumerate_solutions(sys: ConstraintSystem, radius: int) -> list[tuple[int, .
     return list(solutions(sys, [range(radius + 1)] * sys.n))
 
 
+# -- integer lattices (Hermite normal form) -------------------------------------
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _comb(s: int, x: list[int], t: int, y: list[int]) -> list[int]:
+    return [s * p + t * q for p, q in zip(x, y)]
+
+
+class IntLattice:
+    """The integer combinations of ``gens``, integer vectors of length
+    ``dim``, as the row Hermite normal form of the matrix whose rows are the
+    generators (Cohen, *A Course in Computational Algebraic Number Theory*,
+    §2.4): basis rows with positive pivots in strictly increasing columns,
+    each entry above a pivot reduced into 0..pivot-1, and each row's
+    coefficients over ``gens``.  Built once; ``least_point`` then answers
+    box questions about the cosets of the lattice."""
+
+    def __init__(self, gens: Sequence[tuple[int, ...]], dim: int):
+        rows = [list(g) for g in gens]
+        coeffs = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+        self.pivots: list[int] = []
+        r = 0
+        for col in range(dim):
+            if r == len(rows):
+                break
+            for i in range(r + 1, len(rows)):
+                a, b = rows[r][col], rows[i][col]
+                if b:
+                    # the unimodular [[s, t], [-b/g, a/g]] leaves the gcd in
+                    # row r and a zero in row i
+                    g, s, t = _xgcd(a, b)
+                    for mat in (rows, coeffs):
+                        x, y = mat[r], mat[i]
+                        mat[r], mat[i] = _comb(s, x, t, y), _comb(-b // g, x, a // g, y)
+            piv = rows[r][col]
+            if not piv:
+                continue
+            if piv < 0:
+                for mat in (rows, coeffs):
+                    mat[r] = [-v for v in mat[r]]
+                piv = -piv
+            for i in range(r):
+                q = rows[i][col] // piv
+                for mat in (rows, coeffs):
+                    mat[i] = _comb(1, mat[i], -q, mat[r])
+            self.pivots.append(col)
+            r += 1
+        self.basis, self.coeffs = rows[:r], coeffs[:r]
+        self.ngens = len(rows)
+
+    def least_point(
+        self, offset: tuple[int, ...], upper: tuple[int, ...]
+    ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The lexicographically least point p of offset + L with 0 <= p <=
+        upper coordinatewise, and integer coefficients over the generators
+        of p - offset; None when the box holds no point of the coset.
+
+        Exact, by a search over the basis rows in order: the coordinates
+        before row i's pivot no longer change once rows 0..i-1 are added, so
+        they are tested there, and row i's multiple ranges over the values
+        that put its pivot coordinate in the box, in increasing order, which
+        visits the points in lexicographic order.  Reducing the offset modulo
+        L alone is not enough: when L has lower rank than the box, the
+        residue may lie outside the box while another coset point lies in
+        it."""
+        first = self.pivots[0] if self.pivots else len(offset)
+        if not all(0 <= offset[k] <= upper[k] for k in range(first)):
+            return None
+        ends = self.pivots[1:] + [len(offset)]
+
+        def search(i: int, point: list[int], ts: list[int]):
+            if i == len(self.basis):
+                return point, ts
+            c, row = self.pivots[i], self.basis[i]
+            h = row[c]
+            for t in range(-(point[c] // h), (upper[c] - point[c]) // h + 1):
+                nxt = _comb(1, point, t, row)
+                if all(0 <= nxt[k] <= upper[k] for k in range(c + 1, ends[i])):
+                    found = search(i + 1, nxt, ts + [t])
+                    if found is not None:
+                        return found
+            return None
+
+        found = search(0, list(offset), [])
+        if found is None:
+            return None
+        point, ts = found
+        coeffs = [0] * self.ngens
+        for t, row in zip(ts, self.coeffs):
+            coeffs = _comb(1, coeffs, t, row)
+        return tuple(point), tuple(coeffs)
+
+
 # -- exact rational feasibility (Fourier-Motzkin over Fractions) ---------------
 
 

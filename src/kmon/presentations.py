@@ -744,7 +744,7 @@ def _three_conditions(
         if not rules:
             status = ConditionStatus(name_i, "unknown", detail=f"completion cap {cap} reached")
         elif (nf := normal_form(rules, both_inf.exponents))[i + 1]:
-            status = ConditionStatus(name_i, "holds", True, detail="premise fails for all tested n")
+            status = ConditionStatus(name_i, "holds", True, detail="premise fails for every n")
         else:
             n = nf[i - 1]
             absorbs = normal_form(rules, inf_j.exponents) == nf  # w_j = w_i + w_j

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,14 @@ from kmon.braiding import (
     braid_find,
     _Chunks,
     _balance,
+    _carry_omega,
     _cycle_counts,
     _cycle_ratio,
     _Periodic,
     _prefix_balance,
     _ratio,
     _stream,
+    _uniform_omega,
     _units,
     canonical_family,
     collapsed_layer,
@@ -331,6 +334,106 @@ def test_braid_find_greedy_walk_success():
             "B i={1*20} j={20*1} u=0 v'=20",
         ]
     )
+
+
+def _tier_chain(m, x, y):
+    """The entry-carry tier's chain for a pair the uniform tier passes on."""
+    streams = _stream(x), _stream(y)
+    assert _uniform_omega(m, *streams) is None
+    return _carry_omega(m, *streams)
+
+
+def test_entry_carry_tier_searches_a_lattice_of_lower_rank():
+    # both cycles are (2,1), which spans only Z*(2,1).  The heads differ by
+    # (2,0): no multiple of the block sum (2,1), so the uniform tier passes.
+    # Reducing (2,0) modulo the lattice gives (0,-1), outside the box
+    # [0, (2,1)], but c = (2,0) itself lies in it, with kS - c = (0,1)
+    x = Family.of([(CardVec.fins(1, 0), fin(2)), (CardVec.fins(2, 1), W)])
+    y = Family.of([(CardVec.fins(1, 0), fin(4)), (CardVec.fins(2, 1), W)])
+    r = braid_find(F2, x, y)
+    assert r.is_yes and chain_of(r.witness) == _tier_chain(F2, x, y)
+    assert render_certificate(r.witness) == "\n".join(
+        [
+            "PREFIX",
+            "B i={(1, 0)*2} j={(1, 0)*4} u=(2, 0) v'=(2, 0)",
+            "CYCLE",
+            "B i={(2, 1)*1} j={(2, 1)*1} u=(0, 1) v'=(2, 0)",
+        ]
+    )
+
+
+def test_entry_carry_tier_needs_a_nonzero_carry():
+    # heads 16 and 32 over cycles of 3: 16 and 32 differ mod 3, so no
+    # zero-carry prefix exists; the least carry in 16 + 3Z within [0, 3] is
+    # c = 1, reached with five extra 3s in the x prefix
+    x, y = fam((3, W), (4, 4)), fam((3, W), (4, 8))
+    r = braid_find(N0, x, y)
+    assert r.is_yes and chain_of(r.witness) == _tier_chain(N0, x, y)
+    assert render_certificate(r.witness) == "\n".join(
+        [
+            "PREFIX",
+            "B i={3*5, 4*4} j={4*8} u=31 v'=1",
+            "CYCLE",
+            "B i={3*1} j={3*1} u=2 v'=1",
+        ]
+    )
+
+
+def test_entry_carry_tier_declines_a_carry_outside_the_monoid():
+    # in x0 <= 2 x1 the least box k = 1 puts c at (0,2), and kS - c = (2,0)
+    # is not a member, so the tier declines; the greedy walk then finds a
+    # chain whose cycle takes two (2,2) a side
+    m = DioMonoid(ConstraintSystem.make(2, inequalities=[((1, 0), (0, 2))]), at_most(W))
+    x = Family.of([(CardVec.fins(2, 2), W)])
+    y = Family.of([(CardVec.fins(1, 2), fin(2)), (CardVec.fins(2, 2), W)])
+    assert not m.member(CardVec.fins(2, 0))
+    assert _tier_chain(m, x, y) is None
+    r = braid_find(m, x, y)
+    assert r.is_yes and verify(m, x, y, r.witness).is_yes
+    assert render_certificate(r.witness) == "\n".join(
+        [
+            "PREFIX",
+            "B i={(2, 2)*1} j={(1, 2)*2} u=(2, 2) v'=(0, 2)",
+            "CYCLE",
+            "B i={(2, 2)*2} j={(2, 2)*2} u=(4, 2) v'=(0, 2)",
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "m,x,y,unit",
+    [
+        (N0, fam((3, W), (4, 4)), fam((3, W), (4, 8)), fin(1)),
+        (
+            F2,
+            Family.of([(CardVec.fins(1, 0), fin(2)), (CardVec.fins(2, 1), W)]),
+            Family.of([(CardVec.fins(1, 0), fin(4)), (CardVec.fins(2, 1), W)]),
+            CardVec.fins(1, 0),
+        ),
+    ],
+    ids=["n0", "vec2"],
+)
+def test_entry_carry_mutants_are_rejected(m, x, y, unit):
+    # every mutant keeps the consumption (a prefix copy more of a cycle
+    # value still totals aleph0), so only a block equation can reject it
+    chain = _tier_chain(m, x, y)
+    assert verify(m, x, y, LayeredCertificate.of(chain)).is_yes
+    (pre,), (cyc,) = chain.prefix, chain.cycle
+    e, f = cyc.iblock.entries[0][0], cyc.jblock.entries[0][0]
+    less = m.sub(pre.v_next, unit)
+    one_x, one_y = Family.of([(e, fin(1))]), Family.of([(f, fin(1))])
+    mutants = [
+        # c one less, the cycle block and its seam kept balanced
+        (replace(pre, v_next=less), replace(cyc, u=m.add(cyc.u, unit), v_next=less)),
+        # one more x prefix copy of a cycle value, the x equation kept
+        (replace(pre, iblock=pre.iblock.add(one_x), u=m.add(pre.u, e)), cyc),
+        # one more y prefix copy of a cycle value
+        (replace(pre, jblock=pre.jblock.add(one_y)), cyc),
+    ]
+    for mutant_pre, mutant_cyc in mutants:
+        cert = LayeredCertificate.of(OmegaCertificate((mutant_pre,), (mutant_cyc,)))
+        r = verify(m, x, y, cert)
+        assert r.is_no and "block equation fails" in r.note, render_certificate(cert)
 
 
 UNDECIDED_VEC = (
@@ -670,7 +773,8 @@ def test_compose_across_different_cycle_lengths():
     comp = compose(N0, x, y, z, c1, c2, budget=4000)
     assert _aligned(comp)
     assert verify(N0, x, z, comp.witness).is_yes
-    assert _digest([comp.witness]) == "d85812f96f3ac69441c80d1d32626a5d9235cefc087d839e1d33a2dc7bbc7edb"
+    # re-pinned when the entry-carry tier took over the greedy walk's pairs
+    assert _digest([comp.witness]) == "3a2acb64045ce0866d914ac349a7dfdce538cd59e1486d2774f6edc9c64f97e1"
 
 
 def test_balanced_cycle_counts_beyond_uniform_scaling():
@@ -875,8 +979,8 @@ def test_level_split_population_is_pinned():
         aleph(1): {"yes": 107, "no": 93},
         aleph(2): {"yes": 107, "no": 93},
     }
-    # taken when the per-level split gave way to the cumulative one
-    want = "bd227f1cfe3b299897a6d6078a4fb32c14ab73ed253f110cbcd1655c81d38808"
+    # re-pinned when the entry-carry tier took over the greedy walk's pairs
+    want = "f1b13db1f033949fad1e22fc9ab92c417b21f132b0dda4910d88532656f63804"
     assert _answers((lam, r) for lam, got in rows.items() for r in got) == want
 
 
@@ -1056,8 +1160,8 @@ def test_rebuild_population_is_pinned():
         rows.append(f"{r.kind}|{r.note}|{cert}|{checked}")
     assert rebuilt >= 200
     assert collections.Counter(row.split("|")[0] for row in rows) == {"yes": 113, "no": 83, "unknown": 4}
-    # taken before canonical_family passed canonical families through
-    want = "b3d17ffc85c2998a0be390d360348b0f6dab65101271571f99099ae0e07f9d50"
+    # re-pinned when the entry-carry tier took over the greedy walk's pairs
+    want = "94bcdffb579e4e2fedeb8d00507d87342d774cf89cc267203f1967f9e7063cb7"
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == want
 
 
@@ -1226,6 +1330,7 @@ def test_uniform_population_is_pinned():
         checked = verify(m, x, y, r.witness).kind if r.is_yes else ""
         rows.append(f"{r.kind}|{r.note}|{cert}|{checked}")
     assert collections.Counter(row.split("|")[0] for row in rows) == {"yes": 247, "no": 23, "unknown": 38}
-    # taken before the uniform tier solved integer vectors in closed form
-    want = "4915b5b87c260255e2e74a95169e7694910ab2d53b322cf0e51b79f096df4e4e"
+    # re-pinned when the entry-carry tier took over the pairs the uniform
+    # tier passes on
+    want = "c979d25a9ad9fc425dbb009bacb788f3e6b244bb6e485b1e86717b79a60527fb"
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == want

@@ -10,6 +10,7 @@ from kmon.diophantine import (
     Aleph0Extension,
     ConstraintSystem,
     DioMonoid,
+    IntLattice,
     aleph0_extend_finite,
     decompose,
     enumerate_solutions,
@@ -451,3 +452,83 @@ def test_aleph0_extension_unknown_after_the_completion_scan():
     ext = aleph0_extend_finite(DioMonoid(sys, below(W)), radius=4)
     r = ext.member(vec(W, 1, W))
     assert r.is_unknown and r.note == "no integer completion with entries <= 4"
+
+
+
+def _random_lattice(rng):
+    """An echelon basis (positive pivots in increasing columns, of rank 1 to
+    dim) and generators spanning the same lattice: the basis rows mixed by
+    random unimodular row operations, plus one more integer combination."""
+    dim = rng.randrange(1, 4)
+    pivots = sorted(rng.sample(range(dim), rng.randrange(1, dim + 1)))
+    basis = [[0] * c + [rng.randrange(1, 4)] + [rng.randrange(-3, 4) for _ in range(dim - c - 1)] for c in pivots]
+    gens = [row[:] for row in basis]
+    for _ in range(3):
+        i, j, k = rng.randrange(len(gens)), rng.randrange(len(gens)), rng.choice((-1, 1))
+        if i != j:
+            gens[i] = [a + k * b for a, b in zip(gens[i], gens[j])]
+        if rng.random() < 0.3:
+            gens[i] = [-a for a in gens[i]]
+    mix = [rng.randrange(-1, 2) for _ in basis]
+    gens.append([sum(c * row[k] for c, row in zip(mix, basis)) for k in range(dim)])
+    rng.shuffle(gens)
+    return basis, pivots, [tuple(g) for g in gens]
+
+
+def _echelon_member(basis, pivots, v):
+    """Is v an integer combination of the echelon rows?  Each pivot fixes
+    its row's multiple; what is left must be zero."""
+    v = list(v)
+    for row, c in zip(basis, pivots):
+        if v[c] % row[c]:
+            return False
+        t = v[c] // row[c]
+        v = [a - t * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def test_hermite_basis_is_echelon_reduced_and_spans_the_generators():
+    rng = random.Random(2424)
+    for _ in range(300):
+        basis, pivots, gens = _random_lattice(rng)
+        lat = IntLattice(gens, len(basis[0]))
+        for i, (row, co) in enumerate(zip(lat.basis, lat.coeffs)):
+            assert row == [sum(c * g[k] for c, g in zip(co, gens)) for k in range(len(row))]
+            c = lat.pivots[i]
+            assert row[c] > 0 and not any(row[:c])
+            assert all(0 <= lat.basis[j][c] < row[c] for j in range(i))
+        # the same lattice: each basis lies in the other's span
+        assert all(_echelon_member(basis, pivots, row) for row in lat.basis)
+        assert all(_echelon_member(lat.basis, lat.pivots, row) for row in basis)
+
+
+def test_least_point_is_the_first_coset_point_of_the_box():
+    # against a scan of the box in lexicographic order
+    rng = random.Random(2525)
+    hits = 0
+    for _ in range(300):
+        basis, pivots, gens = _random_lattice(rng)
+        dim = len(basis[0])
+        offset = tuple(rng.randrange(-6, 7) for _ in range(dim))
+        upper = tuple(rng.randrange(0, 5) for _ in range(dim))
+        box = itertools.product(*(range(u + 1) for u in upper))
+        want = next((p for p in box if _echelon_member(basis, pivots, [a - b for a, b in zip(p, offset)])), None)
+        got = IntLattice(gens, dim).least_point(offset, upper)
+        if want is None:
+            assert got is None, (gens, offset, upper)
+            continue
+        point, coeffs = got
+        assert point == want, (gens, offset, upper)
+        assert list(point) == [o + sum(c * g[k] for c, g in zip(coeffs, gens)) for k, o in enumerate(offset)]
+        hits += 1
+    assert 100 <= hits <= 250
+
+
+def test_least_point_searches_a_lattice_of_lower_rank():
+    # L = Z*(2,1) in Z^2: reducing (2,0) modulo the basis gives (0,-1),
+    # outside the box, but (2,0) itself lies in it
+    lat = IntLattice([(2, 1), (2, 1)], 2)
+    assert lat.basis == [[2, 1]]
+    assert lat.least_point((2, 0), (2, 1)) == ((2, 0), (0, 0))
+    assert lat.least_point((-2, -1), (2, 1)) == ((0, 0), (0, 1))
+    assert lat.least_point((1, 0), (0, 4)) is None
