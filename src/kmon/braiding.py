@@ -94,28 +94,80 @@ def _oversized(chunks, lam: ExtCard) -> Optional[TriBool]:
     return None
 
 
-def _chain_check(m: KappaMonoid, cert: OmegaCertificate) -> TriBool:
+def _chain_views(m: KappaMonoid, cert: LayeredCertificate) -> Optional[dict]:
+    """The integer views of zero and of every block element and carry of
+    ``cert``, each read once, for the integer path of ``verify``: None
+    unless every one has a view of zero's length and every block
+    multiplicity is finite."""
+    zero = m.int_vector(m.zero)
+    if zero is None:
+        return None
+    views = {m.zero: zero}
+    for _, chain in cert.layers:
+        for b in chain.prefix + chain.cycle:
+            for e, mult in b.iblock.entries + b.jblock.entries:
+                if mult.is_infinite:
+                    return None
+                views[e] = None
+            views[b.u] = views[b.v_next] = None
+    for x, w in views.items():
+        if w is None:
+            w = views[x] = m.int_vector(x)
+            if w is None or len(w) != len(zero):
+                return None
+    return views
+
+
+def _int_rest(fam: Family, views: dict, carry: tuple[int, ...]) -> tuple[int, ...]:
+    """The sum of a family of finite multiplicities minus ``carry``, on
+    integer views."""
+    total = [-c for c in carry]
+    for e, mult in fam.entries:
+        n = mult.n
+        for i, c in enumerate(views[e]):
+            total[i] += n * c
+    return tuple(total)
+
+
+def _chain_check(m: KappaMonoid, cert: OmegaCertificate, views: Optional[dict]) -> TriBool:
     """Block equations, threading v through the chain; a finite chain must end
-    at zero and a cycle must return to the carry it was entered with."""
+    at zero and a cycle must return to the carry it was entered with.  Every
+    carry's membership is checked first.  With ``views`` (``_chain_views``)
+    the equations are compared on integer vectors, else through the
+    monoid's ``ksum``, ``add`` and ``eq``; the answers are the same."""
     blocks = cert.prefix + cert.cycle
     for b in blocks:
         if not m.member(b.u) or not m.member(b.v_next):
             return no(note="carry element outside the monoid", witness=b)
+    seam = "cycle seam mismatch" if cert.cycle else "prefix ends with nonzero carry"
+    if views is not None:
+        v = entry = views[m.zero]
+        for k, b in enumerate(blocks):
+            if k == len(cert.prefix):
+                entry = v
+            u, vn = views[b.u], views[b.v_next]
+            if _int_rest(b.iblock, views, v) != u or _int_rest(b.jblock, views, vn) != u:
+                return _block_failure(cert, k, b)
+            v = vn
+        return yes() if v == entry else no(note=seam)
     v = entry = m.zero
     for k, b in enumerate(blocks):
         if k == len(cert.prefix):
             entry = v
-        part = "prefix" if k < len(cert.prefix) else "cycle"
         for fam, carry in ((b.iblock, v), (b.jblock, b.v_next)):
             r = m.eq(m.ksum(fam), m.add(carry, b.u))
             if not r.is_yes:
-                return r if r.is_unknown else no(note=f"{part} block equation fails", witness=b)
+                return r if r.is_unknown else _block_failure(cert, k, b)
         v = b.v_next
     r = m.eq(v, entry)
     if not r.is_yes:
-        seam = "cycle seam mismatch" if cert.cycle else "prefix ends with nonzero carry"
         return r if r.is_unknown else no(note=seam)
     return yes()
+
+
+def _block_failure(cert: OmegaCertificate, k: int, b: BraidBlock) -> TriBool:
+    part = "prefix" if k < len(cert.prefix) else "cycle"
+    return no(note=f"{part} block equation fails", witness=b)
 
 
 def _omega_uses(cert: OmegaCertificate, weight: ExtCard) -> list:
@@ -181,20 +233,26 @@ def verify(
 ) -> TriBool:
     """Check each (weight, chain) layer, repeated ``weight`` times: its block
     sizes against ``lam``, its block equations and seams; then the total
-    consumption against the two families.  ``lam`` must be infinite."""
+    consumption against the two families.  ``lam`` must be infinite.
+
+    The block equations run on integer vectors when ``_chain_views`` gives
+    every value of the certificate an integer view; every multiplicity is
+    then finite, so no block is oversized or infinite."""
     if lam.is_finite:
         raise PreconditionError(f"lambda must be infinite, got {lam}")
+    views = _chain_views(m, cert)
     uses: list = []
     for weight, layer in cert.layers:
         if weight.is_zero:
             return no(note="layer weights must be >= 1")
-        chunks = (f for b in layer.prefix + layer.cycle for f in (b.iblock, b.jblock))
-        if (big := _oversized(chunks, lam)) is not None:
-            return big
-        cycle_chunks = (f for b in layer.cycle for f in (b.iblock, b.jblock))
-        if any(mult.is_infinite for f in cycle_chunks for _, mult in f):
-            return no(note="cycle blocks must have finite multiplicities")
-        r = _chain_check(m, layer)
+        if views is None:
+            chunks = (f for b in layer.prefix + layer.cycle for f in (b.iblock, b.jblock))
+            if (big := _oversized(chunks, lam)) is not None:
+                return big
+            cycle_chunks = (f for b in layer.cycle for f in (b.iblock, b.jblock))
+            if any(mult.is_infinite for f in cycle_chunks for _, mult in f):
+                return no(note="cycle blocks must have finite multiplicities")
+        r = _chain_check(m, layer, views)
         if not r.is_yes:
             return r
         uses += _omega_uses(layer, weight)
@@ -554,12 +612,6 @@ class _Chunks:
                     yield BraidBlock(ichunk, jchunk, u, vn), i + kx, j + ky, vn
 
 
-def _int_views(m: KappaMonoid, *values) -> Optional[list[tuple[int, ...]]]:
-    """The integer views of ``values``, or None unless every one has one."""
-    views = [m.int_vector(v) for v in values]
-    return None if None in views else views
-
-
 def _ratio(x: tuple[int, ...], y: tuple[int, ...], cap: int) -> Optional[tuple[int, int]]:
     """The first (a, b) of an a-outer, b-inner scan over 1..cap with a*x =
     b*y, for integer vectors.  Every solution is a multiple of the least
@@ -596,9 +648,9 @@ def _balance(
 def _cycle_ratio(m: KappaMonoid, xtot: Any, ytot: Any, cap: int) -> Optional[tuple[int, int]]:
     """The least (a, b), a first, with 1 <= a, b <= cap and a*xtot = b*ytot:
     in closed form on integer vectors, else by a scan over the multiples."""
-    views = _int_views(m, xtot, ytot)
-    if views is not None:
-        return _ratio(*views, cap)
+    x, y = m.int_vector(xtot), m.int_vector(ytot)
+    if x is not None and y is not None:
+        return _ratio(x, y, cap)
     ymult = functools.cache(lambda b: m.scalar(fin(b), ytot))
     for a in range(1, cap + 1):
         asum = m.scalar(fin(a), xtot)
@@ -610,15 +662,9 @@ def _cycle_ratio(m: KappaMonoid, xtot: Any, ytot: Any, cap: int) -> Optional[tup
 
 def _prefix_balance(m: KappaMonoid, hx: Any, hy: Any, s: Any) -> Optional[tuple[int, int, Any]]:
     """The least (kx, ky), kx first, with 0 <= kx, ky <= SCALE_CAP and
-    hx + kx*s = hy + ky*s, and that left-hand side: in closed form on
-    integer vectors, else by a scan that computes each multiple k*s and
-    each right-hand side once, on first use."""
-    views = _int_views(m, hx, hy, s)
-    if views is not None:
-        k = _balance(*views, SCALE_CAP)
-        if k is None:
-            return None
-        return (*k, m.add(hx, m.scalar(fin(k[0]), s)))
+    hx + kx*s = hy + ky*s, and that left-hand side, by a scan that computes
+    each multiple k*s and each right-hand side once, on first use.  On
+    integer views the uniform tier solves this with ``_balance`` instead."""
     mult = functools.cache(lambda k: m.scalar(fin(k), s))
     right = functools.cache(lambda ky: m.add(hy, mult(ky)))
     for kx in range(SCALE_CAP + 1):
@@ -629,17 +675,11 @@ def _prefix_balance(m: KappaMonoid, hx: Any, hy: Any, s: Any) -> Optional[tuple[
     return None
 
 
-def _cycle_counts(m: KappaMonoid, sx: _Periodic, sy: _Periodic, cap: int):
+def _count_scan(sx: _Periodic, sy: _Periodic, cap: int):
     """Positive per-value counts making one x-block sum equal one y-block
-    sum.  Uniform whole-cycle scaling first; for finite vector values the
-    balance condition is itself a homogeneous linear system over the counts,
-    solved by a small box scan whose first point is the answer."""
-    _, xtot = _units(m, sx.cycle)
-    _, ytot = _units(m, sy.cycle)
-    ab = _cycle_ratio(m, xtot, ytot, cap)
-    if ab is not None:
-        a, b = ab
-        return {e: a for e in sx.cycle}, {e: b for e in sy.cycle}
+    sum, for finite vector values: the balance condition is a homogeneous
+    linear system over the counts, solved by a small box scan whose first
+    point is the answer."""
     vals = sx.cycle + sy.cycle
     if (
         all(isinstance(e, CardVec) for e in vals)
@@ -663,39 +703,91 @@ def _cycle_counts(m: KappaMonoid, sx: _Periodic, sy: _Periodic, cap: int):
     return None
 
 
-def _uniform_omega(m: KappaMonoid, sx: _Periodic, sy: _Periodic) -> Optional[OmegaCertificate]:
+class _StreamViews:
+    """One read of two streams for both exact tiers: every value's integer
+    view, the head totals hx and hy, the x-cycle total X, and the cycle
+    ratio (a, b) with a*X = b*Y within SCALE_CAP, or None.  ``of`` gives
+    None unless every value has a view, all of one length."""
+
+    def __init__(self, view: dict, dim: int, sx: _Periodic, sy: _Periodic):
+        self.view, self.dim = view, dim
+        self.hx, self.hy = self.total(sx.head), self.total(sy.head)
+        self.xtot = self.total(sx.cycle)
+        self.ratio = _ratio(self.xtot, self.total(sy.cycle), SCALE_CAP)
+
+    @classmethod
+    def of(cls, m: KappaMonoid, sx: _Periodic, sy: _Periodic) -> Optional[_StreamViews]:
+        view = {e: m.int_vector(e) for e in {*sx.items, *sy.items}}
+        dims = {None if w is None else len(w) for w in view.values()}
+        if len(dims) != 1 or None in dims:
+            return None
+        return cls(view, dims.pop(), sx, sy)
+
+    def total(self, values, counts: Optional[dict] = None) -> tuple[int, ...]:
+        """The sum of ``values``, each taken ``counts[e]`` times, or once
+        without ``counts``."""
+        view, out = self.view, [0] * self.dim
+        for e in values:
+            n = 1 if counts is None else counts[e]
+            for i, c in enumerate(view[e]):
+                out[i] += n * c
+        return tuple(out)
+
+
+def _uniform_omega(
+    m: KappaMonoid, sx: _Periodic, sy: _Periodic, ints: Optional[_StreamViews]
+) -> Optional[OmegaCertificate]:
     """Periodic certificate from balanced whole blocks: one cycle block with
     per-value counts chosen so its two sums agree, plus one prefix block
-    padding the finite heads with extra cycle copies until they balance."""
-    counts = _cycle_counts(m, sx, sy, SCALE_CAP)
-    if counts is None:
+    padding the finite heads with extra cycle copies until they balance.
+
+    The counts are a uniform whole-cycle scaling by the cycle ratio when
+    there is one, else ``_count_scan``'s.  With ``ints`` the ratio is its
+    own, and ``_balance`` settles the prefix on its head totals before any
+    family is built; without, ``_cycle_ratio`` and ``_prefix_balance`` work
+    on the values."""
+    if ints is None:
+        _, xtot = _units(m, sx.cycle)
+        _, ytot = _units(m, sy.cycle)
+        ab = _cycle_ratio(m, xtot, ytot, SCALE_CAP)
+    else:
+        ab = ints.ratio
+    if ab is not None:  # uniform whole-cycle scaling
+        cx, cy = {e: ab[0] for e in sx.cycle}, {f: ab[1] for f in sy.cycle}
+    elif (counts := _count_scan(sx, sy, SCALE_CAP)) is not None:
+        cx, cy = counts
+    else:
         return None
-    cx, cy = counts
+    heads = sx.head or sy.head
+    if ints is not None and heads:
+        balanced = _balance(ints.hx, ints.hy, ints.total(cx, cx), SCALE_CAP)
+        if balanced is None:
+            return None
     iblk = Family.of((e, fin(c)) for e, c in cx.items())
     jblk = Family.of((f, fin(c)) for f, c in cy.items())
     block_sum = m.raw_ksum(iblk)
     cycle_block = BraidBlock(iblk, jblk, block_sum, m.zero)
-    if not sx.head and not sy.head:
+    if not heads:
         return OmegaCertificate((), (cycle_block,))
-    _, hx = _units(m, sx.head)
-    _, hy = _units(m, sy.head)
-    balanced = _prefix_balance(m, hx, hy, block_sum)
-    if balanced is None:
-        return None
-    kx, ky, left = balanced
-    prefix = BraidBlock(
-        Family.of([(e, FIN1) for e in sx.head] + [(e, fin(kx * c)) for e, c in cx.items()]),
-        Family.of([(f, FIN1) for f in sy.head] + [(f, fin(ky * c)) for f, c in cy.items()]),
-        left,
-        m.zero,
-    )
-    return OmegaCertificate((prefix,), (cycle_block,))
+    if ints is None:
+        _, hx = _units(m, sx.head)
+        _, hy = _units(m, sy.head)
+        balanced = _prefix_balance(m, hx, hy, block_sum)
+        if balanced is None:
+            return None
+    kx, ky = balanced[:2]
+    prefix_i = Family.of([(e, FIN1) for e in sx.head] + [(e, fin(kx * c)) for e, c in cx.items()])
+    prefix_j = Family.of([(f, FIN1) for f in sy.head] + [(f, fin(ky * c)) for f, c in cy.items()])
+    u = m.raw_ksum(prefix_i) if ints is not None else balanced[2]
+    return OmegaCertificate((BraidBlock(prefix_i, prefix_j, u, m.zero),), (cycle_block,))
 
 
-def _carry_omega(m: KappaMonoid, sx: _Periodic, sy: _Periodic) -> Optional[OmegaCertificate]:
+def _carry_omega(
+    m: KappaMonoid, sx: _Periodic, sy: _Periodic, ints: Optional[_StreamViews]
+) -> Optional[OmegaCertificate]:
     """Periodic certificate of two blocks with an entry carry c, for streams
-    whose values all have integer views and whose cycle totals X and Y have
-    a ratio (a, b), a*X = b*Y = S, within SCALE_CAP.
+    whose values all have integer views (``ints``) and whose cycle totals X
+    and Y have a ratio (a, b), a*X = b*Y = S, within SCALE_CAP.
 
     The cycle block takes k*a copies of each x-cycle value and k*b of each
     y-cycle value, with u = kS - c and v' = c.  The prefix block takes both
@@ -703,53 +795,41 @@ def _carry_omega(m: KappaMonoid, sx: _Periodic, sy: _Periodic) -> Optional[Omega
     y-cycle value f, with u its x sum and v' = c; its y equation reads
     c = (hy - hx) + sum q_f*f - sum p_e*e.  Shifting every p_e by a and
     every q_f by b leaves c alone, so c ranges over the whole coset
-    (hy - hx) + L of the lattice L the cycle values span.  The rule: the
-    least k in 1..SCALE_CAP whose box [0, kS] holds a coset point, the
-    lexicographically least such c (``IntLattice.least_point``), and its
-    coefficients shifted by the least multiple of (a, b) that leaves no
-    count negative.  None when a value has no view, there is no ratio, no
-    box holds a coset point, or c or kS - c is not a member (``m.sub``
-    finds no member difference)."""
-    view = {e: m.int_vector(e) for e in {*sx.items, *sy.items}}
-    if None in view.values():
+    (hy - hx) + L of the lattice L the cycle values span.  The rule: for k
+    = 1..SCALE_CAP in turn, the lexicographically least c in the box [0,
+    kS] (``IntLattice.least_point``), its coefficients shifted by the least
+    multiple of (a, b) that leaves no count negative; the first k whose c
+    and kS - c are members (``m.sub`` finds the member differences) gives
+    the chain.  None without views, without a ratio, or when no k gives
+    one."""
+    if ints is None or ints.ratio is None:
         return None
-    dim = len(view[sx.cycle[0]])
-
-    def total(values) -> tuple[int, ...]:
-        return tuple(sum(view[e][i] for e in values) for i in range(dim))
-
-    xtot = total(sx.cycle)
-    ab = _ratio(xtot, total(sy.cycle), SCALE_CAP)
-    if ab is None:
-        return None
-    a, b = ab
-    s = tuple(a * c for c in xtot)
-    offset = tuple(q - p for p, q in zip(total(sx.head), total(sy.head)))
-    lattice = IntLattice([view[e] for e in sx.cycle + sy.cycle], dim)
+    a, b = ints.ratio
+    s = tuple(a * c for c in ints.xtot)
+    offset = tuple(q - p for p, q in zip(ints.hx, ints.hy))
+    lattice = IntLattice([ints.view[e] for e in sx.cycle + sy.cycle], ints.dim)
     for k in range(1, SCALE_CAP + 1):
         found = lattice.least_point(offset, tuple(k * c for c in s))
-        if found is not None:
-            break
-    else:
-        return None
-    coeffs = found[1]
-    p, q = [-n for n in coeffs[: len(sx.cycle)]], coeffs[len(sx.cycle) :]
-    t = max([0] + [-(n // a) for n in p] + [-(n // b) for n in q])
-    prefix_i = Family.of(
-        [(e, FIN1) for e in sx.head] + [(e, fin(n + t * a)) for e, n in zip(sx.cycle, p)]
-    )
-    prefix_j = Family.of(
-        [(f, FIN1) for f in sy.head] + [(f, fin(n + t * b)) for f, n in zip(sy.cycle, q)]
-    )
-    iblk = Family.of((e, fin(k * a)) for e in sx.cycle)
-    jblk = Family.of((f, fin(k * b)) for f in sy.cycle)
-    u = m.raw_ksum(prefix_i)
-    carry = m.sub(m.raw_ksum(prefix_j), u)
-    rest = None if carry is None else m.sub(m.raw_ksum(iblk), carry)
-    if rest is None:
-        return None
-    prefix = BraidBlock(prefix_i, prefix_j, u, carry)
-    return OmegaCertificate((prefix,), (BraidBlock(iblk, jblk, rest, carry),))
+        if found is None:
+            continue
+        coeffs = found[1]
+        p, q = [-n for n in coeffs[: len(sx.cycle)]], coeffs[len(sx.cycle) :]
+        t = max([0] + [-(n // a) for n in p] + [-(n // b) for n in q])
+        prefix_i = Family.of(
+            [(e, FIN1) for e in sx.head] + [(e, fin(n + t * a)) for e, n in zip(sx.cycle, p)]
+        )
+        prefix_j = Family.of(
+            [(f, FIN1) for f in sy.head] + [(f, fin(n + t * b)) for f, n in zip(sy.cycle, q)]
+        )
+        iblk = Family.of((e, fin(k * a)) for e in sx.cycle)
+        jblk = Family.of((f, fin(k * b)) for f in sy.cycle)
+        u = m.raw_ksum(prefix_i)
+        carry = m.sub(m.raw_ksum(prefix_j), u)
+        rest = None if carry is None else m.sub(m.raw_ksum(iblk), carry)
+        if rest is not None:
+            prefix = BraidBlock(prefix_i, prefix_j, u, carry)
+            return OmegaCertificate((prefix,), (BraidBlock(iblk, jblk, rest, carry),))
+    return None
 
 
 def _walk(chunks: _Chunks, budget: int, children) -> Optional[OmegaCertificate]:
@@ -791,15 +871,17 @@ def _countable_chain(
     """The aleph0 tiers on a countable pair whose two index sets are both
     finite or both infinite: the first chain that ``verify`` accepts for
     (xf, yf).  A finite pair is one block whose u is xf's sum;
-    otherwise the uniform tier, the entry-carry tier, the greedy walk and
-    the DFS are tried in that order."""
+    otherwise the uniform tier and the entry-carry tier, which share one
+    ``_StreamViews`` read of the streams, the greedy walk and the DFS are
+    tried in that order."""
     if _finite_index(xf):
         chains: Any = [OmegaCertificate((BraidBlock(xf, yf, m.ksum(xf), m.zero),))]
     else:
         chunks = _Chunks(m, xf, yf)
+        ints = _StreamViews.of(m, *chunks.streams)
         walks = ((min(budget, GREEDY_BUDGET), chunks.greedy), (budget, chunks.dfs))
         chains = itertools.chain(
-            (tier(m, *chunks.streams) for tier in (_uniform_omega, _carry_omega)),
+            (tier(m, *chunks.streams, ints) for tier in (_uniform_omega, _carry_omega)),
             (_walk(chunks, steps, children) for steps, children in walks),
         )
     for chain in chains:

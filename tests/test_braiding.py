@@ -17,12 +17,13 @@ from kmon.braiding import (
     _Chunks,
     _balance,
     _carry_omega,
-    _cycle_counts,
+    _count_scan,
     _cycle_ratio,
     _Periodic,
     _prefix_balance,
     _ratio,
     _stream,
+    _StreamViews,
     _uniform_omega,
     _units,
     canonical_family,
@@ -339,8 +340,9 @@ def test_braid_find_greedy_walk_success():
 def _tier_chain(m, x, y):
     """The entry-carry tier's chain for a pair the uniform tier passes on."""
     streams = _stream(x), _stream(y)
-    assert _uniform_omega(m, *streams) is None
-    return _carry_omega(m, *streams)
+    ints = _StreamViews.of(m, *streams)
+    assert _uniform_omega(m, *streams, ints) is None
+    return _carry_omega(m, *streams, ints)
 
 
 def test_entry_carry_tier_searches_a_lattice_of_lower_rank():
@@ -379,17 +381,17 @@ def test_entry_carry_tier_needs_a_nonzero_carry():
     )
 
 
-def test_entry_carry_tier_declines_a_carry_outside_the_monoid():
+def test_entry_carry_tier_moves_past_a_carry_outside_the_monoid():
     # in x0 <= 2 x1 the least box k = 1 puts c at (0,2), and kS - c = (2,0)
-    # is not a member, so the tier declines; the greedy walk then finds a
-    # chain whose cycle takes two (2,2) a side
+    # is not a member, so the tier goes on to k = 2: c is (0,2) again and
+    # kS - c = (4,2) is a member, giving a cycle of two (2,2) a side
     m = DioMonoid(ConstraintSystem.make(2, inequalities=[((1, 0), (0, 2))]), at_most(W))
     x = Family.of([(CardVec.fins(2, 2), W)])
     y = Family.of([(CardVec.fins(1, 2), fin(2)), (CardVec.fins(2, 2), W)])
     assert not m.member(CardVec.fins(2, 0))
-    assert _tier_chain(m, x, y) is None
     r = braid_find(m, x, y)
-    assert r.is_yes and verify(m, x, y, r.witness).is_yes
+    assert r.is_yes and chain_of(r.witness) == _tier_chain(m, x, y)
+    assert verify(m, x, y, r.witness).is_yes
     assert render_certificate(r.witness) == "\n".join(
         [
             "PREFIX",
@@ -814,7 +816,7 @@ def test_cycle_counts_first_positive_solution(m, xs, ys):
 
     first = next(c for c in itertools.product(range(1, 9), repeat=len(vals)) if balanced(c))
     want = (dict(zip(sx.cycle, first)), dict(zip(sy.cycle, first[len(sx.cycle):])))
-    assert _cycle_counts(m, sx, sy, 12) == want
+    assert _count_scan(sx, sy, 12) == want
 
 
 class _CountingVec(VecMonoid):
@@ -1239,7 +1241,8 @@ def _as_values(*views):
 
 def test_closed_forms_match_the_scans():
     # the closed forms of the uniform tier give the first hit of the scans
-    # they replace on integer vectors, and the same left-hand side
+    # they replace on integer vectors; _prefix_balance, the scan that values
+    # without a view take, agrees with the plain scan and its left-hand side
     rng = random.Random(3131)
     hits = collections.Counter()
     for x, y in _ratio_cases(rng):
