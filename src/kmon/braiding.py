@@ -6,9 +6,9 @@ a chain repeated ``weight`` times.  A chain (``OmegaCertificate``) is a prefix
 of blocks followed by a periodic cycle; each block consumes a chunk of both
 families, of fewer than lambda elements, and threads carry elements ``u``
 (shared by the two block equations) and ``v`` (passed to the next block).
-At lambda = aleph0 a search answer is one layer of weight 1, or one layer per
-part of the level split.  Above aleph0 the relation collapses to block-sum
-equality: each block is a layer whose chain is one prefix block.
+A search answer has one layer per part of the level split.  Above aleph0
+the relation collapses to block-sum equality: each block is a layer whose
+chain is one prefix block.
 """
 
 from __future__ import annotations
@@ -865,29 +865,33 @@ def _finite_index(fam: Family) -> bool:
     return all(mult.is_finite for _, mult in fam.entries)
 
 
-def _countable_chain(
-    m: KappaMonoid, xf: Family, yf: Family, budget: int
-) -> Optional[OmegaCertificate]:
-    """The aleph0 tiers on a countable pair whose two index sets are both
-    finite or both infinite: the first chain that ``verify`` accepts for
-    (xf, yf).  A finite pair is one block whose u is xf's sum;
-    otherwise the uniform tier and the entry-carry tier, which share one
-    ``_StreamViews`` read of the streams, the greedy walk and the DFS are
-    tried in that order."""
-    if _finite_index(xf):
-        chains: Any = [OmegaCertificate((BraidBlock(xf, yf, m.ksum(xf), m.zero),))]
+def _part_chain(m: KappaMonoid, xp: Family, yp: Family, lam: ExtCard, budget: int) -> TriBool:
+    """One part of the level split: Yes with the first chain that ``verify``
+    accepts for (xp, yp) at ``lam`` as witness.  A part above aleph0, and a
+    finite part at aleph0, has one candidate, the block of
+    ``collapsed_layer``; a part at aleph0 with one finite side is Unknown;
+    any other part tries the uniform and entry-carry tiers, which share one
+    ``_StreamViews`` read of the streams, then the greedy walk and the DFS.
+    When verify accepts none, Unknown, with verify's reason above aleph0."""
+    if lam != ALEPH0 or _finite_index(xp) and _finite_index(yp):
+        chains: Any = [collapsed_layer(m, xp, yp)[1]]
+    elif _finite_index(xp) or _finite_index(yp):
+        # a monoid that collapses infinite sums may balance such a pair
+        return unknown(note="finite vs infinite form")
     else:
-        chunks = _Chunks(m, xf, yf)
+        chunks = _Chunks(m, xp, yp)
         ints = _StreamViews.of(m, *chunks.streams)
         walks = ((min(budget, GREEDY_BUDGET), chunks.greedy), (budget, chunks.dfs))
         chains = itertools.chain(
             (tier(m, *chunks.streams, ints) for tier in (_uniform_omega, _carry_omega)),
             (_walk(chunks, steps, children) for steps, children in walks),
         )
-    for chain in chains:
-        if chain is not None and verify(m, xf, yf, LayeredCertificate.of(chain)).is_yes:
-            return chain
-    return None
+    for chain in (c for c in chains if c is not None):
+        r = verify(m, xp, yp, LayeredCertificate.of(chain), lam)
+        if r.is_yes:
+            return yes(witness=chain)
+    # above aleph0 the one candidate is rejected, and verify says why
+    return unknown(note=r.note if lam != ALEPH0 else f"no certificate within budget {budget}")
 
 
 def _level_split(xf: Family, yf: Family, lam: ExtCard) -> list[tuple[ExtCard, Family, Family]]:
@@ -897,7 +901,9 @@ def _level_split(xf: Family, yf: Family, lam: ExtCard) -> list[tuple[ExtCard, Fa
     big.  For each multiplicity level lvl >= big, ascending, a part of weight
     lvl holds, on each side, every entry of multiplicity at least lvl, aleph0
     copies each; then, when some entry lies below big, a weight-1 part holds
-    both families with every multiplicity capped at cap.
+    both families with every multiplicity capped at cap.  A pair with no
+    level, the empty pair too, is its own weight-1 part: the two families
+    themselves, which the cap leaves as they are.
 
     Tally: an entry of multiplicity mu is used lvl * aleph0 = lvl times by
     each level lvl <= mu, and min(mu, cap) times by the weight-1 part when
@@ -909,9 +915,11 @@ def _level_split(xf: Family, yf: Family, lam: ExtCard) -> list[tuple[ExtCard, Fa
     part records whether that coordinate reaches lvl.  So a part there can
     fail only when an aleph0 search runs out of budget."""
     big = aleph(1) if lam == ALEPH0 else lam
-    cap = aleph(big.aleph_level - 1)
     both = (xf, yf)
     levels = sorted({mult for f in both for _, mult in f if big <= mult})
+    if not levels:
+        return [(FIN1, xf, yf)]
+    cap = aleph(big.aleph_level - 1)
     parts = [
         (lvl, *(Family.of([(e, ALEPH0) for e, mult in f if lvl <= mult]) for f in both))
         for lvl in levels
@@ -934,12 +942,13 @@ def braid_find(
     one); otherwise the search is honest about exhaustion.  ``lam`` must be
     infinite.
 
-    A countable pair at lam = aleph0 is one chain of the aleph0 tiers.  Any
-    other pair takes the level split: at lam = aleph0 each part is such a
-    chain, repeated as often as its weight, and above aleph0 each part is one
-    block (``collapsed_layer``).  The whole sums are equal here, and another
-    split may succeed where this one fails, so a failing part or a rejected
-    assembly gives Unknown, never No."""
+    Every pair takes the level split, and each part gets its chain from
+    ``_part_chain``, checked by ``verify`` on that part; a countable pair at
+    lam = aleph0 is its own single part.  The assembled certificate is not
+    checked again: by the tally identity of ``_level_split`` the parts'
+    consumptions, each repeated as often as its weight, add up to the
+    families.  The whole sums are equal here, and another split may succeed
+    where this one fails, so a failing part gives Unknown, never No."""
     if lam.is_finite:
         raise PreconditionError(f"lambda must be infinite, got {lam}")
     xf = canonical_family(m, xfam)
@@ -952,26 +961,15 @@ def braid_find(
         return no(note="sums differ")
     if finite and not e.is_yes:
         return unknown(note="sum equality undecided")
-    if lam == ALEPH0 and all(mult <= ALEPH0 for _, mult in itertools.chain(xf, yf)):
-        chain = _countable_chain(m, xf, yf, budget)
-        if chain is None:
-            return unknown(note=f"no certificate within budget {budget}")
-        return yes(witness=LayeredCertificate.of(chain))
-    layers: list[tuple[ExtCard, OmegaCertificate]] = []
-    for weight, xp, yp in _level_split(xf, yf, lam):
-        if lam != ALEPH0:
-            layers.append(collapsed_layer(m, xp, yp, weight))
-            continue
-        part = f"level {weight}" if weight.is_infinite else "weight-1"
-        if _finite_index(xp) != _finite_index(yp):
-            # a monoid that collapses infinite sums may balance such a pair
-            return unknown(note=f"{part} part: finite vs infinite form")
-        chain = _countable_chain(m, xp, yp, budget)
-        if chain is None:
-            return unknown(note=f"{part} part: no certificate within budget {budget}")
-        layers.append((weight, chain))
-    cert = LayeredCertificate(tuple(layers))
-    r = verify(m, xf, yf, cert, lam)
-    if r.is_yes:
-        return yes(witness=cert)
-    return unknown(note=f"level split rejected: {r.note}")
+    parts = _level_split(xf, yf, lam)
+    layers = []
+    for weight, xp, yp in parts:
+        r = _part_chain(m, xp, yp, lam, budget)
+        if not r.is_yes:
+            if len(parts) == 1 and weight.is_finite:
+                # the pair is its own part, and the note names no part
+                return r
+            part = f"level {weight}" if weight.is_infinite else "weight-1"
+            return unknown(note=f"{part} part: {r.note}")
+        layers.append((weight, r.witness))
+    return yes(witness=LayeredCertificate(tuple(layers)))

@@ -290,7 +290,7 @@ def _cmd_realizable2(args, rep: Report) -> int:
     rep.say(
         result.render(),
         conditions=[
-            {"name": c.name, "status": c.status, "exact": c.exact, "witness": str(c.witness)}
+            {"name": c.name, "status": c.status, "exact": c.exact, "witness": c.witness_text}
             for c in result.conditions
         ],
         notes=result.notes,

@@ -468,6 +468,30 @@ GOLDEN_CASES = [
     ("23_gallery_trivial", ["gallery-eval", "--monoid", "trivial(N0)", "--fam", "fam {1*aleph0}"]),
     ("24_gallery_qline_dedekind", ["gallery-eval", "--monoid", "dedekind(2,2)", "--fam", "fam {(1; 1,0)*2, (1; 0,1)*1}"]),
     ("25_aleph0_extend_excluded", ["aleph0-extend", "--monoid", "dio n=2 { eq: 2 x0 = x0 + x1; }", "--vec", "(aleph0, 3)"]),
+    # the cycle ratio 20 is past SCALE_CAP, so only the greedy walk decides
+    ("26_braid_find_greedy_walk", ["braid-find", "--monoid", "n0", "--x", "{1*aleph0}", "--y", "{20*aleph0}"]),
+    # heads (10,10) and 0 against block sum (3,3) do not balance in whole
+    # blocks, so the entry-carry tier decides; braid-check accepts its text,
+    # and says NO once the cycle block's u is one less in a coordinate
+    ("27_braid_find_entry_carry", ["braid-find", "--monoid", "vec(2)", "--x", "{(1,1)*aleph0, (2,2)*5}", "--y", "{(1,1)*aleph0, (2,2)*aleph0}"]),
+    ("28_braid_check_entry_carry", ["braid-check", "--monoid", "vec(2)", "--x", "{(1,1)*aleph0, (2,2)*5}", "--y", "{(1,1)*aleph0, (2,2)*aleph0}", "--cert", "PREFIX\nB i={(2, 2)*5} j={(1, 1)*10} u=(10, 10) v'=(0, 0)\nCYCLE\nB i={(1, 1)*3} j={(1, 1)*1, (2, 2)*1} u=(3, 3) v'=(0, 0)"]),
+    ("29_braid_check_entry_carry_bad", ["braid-check", "--monoid", "vec(2)", "--x", "{(1,1)*aleph0, (2,2)*5}", "--y", "{(1,1)*aleph0, (2,2)*aleph0}", "--cert", "PREFIX\nB i={(2, 2)*5} j={(1, 1)*10} u=(10, 10) v'=(0, 0)\nCYCLE\nB i={(1, 1)*3} j={(1, 1)*1, (2, 2)*1} u=(3, 2) v'=(0, 0)"]),
+    # families that are not canonical are rebuilt before the search: in
+    # cmn(1,2) 5 is the class of 1 and the zero entry drops out
+    ("30_braid_find_rebuilt", ["braid-find", "--monoid", "cmn(1,2)", "--x", "{5*1, 0*2, 2*aleph0}", "--y", "{1*1, 2*aleph0}"]),
+    # a zero entry of multiplicity aleph0 drops out too: both forms are finite
+    ("31_braid_find_zero_entry", ["braid-find", "--monoid", "n0", "--x", "{0*aleph0, 1*3}", "--y", "{3*1}"]),
+    # cycles 3 and 3, heads 3 and 0: the y head takes one more block
+    ("32_braid_find_uniform_heads", ["braid-find", "--monoid", "n0", "--x", "{1*3, 3*aleph0}", "--y", "{3*aleph0}"]),
+    # the entries below aleph1 do not balance on their own, but the level
+    # split's weight-1 part holds every entry capped at aleph0
+    ("33_braid_find_level_split", ["braid-find", "--monoid", "vec(2)", "--kappa", "aleph1", "--x", "{(1,1)*aleph1, (1,0)*1}", "--y", "{(1,1)*aleph1}"]),
+    ("34_braid_check_level_split", ["braid-check", "--monoid", "vec(2)", "--kappa", "aleph1", "--x", "{(1,1)*aleph1, (1,0)*1}", "--y", "{(1,1)*aleph1}", "--cert", "LAYER w=aleph1\nPREFIX\nCYCLE\nB i={(1, 1)*1} j={(1, 1)*1} u=(1, 1) v'=(0, 0)\nLAYER w=1\nPREFIX\nB i={(1, 0)*1} j={(1, 1)*1} u=(1, 0) v'=(0, 1)\nCYCLE\nB i={(1, 1)*1} j={(1, 1)*1} u=(1, 0) v'=(0, 1)"]),
+    ("35_braid_find_level_split_aleph1", ["braid-find", "--monoid", "vec(2)", "--kappa", "aleph1", "--x", "{(1,1)*aleph1, (1,0)*1}", "--y", "{(1,1)*aleph1}", "--lam", "aleph1"]),
+    ("36_braid_check_c_lines_aleph1", ["braid-check", "--monoid", "vec(2)", "--kappa", "aleph1", "--x", "{(1,1)*aleph1, (1,0)*1}", "--y", "{(1,1)*aleph1}", "--cert", "C i={(1, 1)*aleph0} j={(1, 1)*aleph0} w=aleph1\nC i={(1, 0)*1, (1, 1)*aleph0} j={(1, 1)*aleph0} w=1", "--lam", "aleph1"]),
+    ("37_braid_check_c_line_aleph2", ["braid-check", "--monoid", "n0", "--x", "{1*aleph1}", "--y", "{1*aleph1}", "--cert", "C i={1*aleph1} j={1*aleph1} w=1", "--lam", "aleph2"]),
+    # the parity contradiction runs the completion scan to its end: UNKNOWN
+    ("38_aleph0_extend_parity_unknown", ["aleph0-extend", "--monoid", "dio n=3 { eq: x0 = 2 x1 + x2; cong: x2 in 2N; cong: x0 + x1 in 2N; }", "--vec", "(aleph0, 1, aleph0)", "--radius", "8"]),
 ]
 
 
@@ -482,7 +506,7 @@ def test_acceptance_10_cli_golden():
     import os
 
     regen = os.environ.get("KMON_REGEN_GOLDEN") == "1"
-    assert len(GOLDEN_CASES) == 25
+    assert len(GOLDEN_CASES) == 38
     names = set()
     for name, argv in GOLDEN_CASES:
         assert name not in names
@@ -502,4 +526,4 @@ def test_acceptance_10_cli_golden():
         "member", "extend", "decompose", "braid-check", "braid-find",
         "realizable2", "axioms", "gallery-eval", "aleph0-extend",
     }
-    _ok(10, "25 golden invocations byte-identical across runs, every subcommand covered")
+    _ok(10, f"{len(GOLDEN_CASES)} golden invocations byte-identical across runs, every subcommand covered")

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import kmon.braiding as braiding
 from kmon.braiding import (
     GREEDY_CAP,
     SCALE_CAP,
@@ -19,6 +20,7 @@ from kmon.braiding import (
     _carry_omega,
     _count_scan,
     _cycle_ratio,
+    _level_split,
     _Periodic,
     _prefix_balance,
     _ratio,
@@ -943,6 +945,59 @@ def test_level_split_parts_are_cumulative():
         assert r.is_yes
         assert [w for w, _ in r.witness.layers] == want
         _replays(m, x, y, r.witness, lam)
+
+
+def test_a_pair_without_a_level_is_its_own_weight_1_part():
+    # a countable pair at aleph0, and a pair below lambda above it, is split
+    # into the two families themselves, not rebuilt
+    x, y = fam((1, 3), (2, W)), fam((2, W))
+    for lam in (W, aleph(1)):
+        [(w, xp, yp)] = _level_split(x, y, lam)
+        assert w == fin(1) and xp is x and yp is y
+    # the empty pair has no level either, and gets one weight-1 layer
+    empty = Family.empty()
+    assert _level_split(empty, empty, aleph(1)) == [(fin(1), empty, empty)]
+    for lam in (W, aleph(1)):
+        r = braid_find(N0, empty, empty, lam)
+        assert r.is_yes and [w for w, _ in r.witness.layers] == [fin(1)]
+        assert verify(N0, empty, empty, r.witness, lam).is_yes
+
+
+def test_verify_checks_each_part_and_not_the_assembly(monkeypatch):
+    # the level aleph1 part and the weight-1 part are each checked on their
+    # own families; the assembled certificate is not checked again
+    m = VecMonoid(2, at_most(aleph(1)))
+    v = CardVec.fins
+    x = Family.of([(v(1, 1), aleph(1)), (v(1, 0), fin(1))])
+    y = Family.of([(v(1, 1), aleph(1))])
+    parts = [(xp, yp) for _, xp, yp in _level_split(x, y, W)]
+    calls = []
+    real = braiding.verify
+
+    def counted(m, xfam, yfam, cert, lam=W):
+        r = real(m, xfam, yfam, cert, lam)
+        calls.append(((xfam, yfam), r.is_yes))
+        return r
+
+    monkeypatch.setattr(braiding, "verify", counted)
+    r = braid_find(m, x, y)
+    assert r.is_yes and len(parts) == 2
+    assert all(pair in parts for pair, _ in calls)
+    assert [pair for pair, accepted in calls if accepted] == parts
+    monkeypatch.undo()
+    assert verify(m, x, y, r.witness).is_yes
+
+
+def test_a_rejected_part_names_itself_and_the_reason():
+    # trivial(N0) sums both families to its top, but above aleph0 the
+    # aleph1 part holds aleph0 copies of 1 against nothing
+    m = TrivialExtensionMonoid(plain_n0())
+    x, y = Family.of([(ExtCard(1), aleph(1))]), Family.of([(ExtCard(1), W)])
+    (w, xp, yp), _ = _level_split(x, y, aleph(1))
+    why = verify(m, xp, yp, LayeredCertificate((collapsed_layer(m, xp, yp),)), aleph(1))
+    assert why.is_no and why.note == "prefix block equation fails"
+    r = braid_find(m, x, y, aleph(1))
+    assert r.is_unknown and r.note == f"level {w} part: {why.note}"
 
 
 def _answers(rows):

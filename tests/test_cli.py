@@ -378,6 +378,16 @@ def test_gallery_eval():
     assert code == 0 and "(2; 0)" in out
 
 
+def test_axioms_pass_on_the_gallery_and_vector_monoids():
+    # the law harness on the rational line, a rank-class monoid, the vector
+    # sums and two trivial extensions, whose families mix the top with base
+    # elements (ExtCard beside Inf, CardVec beside Inf), an order the
+    # type-name prefix of the entry key decides: every law passes, exit 0
+    for m in ("qline", "dedekind(2,2)", "vec(3)", "trivial(n0)", "trivial(vec(2))"):
+        code, out = invoke(["axioms", "--monoid", m, "--samples", "50", "--seed", "1"])
+        assert code == 0, (m, out)
+
+
 def test_determinism_across_runs():
     argvs = [
         ["braid-find", "--monoid", "N0", "--x", "fam {1*aleph0, 3*2}", "--y", "fam {2*aleph0}"],

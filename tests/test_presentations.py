@@ -171,7 +171,7 @@ def test_realizable_undecided_cyclicity_is_unknown_with_exact_conditions(monkeyp
     rep = realizable_two_gen(p, budget=200)
     assert rep.render().splitlines() == [
         "verdict: YES (cyclic with aleph0*x distinct from all n*x)",
-        "FAIL non-cyclic (exact) witness=(2, 1, fin(10))",
+        "FAIL non-cyclic (exact) witness=(2, 1, 10)",
         "OK   cyclic-criterion (exact) [rewrites preserve finiteness, so aleph0*x != n*x]",
         "note: presentation is cyclic: X2 = 10*X1; using the one-generator criterion",
     ]
@@ -569,23 +569,28 @@ def test_report_renders_are_pinned():
     # reads: nine lines of the plain reports changed (five (i) conditions
     # became exact, and X2 = aleph0*X1 turned from Unknown to Yes with an
     # exact criterion), and that corollary report gained the decider's note;
-    # re-pinned again when (i)'s detail became "premise fails for every n"
+    # re-pinned again when (i)'s detail became "premise fails for every n";
+    # and again when (iii) came to read its clash off the relations, and
+    # witnesses came to print their forms and cardinals as the DSL writes
+    # them: nine witness texts changed, and one (iii) witness now names
+    # the relation's own two forms
     renders = []
     for text in REPORT_TEXTS:
         p = parse_presentation(text)
         renders += [realizable_two_gen(p, 2000).render(), corollary_checks(p, 2000).render()]
     digest = hashlib.sha256("\n\n".join(renders).encode()).hexdigest()
-    assert digest == "3d212817b91e0c118e8e44936ce94720b37e365ed51c4c160d75d4d52898bf50"
+    assert digest == "24abf22f2e50cf316c27f5be34b09d3226ab14e5cd80f640af98213a5fda9d38"
 
 
 def test_reports_name_their_undecided_branches():
     # X2 in add(X1) needs 9*X2 = 9*aleph0*X1 beyond the n <= 8 range, so
-    # both reports reach their undecided branches
+    # both reports reach their undecided branches; the relation itself is
+    # the finite/infinite clash that violates (iii)
     p = parse_presentation("twogen { rel: 9*X1 = aleph0*X2; }")
     assert realizable_two_gen(p, 2000).render().splitlines() == [
         "verdict: NO",
         "OK   non-cyclic (exact)",
-        "??   (iii) finite/infinite separation [no clash on the grid; no preservation argument]",
+        "FAIL (iii) finite/infinite separation (exact) witness=((9*X1 + 0*X2), (0*X1 + aleph0*X2))",
         "FAIL (i) i=1,j=2 (exact) witness=0 [X1 not a summand of multiples of X2]",
         "FAIL (ii) i=1,j=2 witness=(0, 1) [no finite equality matches the infinite one]",
         "??   (i) i=2,j=1 [conclusion undecided]",
@@ -598,3 +603,24 @@ def test_reports_name_their_undecided_branches():
         "note: classification undecided",
         "note: three-condition decider: NO (case analysis undecided)",
     ]
+
+
+def test_condition_iii_reads_its_clash_off_the_relations():
+    # a relation whose sides differ in finiteness is the clash itself, and
+    # 0 = R with R finite and nonzero gives 0 = aleph0*R; without either
+    # kind of relation the presentation preserves the finiteness class
+    cases = {
+        "twogen { rel: 9*X1 = aleph0*X2; }": (Form.of(9, 0), Form.of(0, W)),
+        "twogen { rel: aleph0*X1 + 2*X2 = 3*X1; }": (Form.of(3, 0), Form.of(W, 2)),
+        "twogen { rel: 0*X1 = 1*X1 + 2*X2; }": (Form.of(0, 0), Form.of(W, W)),
+        "twogen { rel: 2*X1 = 1*X2; }": None,
+        "twogen { rel: aleph0*X1 = 1*X1 + aleph0*X2; }": None,
+    }
+    for text, clash in cases.items():
+        p = parse_presentation(text)
+        assert p.finite_infinite_clash == clash, text
+        assert p.class_preserving == (clash is None)
+    # a non-cyclic report prints the clash as its exact (iii) witness
+    text = "twogen { rel: 9*X1 = aleph0*X2; }"
+    iii = realizable_two_gen(parse_presentation(text), 2000).condition("(iii) finite/infinite separation")
+    assert (iii.status, iii.exact, iii.witness) == ("violated", True, cases[text])
