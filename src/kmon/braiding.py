@@ -14,7 +14,6 @@ chain is one prefix block.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -28,9 +27,7 @@ from .tribool import TriBool, no, unknown, yes
 
 DEFAULT_BUDGET = 5000
 BLOCK_CAP = 8  # longest chunk per side of a DFS block
-GREEDY_CAP = 64  # longest chunk per side of a greedy block
-GREEDY_BUDGET = 512  # most states the greedy walk enters
-SCALE_CAP = 12  # largest cycle and prefix multiplier of the uniform and entry-carry tiers
+SCALE_CAP = 12  # largest multiplier the scans without integer views and the entry-carry k loop try
 
 
 def canonical_family(m: KappaMonoid, fam: Family) -> Family:
@@ -541,12 +538,11 @@ def _units(m: KappaMonoid, elems: list) -> tuple[Family, Any]:
 
 
 class _Chunks:
-    """The two streams of one braid_find call and the chunks the search cuts
-    from them, each built and summed once.  Both streams have a cycle, so a
-    chunk is fixed by its side, its folded start and its length: one row of
-    chunks per (side, folded start), indexed by length and grown on demand.
-    ``greedy`` and ``dfs`` are the two orders in which the walk is offered
-    blocks."""
+    """The two streams of one braid_find call and the chunks the depth-first
+    search cuts from them, each built and summed once.  Both streams have a
+    cycle, so a chunk is fixed by its side, its folded start and its length:
+    one row of chunks per (side, folded start), indexed by length and grown
+    on demand."""
 
     def __init__(self, m: KappaMonoid, xfam: Family, yfam: Family):
         self.m = m
@@ -564,35 +560,6 @@ class _Chunks:
         while len(row) <= k:
             row.append(_units(self.m, [s[start + t] for t in range(len(row))]))
         return row
-
-    def chunk(self, side: int, pos: int, k: int) -> tuple[Family, Any]:
-        """The ``k`` elements of stream ``side`` from ``pos`` and their sum."""
-        return self.row(side, pos, k)[k]
-
-    def _take(self, side: int, pos: int, carry: Any):
-        """The shortest non-empty chunk of stream ``side`` from ``pos``, at
-        most GREEDY_CAP long, whose sum covers ``carry``: (length, chunk,
-        remainder), or None."""
-        for k in range(1, GREEDY_CAP + 1):
-            chunk, total = self.chunk(side, pos, k)
-            rest = self.m.sub(total, carry)
-            if rest is not None:
-                return k, chunk, rest
-        return None
-
-    def greedy(self, i: int, j: int, v):
-        """The one minimal-consumption block from state (i, j, v): just
-        enough of each stream to cover the carry.  Complete for positive
-        scalars, where the carry stays below the largest stream value."""
-        took = self._take(0, i, v)
-        if took is None:
-            return
-        k, ichunk, u = took
-        took = self._take(1, j, u)
-        if took is None:
-            return
-        l, jchunk, vn = took
-        yield BraidBlock(ichunk, jchunk, u, vn), i + k, j + l, vn
 
     def dfs(self, i: int, j: int, v):
         """Every block from state (i, j, v), at most BLOCK_CAP elements a
@@ -612,10 +579,10 @@ class _Chunks:
                     yield BraidBlock(ichunk, jchunk, u, vn), i + kx, j + ky, vn
 
 
-def _ratio(x: tuple[int, ...], y: tuple[int, ...], cap: int) -> Optional[tuple[int, int]]:
-    """The first (a, b) of an a-outer, b-inner scan over 1..cap with a*x =
-    b*y, for integer vectors.  Every solution is a multiple of the least
-    one, which one nonzero coordinate of x and a gcd give."""
+def _ratio(x: tuple[int, ...], y: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    """The least (a, b), a, b >= 1, with a*x = b*y, for integer vectors, or
+    None.  Every solution is a multiple of the least one, which one nonzero
+    coordinate of x and a gcd give, so no cap bounds it."""
     i = next((i for i, c in enumerate(x) if c), None)
     if i is None:
         return None if any(y) else (1, 1)
@@ -623,34 +590,32 @@ def _ratio(x: tuple[int, ...], y: tuple[int, ...], cap: int) -> Optional[tuple[i
         return None
     g = math.gcd(x[i], y[i])
     a, b = y[i] // g, x[i] // g
-    if a > cap or b > cap or any(a * p != b * q for p, q in zip(x, y)):
+    if any(a * p != b * q for p, q in zip(x, y)):
         return None
     return a, b
 
 
-def _balance(
-    hx: tuple[int, ...], hy: tuple[int, ...], s: tuple[int, ...], cap: int
-) -> Optional[tuple[int, int]]:
-    """The first (kx, ky) of a kx-outer, ky-inner scan over 0..cap with
-    hx + kx*s = hy + ky*s, for integer vectors: kx - ky is the one integer
-    d with d*s = hy - hx, read off one nonzero coordinate of s (a quotient
-    that is not exact fails that coordinate's check)."""
+def _balance(hx: tuple[int, ...], hy: tuple[int, ...], s: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    """The least (kx, ky), kx first, with hx + kx*s = hy + ky*s, for integer
+    vectors, or None: kx - ky is the one integer d with d*s = hy - hx, read
+    off one nonzero coordinate of s (a quotient that is not exact fails that
+    coordinate's check), and the least pair has a zero."""
     i = next((i for i, c in enumerate(s) if c), None)
     if i is None:
         return (0, 0) if hx == hy else None
     d = (hy[i] - hx[i]) // s[i]
     if any(p + d * c != q for p, q, c in zip(hx, hy, s)):
         return None
-    kx, ky = max(d, 0), max(-d, 0)
-    return (kx, ky) if kx <= cap and ky <= cap else None
+    return max(d, 0), max(-d, 0)
 
 
 def _cycle_ratio(m: KappaMonoid, xtot: Any, ytot: Any, cap: int) -> Optional[tuple[int, int]]:
-    """The least (a, b), a first, with 1 <= a, b <= cap and a*xtot = b*ytot:
-    in closed form on integer vectors, else by a scan over the multiples."""
+    """The least (a, b), a first, with a, b >= 1 and a*xtot = b*ytot: in
+    closed form on integer vectors, else by a scan over the multiples up to
+    ``cap``."""
     x, y = m.int_vector(xtot), m.int_vector(ytot)
     if x is not None and y is not None:
-        return _ratio(x, y, cap)
+        return _ratio(x, y)
     ymult = functools.cache(lambda b: m.scalar(fin(b), ytot))
     for a in range(1, cap + 1):
         asum = m.scalar(fin(a), xtot)
@@ -705,15 +670,15 @@ def _count_scan(sx: _Periodic, sy: _Periodic, cap: int):
 
 class _StreamViews:
     """One read of two streams for both exact tiers: every value's integer
-    view, the head totals hx and hy, the x-cycle total X, and the cycle
-    ratio (a, b) with a*X = b*Y within SCALE_CAP, or None.  ``of`` gives
+    view, the head totals hx and hy, the x-cycle total X, and the least
+    cycle ratio (a, b) with a*X = b*Y, or None.  ``of`` gives
     None unless every value has a view, all of one length."""
 
     def __init__(self, view: dict, dim: int, sx: _Periodic, sy: _Periodic):
         self.view, self.dim = view, dim
         self.hx, self.hy = self.total(sx.head), self.total(sy.head)
         self.xtot = self.total(sx.cycle)
-        self.ratio = _ratio(self.xtot, self.total(sy.cycle), SCALE_CAP)
+        self.ratio = _ratio(self.xtot, self.total(sy.cycle))
 
     @classmethod
     def of(cls, m: KappaMonoid, sx: _Periodic, sy: _Periodic) -> Optional[_StreamViews]:
@@ -744,8 +709,9 @@ def _uniform_omega(
     The counts are a uniform whole-cycle scaling by the cycle ratio when
     there is one, else ``_count_scan``'s.  With ``ints`` the ratio is its
     own, and ``_balance`` settles the prefix on its head totals before any
-    family is built; without, ``_cycle_ratio`` and ``_prefix_balance`` work
-    on the values."""
+    family is built, both in closed form with no cap; without, the scans
+    ``_cycle_ratio`` and ``_prefix_balance`` try multipliers up to
+    SCALE_CAP on the values."""
     if ints is None:
         _, xtot = _units(m, sx.cycle)
         _, ytot = _units(m, sy.cycle)
@@ -760,7 +726,7 @@ def _uniform_omega(
         return None
     heads = sx.head or sy.head
     if ints is not None and heads:
-        balanced = _balance(ints.hx, ints.hy, ints.total(cx, cx), SCALE_CAP)
+        balanced = _balance(ints.hx, ints.hy, ints.total(cx, cx))
         if balanced is None:
             return None
     iblk = Family.of((e, fin(c)) for e, c in cx.items())
@@ -787,7 +753,7 @@ def _carry_omega(
 ) -> Optional[OmegaCertificate]:
     """Periodic certificate of two blocks with an entry carry c, for streams
     whose values all have integer views (``ints``) and whose cycle totals X
-    and Y have a ratio (a, b), a*X = b*Y = S, within SCALE_CAP.
+    and Y have a least ratio (a, b), a*X = b*Y = S.
 
     The cycle block takes k*a copies of each x-cycle value and k*b of each
     y-cycle value, with u = kS - c and v' = c.  The prefix block takes both
@@ -832,11 +798,11 @@ def _carry_omega(
     return None
 
 
-def _walk(chunks: _Chunks, budget: int, children) -> Optional[OmegaCertificate]:
+def _walk(chunks: _Chunks, budget: int) -> Optional[OmegaCertificate]:
     """Depth-first walk over consecutive block splits of the two streams,
-    taking the blocks leaving state (i, j, v) in the order ``children(i, j,
-    v)`` yields them, one budget unit per state entered.  The cycle closes at
-    the first state past both heads whose key repeats one on the branch."""
+    taking the blocks leaving state (i, j, v) in ``chunks.dfs`` order, one
+    budget unit per state entered.  The cycle closes at the first state past
+    both heads whose key repeats one on the branch."""
     sx, sy = chunks.streams
     hx, hy = len(sx.head), len(sy.head)
     # one [state key, i, j, children, block taken] per state on the branch
@@ -851,7 +817,7 @@ def _walk(chunks: _Chunks, budget: int, children) -> Optional[OmegaCertificate]:
                 if pk == k and i > pi and j > pj:
                     blocks = tuple(f[4] for f in stack)
                     return OmegaCertificate(blocks[:cut], blocks[cut:])
-        stack.append([k, i, j, children(i, j, v), None])
+        stack.append([k, i, j, chunks.dfs(i, j, v), None])
         while (step := next(stack[-1][3], None)) is None:
             stack.pop()
             if not stack:
@@ -865,13 +831,23 @@ def _finite_index(fam: Family) -> bool:
     return all(mult.is_finite for _, mult in fam.entries)
 
 
+def _aleph0_chains(m: KappaMonoid, xp: Family, yp: Family, budget: int):
+    """The candidate chains of a part at aleph0, each built only once the one
+    before it is rejected: the uniform and entry-carry tiers, which share
+    one ``_StreamViews`` read of the streams, then the DFS."""
+    chunks = _Chunks(m, xp, yp)
+    ints = _StreamViews.of(m, *chunks.streams)
+    yield _uniform_omega(m, *chunks.streams, ints)
+    yield _carry_omega(m, *chunks.streams, ints)
+    yield _walk(chunks, budget)
+
+
 def _part_chain(m: KappaMonoid, xp: Family, yp: Family, lam: ExtCard, budget: int) -> TriBool:
     """One part of the level split: Yes with the first chain that ``verify``
     accepts for (xp, yp) at ``lam`` as witness.  A part above aleph0, and a
     finite part at aleph0, has one candidate, the block of
     ``collapsed_layer``; a part at aleph0 with one finite side is Unknown;
-    any other part tries the uniform and entry-carry tiers, which share one
-    ``_StreamViews`` read of the streams, then the greedy walk and the DFS.
+    any other part tries the candidates of ``_aleph0_chains`` in turn.
     When verify accepts none, Unknown, with verify's reason above aleph0."""
     if lam != ALEPH0 or _finite_index(xp) and _finite_index(yp):
         chains: Any = [collapsed_layer(m, xp, yp)[1]]
@@ -879,13 +855,7 @@ def _part_chain(m: KappaMonoid, xp: Family, yp: Family, lam: ExtCard, budget: in
         # a monoid that collapses infinite sums may balance such a pair
         return unknown(note="finite vs infinite form")
     else:
-        chunks = _Chunks(m, xp, yp)
-        ints = _StreamViews.of(m, *chunks.streams)
-        walks = ((min(budget, GREEDY_BUDGET), chunks.greedy), (budget, chunks.dfs))
-        chains = itertools.chain(
-            (tier(m, *chunks.streams, ints) for tier in (_uniform_omega, _carry_omega)),
-            (_walk(chunks, steps, children) for steps, children in walks),
-        )
+        chains = _aleph0_chains(m, xp, yp, budget)
     for chain in (c for c in chains if c is not None):
         r = verify(m, xp, yp, LayeredCertificate.of(chain), lam)
         if r.is_yes:

@@ -343,7 +343,9 @@ def run(argv: list[str]) -> int:
         rep.say(f"error: {e}", error=str(e))
         return rep.emit(EXIT_USAGE)
     except Exception as e:  # pragma: no cover - internal failures
-        rep.say(f"internal error: {type(e).__name__}: {e}", error=str(e))
+        # the type too: a MemoryError, for one, has an empty message
+        error = f"{type(e).__name__}: {e}"
+        rep.say(f"internal error: {error}", error=error)
         return rep.emit(EXIT_INTERNAL)
 
 

@@ -23,7 +23,6 @@ from .cardinals import (
     ExtCard,
     FIN1,
     ZERO,
-    aleph,
     at_most,
     card_sum,
     fin,

@@ -31,6 +31,8 @@ from .gallery import (
 )
 from .presentations import Form, TwoGenMonoid, TwoGenPresentation
 
+DIM_LIMIT = 1024  # largest dimension of a dio or vec monoid the parser admits
+
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<num>\d+)
@@ -154,6 +156,15 @@ class Parser:
 
     def nat(self) -> int:
         return int(self.expect_kind("num").text)
+
+    def dim(self) -> int:
+        """A dimension, rejected above DIM_LIMIT before anything of that
+        length is allocated."""
+        t = self.peek()
+        n = self.nat()
+        if n > DIM_LIMIT:
+            raise ParseError(f"dimension {n} is above the limit {DIM_LIMIT}", t.line, t.col)
+        return n
 
     # -- cardinals --------------------------------------------------------
 
@@ -301,7 +312,7 @@ class Parser:
 
     def dio(self) -> ConstraintSystem:
         self.word("dio")
-        n = self.field("n", self.nat)
+        n = self.field("n", self.dim)
         self.expect("{")
         eqs, ineqs, congs = [], [], []
         while not self.at("}"):
@@ -366,7 +377,7 @@ class Parser:
             self.expect(")")
             return CyclicExtensionMonoid(CyclicMonoid(m, nn), bound)
         if low == "vec":
-            return VecMonoid(self.parens(self.nat), bound)
+            return VecMonoid(self.parens(self.dim), bound)
         if low == "qline":
             return RationalLineMonoid(bound)
         if low == "dedekind":

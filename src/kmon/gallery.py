@@ -103,6 +103,10 @@ class TrivialExtensionMonoid(KappaMonoid):
             return from_bool(ia and ib)
         return self.base.eq(a, b)
 
+    def int_vector(self, x):
+        # below the top, finite sums and eq are the base's
+        return None if isinstance(x, Inf) else self.base.int_vector(x)
+
     def sub(self, a, b):
         if isinstance(a, Inf):
             return INF  # b + inf = inf for every b

@@ -468,8 +468,9 @@ GOLDEN_CASES = [
     ("23_gallery_trivial", ["gallery-eval", "--monoid", "trivial(N0)", "--fam", "fam {1*aleph0}"]),
     ("24_gallery_qline_dedekind", ["gallery-eval", "--monoid", "dedekind(2,2)", "--fam", "fam {(1; 1,0)*2, (1; 0,1)*1}"]),
     ("25_aleph0_extend_excluded", ["aleph0-extend", "--monoid", "dio n=2 { eq: 2 x0 = x0 + x1; }", "--vec", "(aleph0, 3)"]),
-    # the cycle ratio 20 is past SCALE_CAP, so only the greedy walk decides
-    ("26_braid_find_greedy_walk", ["braid-find", "--monoid", "n0", "--x", "{1*aleph0}", "--y", "{20*aleph0}"]),
+    # the cycle ratio 20 is past SCALE_CAP, which bounds only the scans for
+    # values without an integer view: one uniform cycle block decides
+    ("26_braid_find_ratio_past_cap", ["braid-find", "--monoid", "n0", "--x", "{1*aleph0}", "--y", "{20*aleph0}"]),
     # heads (10,10) and 0 against block sum (3,3) do not balance in whole
     # blocks, so the entry-carry tier decides; braid-check accepts its text,
     # and says NO once the cycle block's u is one less in a coordinate

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 import kmon.braiding as braiding
 from kmon.braiding import (
-    GREEDY_CAP,
+    BLOCK_CAP,
     SCALE_CAP,
     BraidBlock,
     LayeredCertificate,
@@ -42,7 +43,7 @@ from kmon.dsl import parse_certificate, render_certificate
 from kmon.free_vectors import CardVec, VecMonoid
 from kmon.gallery import INF, DedekindVMonoid, QPoint, RationalLineMonoid, TrivialExtensionMonoid, plain_n0
 
-from populations import SPLIT_MONOID, level_split_pairs
+from populations import SPLIT_MONOID, braid_mix, level_split_pairs
 
 W = ALEPH0
 N0 = CyclicExtensionMonoid(CyclicMonoid())
@@ -296,8 +297,9 @@ def test_braid_find_unrepresentable_pair_is_unknown():
 
 
 def test_braid_find_depth_first_search_success():
-    # uniform scaling and the greedy walk both miss this pair; only the
-    # depth-first search over block splits finds the certificate
+    # the rational line has no integer view, and uniform scaling misses this
+    # pair; only the depth-first search over block splits finds the
+    # certificate
     half, third = QPoint.plain(Fraction(1, 2)), QPoint.plain(Fraction(1, 3))
     m = RationalLineMonoid()
     x = Family.of([(half, W), (QPoint.tilde(Fraction(1, 2)), fin(1))])
@@ -322,21 +324,26 @@ def test_braid_find_depth_first_search_success():
     )
 
 
-def test_braid_find_greedy_walk_success():
-    # twenty ones per twenty: beyond uniform scaling's cap of 12 and the
-    # search's block cap of 8, so only the greedy walk finds it
+def test_braid_find_cycle_ratio_past_the_scan_cap():
+    # twenty ones per twenty: the cycle ratio is past SCALE_CAP and the
+    # block cap of 8, but on integer views the ratio is read off a gcd with
+    # no cap, so one uniform cycle block decides
     r = braid_find(N0, fam((1, W)), fam((20, W)))
     assert r.is_yes
     assert verify(N0, fam((1, W)), fam((20, W)), r.witness).is_yes
-    assert render_certificate(r.witness) == "\n".join(
-        [
-            "PREFIX",
-            "B i={1*1} j={20*1} u=1 v'=19",
-            "B i={1*19} j={20*1} u=0 v'=20",
-            "CYCLE",
-            "B i={1*20} j={20*1} u=0 v'=20",
-        ]
-    )
+    assert render_certificate(r.witness) == "\n".join(["PREFIX", "CYCLE", "B i={1*20} j={20*1} u=20 v'=0"])
+    # ratios far past the cap, with heads: the uniform tier's closed-form
+    # prefix balance and the entry-carry tier decide these, in both orders
+    v = CardVec.fins
+    for m, x, y in [
+        (N0, fam((1, W), (5, 1)), fam((100000, W))),
+        (N0, fam((3, W), (7, 2)), fam((9973, W))),
+        (F2, fam((v(200, 100), W), (v(1, 0), 2)), fam((v(2, 1), W), (v(1, 0), 4))),
+    ]:
+        for a, b in ((x, y), (y, x)):
+            r = braid_find(m, a, b)
+            assert r.is_yes and verify(m, a, b, r.witness).is_yes, (a, b)
+            assert verify(m, b, a, flip(m, r.witness)).is_yes, (a, b)
 
 
 def _tier_chain(m, x, y):
@@ -462,6 +469,39 @@ def test_braid_find_sums_each_chunk_once(monkeypatch):
     assert r.is_unknown
     assert r.note == "no certificate within budget 2500"
     assert calls[0] < 1000
+
+
+def test_the_dfs_runs_only_after_both_exact_tiers_pass(monkeypatch):
+    # a DFS built before the exact tiers answer changes no answer, only the
+    # time each decided pair takes; so count the walks directly
+    walks = [0]
+    walk = braiding._walk
+
+    def counted(*args):
+        walks[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(braiding, "_walk", counted)
+    v = CardVec.fins
+    carry = fam((v(1, 1), W), (v(2, 2), 5)), fam((v(1, 1), W), (v(2, 2), W))
+    for m, (x, y), tier, entered in [
+        (N0, (fam((1, W)), fam((2, W))), _uniform_omega, 0),
+        (F2, carry, _carry_omega, 0),
+        (F2, UNDECIDED_VEC, None, 1),
+    ]:
+        walks[0] = 0
+        r = braid_find(m, x, y, budget=300)
+        assert walks[0] == entered, (x, y)
+        if tier is not None:
+            streams = _stream(x), _stream(y)
+            chain = tier(m, *streams, _StreamViews.of(m, *streams))
+            assert r.witness == LayeredCertificate.of(chain)
+    # on acceptance 5's population the exact tiers decide every decided
+    # pair, and each Unknown walks once
+    for m, x, y in braid_mix(50505):
+        walks[0] = 0
+        r = braid_find(m, x, y, budget=2500)
+        assert walks[0] == r.is_unknown, (m.name, x, y)
 
 
 def test_braid_find_budget_monotone():
@@ -1085,12 +1125,12 @@ def test_chunk_rows_match_the_stream(m, x, y):
         (side, pos, k)
         for side, s in enumerate(chunks.streams)
         for pos in range(len(s.head) + 3 * len(s.cycle))
-        for k in range(GREEDY_CAP + 1)
+        for k in range(BLOCK_CAP + 1)
     ]
     random.Random(7).shuffle(reads)
     for side, pos, k in reads:
         s = chunks.streams[side]
-        assert chunks.chunk(side, pos, k) == _units(m, [s[pos + t] for t in range(k)])
+        assert chunks.row(side, pos, k)[k] == _units(m, [s[pos + t] for t in range(k)])
 
 
 # -- canonical families ------------------------------------------------------------
@@ -1217,8 +1257,8 @@ def test_rebuild_population_is_pinned():
         rows.append(f"{r.kind}|{r.note}|{cert}|{checked}")
     assert rebuilt >= 200
     assert collections.Counter(row.split("|")[0] for row in rows) == {"yes": 113, "no": 83, "unknown": 4}
-    # re-pinned when the entry-carry tier took over the greedy walk's pairs
-    want = "94bcdffb579e4e2fedeb8d00507d87342d774cf89cc267203f1967f9e7063cb7"
+    # re-pinned when the greedy walk was retired: the DFS took its two pairs
+    want = "b8abe02f34c53ad75d5d310074901c4727f278fa5751f292edba4df241900eb1"
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == want
 
 
@@ -1232,12 +1272,12 @@ def _scanned_ratio(m, x, y, cap):
     return None
 
 
-def _scanned_balance(m, hx, hy, s):
+def _scanned_balance(m, hx, hy, s, cap=SCALE_CAP):
     """The uniform tier's kx-outer, ky-inner scan for hx + kx*s = hy + ky*s,
     with its left-hand side."""
-    for kx in range(SCALE_CAP + 1):
+    for kx in range(cap + 1):
         left = m.add(hx, m.scalar(fin(kx), s))
-        for ky in range(SCALE_CAP + 1):
+        for ky in range(cap + 1):
             if m.eq(left, m.add(hy, m.scalar(fin(ky), s))).is_yes:
                 return kx, ky, left
     return None
@@ -1296,22 +1336,38 @@ def _as_values(*views):
 
 def test_closed_forms_match_the_scans():
     # the closed forms of the uniform tier give the first hit of the scans
-    # they replace on integer vectors; _prefix_balance, the scan that values
-    # without a view take, agrees with the plain scan and its left-hand side
+    # they replace on integer vectors wherever a scan hits within SCALE_CAP.
+    # Past the cap they give the least solution: a*x = b*y with gcd(a, b) =
+    # 1, and d*s = hy - hx with the other count 0.  They give None only where
+    # a wider scan finds nothing either.  _prefix_balance, the scan that
+    # values without a view take, agrees with the plain scan and its
+    # left-hand side
     rng = random.Random(3131)
     hits = collections.Counter()
     for x, y in _ratio_cases(rng):
         m, (vx, vy) = _as_values(x, y)
-        want = _scanned_ratio(m, vx, vy, SCALE_CAP)
-        assert _ratio(x, y, SCALE_CAP) == want == _cycle_ratio(m, vx, vy, SCALE_CAP), (x, y)
-        hits[want is not None] += 1
+        want, got = _scanned_ratio(m, vx, vy, SCALE_CAP), _ratio(x, y)
+        assert got == _cycle_ratio(m, vx, vy, SCALE_CAP), (x, y)
+        if want is not None or got is None:
+            assert got == want == _scanned_ratio(m, vx, vy, 16), (x, y)
+        else:
+            a, b = got
+            assert max(a, b) > SCALE_CAP and math.gcd(a, b) == 1, (x, y)
+            assert all(a * p == b * q for p, q in zip(x, y)), (x, y)
+        hits[want is not None, got is not None] += 1
     for hx, hy, s in _balance_cases(rng):
         m, vals = _as_values(hx, hy, s)
-        want = _scanned_balance(m, *vals)
+        want, got = _scanned_balance(m, *vals), _balance(hx, hy, s)
         assert _prefix_balance(m, *vals) == want, (hx, hy, s)
-        assert _balance(hx, hy, s, SCALE_CAP) == (want[:2] if want else None)
-        hits[want is not None] += 1
-    assert hits[True] >= 300 and hits[False] >= 150
+        if want is not None or got is None:
+            wide = _scanned_balance(m, *vals, cap=16)
+            assert got == (want and want[:2]) == (wide and wide[:2]), (hx, hy, s)
+        else:
+            kx, ky = got
+            assert max(kx, ky) > SCALE_CAP and min(kx, ky) == 0, (hx, hy, s)
+            assert all(q - p == (kx - ky) * c for p, q, c in zip(hx, hy, s)), (hx, hy, s)
+        hits[want is not None, got is not None] += 1
+    assert hits[True, True] >= 400 and hits[False, False] >= 200 and hits[False, True] >= 60, hits
 
 
 def test_int_vector_only_where_the_arithmetic_is_integer():
@@ -1323,12 +1379,22 @@ def test_int_vector_only_where_the_arithmetic_is_integer():
     assert F2.int_vector(CardVec((fin(1), W))) is None
     dio = DioMonoid(ConstraintSystem.make(2, congruences=[((1, 1), 2)]), at_most(W))
     assert dio.int_vector(CardVec.fins(2, 0)) == (2, 0)
-    assert CyclicExtensionMonoid(CyclicMonoid(1, 2)).int_vector(fin(1)) is None
+    cmn = CyclicExtensionMonoid(CyclicMonoid(1, 2))
+    assert cmn.int_vector(fin(1)) is None
     assert RationalLineMonoid().int_vector(QPoint.plain(Fraction(1, 2))) is None
+    # below the top, finite sums and eq of trivial(N0) are those of N0
     trivial = TrivialExtensionMonoid(plain_n0())
-    assert trivial.int_vector(fin(2)) is None and trivial.int_vector(INF) is None
+    assert trivial.int_vector(fin(2)) == (2,) and trivial.int_vector(INF) is None
     twogen = TwoGenMonoid(TwoGenPresentation.of([]), budget=100)
     assert twogen.int_vector(Form.of(1, 2)) is None
+    # so a cmn(1,2) pair takes the uniform tier's scans, cycle ratio and
+    # prefix balance both, and braid_find answers with their chain
+    x, y = fam((1, W), (2, 1)), fam((1, W))
+    streams = _stream(x), _stream(y)
+    assert _StreamViews.of(cmn, *streams) is None
+    chain = _uniform_omega(cmn, *streams, None)
+    assert chain.prefix and chain.cycle
+    assert braid_find(cmn, x, y).witness == LayeredCertificate.of(chain)
 
 
 def _uniform_population(seed):
@@ -1388,7 +1454,8 @@ def test_uniform_population_is_pinned():
         checked = verify(m, x, y, r.witness).kind if r.is_yes else ""
         rows.append(f"{r.kind}|{r.note}|{cert}|{checked}")
     assert collections.Counter(row.split("|")[0] for row in rows) == {"yes": 247, "no": 23, "unknown": 38}
-    # re-pinned when the entry-carry tier took over the pairs the uniform
-    # tier passes on
-    want = "c979d25a9ad9fc425dbb009bacb788f3e6b244bb6e485b1e86717b79a60527fb"
+    # re-pinned when the greedy walk was retired: trivial(N0) gained an
+    # integer view, ratios and balances past SCALE_CAP became uniform
+    # blocks, and the DFS took the walk's cmn(1,2) pairs
+    want = "1a77010761b3d6105bbdf1027949ca82644f1400d53bce58db7fd7b1bd172c19"
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == want

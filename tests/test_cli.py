@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from kmon import cli
 from kmon.cli import build_parser, run
+from kmon.dsl import DIM_LIMIT, parse_monoid
 
 
 def invoke(argv):
@@ -166,6 +168,44 @@ def test_parse_error_reports_position():
     code, out = invoke(["gallery-eval", "--monoid", "qline", "--fam", "fam {1/0*1}"])
     assert code == 3
     assert "parse error at 1:8" in out
+
+
+HUGE = 299999999999
+
+
+@pytest.mark.parametrize(
+    "argv,col",
+    [
+        (["member", "--monoid", f"dio n={HUGE} {{eq: x0 = x1; }}", "--vec", "(1, 1)"], 7),
+        (["extend", "--monoid", f"dio n={HUGE} {{eq: x0 = x1; }}", "--to", "aleph2",
+          "--vec", "(aleph1, aleph1)"], 7),
+        (["braid-find", "--monoid", f"vec({HUGE})", "--x", "{(1,1)*1}", "--y", "{(1,1)*1}"], 5),
+    ],
+)
+def test_a_dimension_above_the_limit_exits_3(argv, col):
+    # rejected before a vector of that length is allocated, which used to
+    # end in exit 4 with a MemoryError
+    error = f"1:{col}: dimension {HUGE} is above the limit {DIM_LIMIT}"
+    assert invoke(argv) == (3, f"parse error at {error}\n")
+    code, out = invoke(argv + ["--format", "json"])
+    assert code == 3
+    assert json.loads(out) == {"command": argv[0], "error": error, "exit": 3}
+    # the limit itself is admitted
+    assert parse_monoid(f"vec({DIM_LIMIT})").n == DIM_LIMIT
+    assert parse_monoid(f"dio n={DIM_LIMIT} {{ eq: x0 = x1; }}").system.n == DIM_LIMIT
+
+
+def test_internal_error_json_names_the_exception(monkeypatch):
+    # a MemoryError has an empty message, so the JSON error names its type
+    def fail(_):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_vec", fail)
+    argv = ["member", "--monoid", "dio n=1 { }", "--vec", "(4)"]
+    assert invoke(argv) == (4, "internal error: MemoryError: \n")
+    code, out = invoke(argv + ["--format", "json"])
+    assert code == 4
+    assert json.loads(out) == {"command": "member", "error": "MemoryError: ", "exit": 4}
 
 
 CARD_OPTIONS = {
